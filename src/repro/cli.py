@@ -277,6 +277,9 @@ def cmd_predict(args: argparse.Namespace, out: IO[str]) -> int:
     except KeyError as exc:
         out.write(f"{exc.args[0]}\n")
         return 2
+    if topology.n < 2:
+        out.write("predict needs at least 2 regions (no WAN otherwise)\n")
+        return 2
     weather = profile.fluctuation(seed=config.seed)
     pipeline = Pipeline(topology, weather, config)
     out.write(

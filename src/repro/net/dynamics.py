@@ -15,11 +15,24 @@ runtime BWs (§5.1).  We model each directed link's capacity as
 The grid construction makes ``factor(i, j, t)`` a pure function of
 ``(seed, i, j, t)``: no sequential state, so measurement replays and
 independent simulator instances see the same network weather.
+
+Every per-link draw keyed by link and coarse time (the noise at a grid
+point, the diurnal phase, the scenario shapes' link selections and
+phases in :mod:`repro.runtime.scenarios`) is memoized by
+:func:`_link_normal` / :func:`_link_uniform`, so a simulator that
+reprices the same links thousands of times per grid cell seeds one
+generator per key, not one per call.  The memo is why ``factor`` must
+stay a pure function of ``(seed, i, j, t)``: a draw that read any other
+state would be served stale from the cache.  Each memo holds at most
+:data:`LINK_DRAW_CACHE_SIZE` entries; the bound is fixed, not
+configurable, and evicting an entry only costs its recomputation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +55,25 @@ def _link_hash(seed: int, i: int, j: int, bucket: int) -> np.random.Generator:
     return np.random.default_rng(int(key))
 
 
+#: Entries kept by each per-link draw memo, least recently used evicted
+#: (~8 MiB when full).  A drain touches a few thousand keys.
+LINK_DRAW_CACHE_SIZE = 1 << 15
+
+
+@lru_cache(maxsize=LINK_DRAW_CACHE_SIZE)
+def _link_normal(seed: int, i: int, j: int, bucket: int, sigma: float) -> float:
+    """``_link_hash(seed, i, j, bucket).normal(0.0, sigma)``, memoized."""
+    return float(_link_hash(seed, i, j, bucket).normal(0.0, sigma))
+
+
+@lru_cache(maxsize=LINK_DRAW_CACHE_SIZE)
+def _link_uniform(
+    seed: int, i: int, j: int, bucket: int, low: float, high: float
+) -> float:
+    """``_link_hash(seed, i, j, bucket).uniform(low, high)``, memoized."""
+    return float(_link_hash(seed, i, j, bucket).uniform(low, high))
+
+
 @dataclass(frozen=True)
 class FluctuationModel:
     """Multiplicative time-varying factor per directed link.
@@ -60,12 +92,10 @@ class FluctuationModel:
     ceiling: float = 1.65
 
     def _noise_at_bucket(self, i: int, j: int, bucket: int) -> float:
-        rng = _link_hash(self.seed, i, j, bucket)
-        return float(rng.normal(0.0, self.sigma))
+        return _link_normal(self.seed, i, j, bucket, self.sigma)
 
     def _phase(self, i: int, j: int) -> float:
-        rng = _link_hash(self.seed, i, j, -1)
-        return float(rng.uniform(0.0, 2.0 * np.pi))
+        return _link_uniform(self.seed, i, j, -1, 0.0, 2.0 * np.pi)
 
     def factor(self, i: int, j: int, t: float) -> float:
         """Multiplicative capacity factor for link ``i → j`` at time ``t``.
@@ -78,7 +108,7 @@ class FluctuationModel:
         """
         if i == j:
             return 1.0
-        bucket = int(np.floor(t / self.noise_period_s))
+        bucket = math.floor(t / self.noise_period_s)
         frac = t / self.noise_period_s - bucket
         n0 = self._noise_at_bucket(i, j, bucket)
         n1 = self._noise_at_bucket(i, j, bucket + 1)
@@ -86,7 +116,7 @@ class FluctuationModel:
         diurnal = self.diurnal_amplitude * np.sin(
             2.0 * np.pi * t / DAY_S + self._phase(i, j)
         )
-        return float(np.clip(1.0 + noise + diurnal, self.floor, self.ceiling))
+        return float(min(max(1.0 + noise + diurnal, self.floor), self.ceiling))
 
     def snapshot_jitter(self, i: int, j: int, t: float, window_s: float) -> float:
         """Extra multiplicative jitter for very short probes.

@@ -64,11 +64,13 @@ class Topology:
     profile: NetworkProfile = VPC_PEERING
     _distance: np.ndarray = field(init=False, repr=False)
     _rtt: np.ndarray = field(init=False, repr=False)
+    _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         keys = [dc.key for dc in self.dcs]
         if len(set(keys)) != len(keys):
             raise ValueError(f"duplicate DC keys: {keys}")
+        self._index = {key: i for i, key in enumerate(keys)}
         n = len(self.dcs)
         self._distance = np.zeros((n, n))
         self._rtt = np.zeros((n, n))
@@ -123,10 +125,10 @@ class Topology:
 
     def index(self, key: str) -> int:
         """Index of a DC key."""
-        for i, dc in enumerate(self.dcs):
-            if dc.key == key:
-                return i
-        raise KeyError(f"unknown DC {key!r}; known: {self.keys}")
+        try:
+            return self._index[key]
+        except KeyError:
+            raise KeyError(f"unknown DC {key!r}; known: {self.keys}") from None
 
     def dc(self, key: str) -> DataCenter:
         """DataCenter by key."""

@@ -50,7 +50,7 @@ from repro.net.dynamics import (
     DAY_S,
     FluctuationModel,
     StaticModel,
-    _link_hash,
+    _link_uniform,
 )
 from repro.pipeline.registry import register_scenario, scenario_registry
 
@@ -69,8 +69,7 @@ def _selected(seed: int, i: int, j: int, fraction: float) -> bool:
         return True
     if fraction <= 0.0:
         return False
-    rng = _link_hash(seed ^ _SELECT_SALT, i, j, -3)
-    return bool(rng.uniform() < fraction)
+    return _link_uniform(seed ^ _SELECT_SALT, i, j, -3, 0.0, 1.0) < fraction
 
 
 def _ramp(t: float, start: float, ramp_s: float) -> float:
@@ -134,8 +133,9 @@ class DiurnalSwing(ScenarioModel):
 
     def shape(self, i: int, j: int, t: float) -> float:
         """Phase-spread sinusoid dipping to ``1 − amplitude``."""
-        rng = _link_hash(self.seed ^ _SELECT_SALT, i, j, -4)
-        phase = float(rng.uniform(-self.phase_spread, self.phase_spread))
+        phase = _link_uniform(
+            self.seed ^ _SELECT_SALT, i, j, -4, -self.phase_spread, self.phase_spread
+        )
         return 1.0 - self.amplitude * (
             0.5 + 0.5 * np.sin(2.0 * np.pi * t / self.period_s + phase)
         )
@@ -235,9 +235,8 @@ class CircuitFailover(ScenarioModel):
     def _fail_at(self, i: int, j: int) -> float:
         if self.spread_s <= 0.0:
             return self.fail_at_s
-        rng = _link_hash(self.seed ^ _SELECT_SALT, i, j, -5)
-        return self.fail_at_s + float(
-            rng.uniform(-self.spread_s, self.spread_s)
+        return self.fail_at_s + _link_uniform(
+            self.seed ^ _SELECT_SALT, i, j, -5, -self.spread_s, self.spread_s
         )
 
     def shape(self, i: int, j: int, t: float) -> float:
@@ -273,8 +272,9 @@ class FlappingLink(ScenarioModel):
             return 1.0
         if not _selected(self.seed, i, j, self.hit_fraction):
             return 1.0
-        rng = _link_hash(self.seed ^ _SELECT_SALT, i, j, -6)
-        phase = float(rng.uniform(0.0, self.period_s))
+        phase = _link_uniform(
+            self.seed ^ _SELECT_SALT, i, j, -6, 0.0, self.period_s
+        )
         return flap_quality(
             t - self.start_s,
             self.period_s,

@@ -5,7 +5,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.dynamics import FluctuationModel, StaticModel
+from repro.net.dynamics import (
+    DAY_S,
+    DEFAULT_NOISE_PERIOD_S,
+    LINK_DRAW_CACHE_SIZE,
+    FluctuationModel,
+    StaticModel,
+    _link_hash,
+    _link_normal,
+    _link_uniform,
+)
+
+#: Links of the parity grid, the diagonal and both directions included.
+GRID_PAIRS = ((0, 1), (1, 0), (2, 7), (7, 2), (3, 3), (5, 4))
+
+
+def grid_times() -> list[float]:
+    """Times on and around noise-bucket boundaries, across a day
+    boundary, one before zero, and seeded draws over three days."""
+    period = DEFAULT_NOISE_PERIOD_S
+    edges = [k * period for k in range(4)] + [DAY_S, 2 * DAY_S]
+    times = [-1.0, 0.0, 1e-9, 42.5, DAY_S / 2]
+    for edge in edges:
+        times += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+        times += [edge - 0.5, edge + 0.5]
+    times += list(np.random.default_rng(2024).uniform(0.0, 3 * DAY_S, 40))
+    return [float(t) for t in times]
 
 
 class TestDeterminism:
@@ -60,6 +85,60 @@ class TestShape:
         f0 = m.factor(0, 1, 600.0)
         f1 = m.factor(0, 1, 600.0 + m.noise_period_s / 10)
         assert abs(f0 - f1) < 0.15
+
+
+class TestMemoizedParity:
+    """Memoized draws reproduce the uncached model float for float."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 123, 2**31 - 1])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"sigma": 1.0}, {"noise_period_s": 60.0}, {"diurnal_amplitude": 0.3}],
+    )
+    def test_factor_matches_uncached_oracle(self, seed, overrides, uncached_factor):
+        m = FluctuationModel(seed=seed, **overrides)
+        for i, j in GRID_PAIRS:
+            for t in grid_times():
+                assert m.factor(i, j, t) == uncached_factor(m, i, j, t), (i, j, t)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"sigma": 0.13}, {"sigma": 0.4}),
+            ({"noise_period_s": 300.0}, {"noise_period_s": 45.0}),
+        ],
+    )
+    def test_cache_key_separates_models(self, first, second, uncached_factor):
+        for order in ((first, second), (second, first)):
+            _link_normal.cache_clear()
+            _link_uniform.cache_clear()
+            for overrides in order:
+                m = FluctuationModel(seed=11, **overrides)
+                for t in (10.0, 299.0, 1000.0, 5000.0):
+                    assert m.factor(0, 1, t) == uncached_factor(m, 0, 1, t)
+
+    def test_snapshot_jitter_is_not_memoized(self):
+        m = FluctuationModel(seed=3)
+        before = _link_normal.cache_info()
+        rng = _link_hash(m.seed ^ 0x5EED, 0, 1, 12_000)
+        scale = m.sigma * 0.6 * (1.0 - 1.0 / 20.0)
+        expected = float(np.clip(1.0 + rng.normal(0.0, scale), 0.5, 1.5))
+        assert m.snapshot_jitter(0, 1, 12.0, 1.0) == expected
+        assert _link_normal.cache_info() == before
+
+    def test_caches_stay_bounded(self, uncached_factor):
+        assert _link_normal.cache_info().maxsize == LINK_DRAW_CACHE_SIZE
+        assert _link_uniform.cache_info().maxsize == LINK_DRAW_CACHE_SIZE
+        m = FluctuationModel(seed=5, noise_period_s=1.0)
+        sweep = LINK_DRAW_CACHE_SIZE + 100
+        for bucket in range(sweep):
+            m.factor(0, 1, bucket + 0.5)
+        for i in range(sweep):
+            _link_uniform(5, i, 0, -3, 0.0, 1.0)
+        assert _link_normal.cache_info().currsize == LINK_DRAW_CACHE_SIZE
+        assert _link_uniform.cache_info().currsize == LINK_DRAW_CACHE_SIZE
+        # Evicted keys are recomputed, not lost.
+        assert m.factor(0, 1, 0.5) == uncached_factor(m, 0, 1, 0.5)
 
 
 class TestSnapshotJitter:

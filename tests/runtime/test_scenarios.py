@@ -1,17 +1,26 @@
 """Tests for the bandwidth-dynamics scenario library."""
 
+import numpy as np
 import pytest
 
-from repro.net.dynamics import FluctuationModel, StaticModel
+from repro.net.circuits import flap_quality, select_path
+from repro.net.dynamics import DAY_S, FluctuationModel, StaticModel, _link_hash
 from repro.net.simulator import NetworkSimulator
 from repro.runtime.scenarios import (
+    _SELECT_SALT,
     FACTOR_FLOOR,
+    FEATURED_COMPOSITIONS,
     SCENARIOS,
+    CircuitFailover,
+    ComposedScenario,
     DiurnalSwing,
+    FlappingLink,
     FlashCrowd,
     LinkDegradation,
+    PathPolicySwitch,
     ScenarioModel,
     StepDrop,
+    _ramp,
     scenario,
     scenario_names,
 )
@@ -123,3 +132,105 @@ class TestPluggableIntoSimulator:
         net.sim.run(until=60.0)
         after = net.pair_capacity("us-east-1", "us-west-1", 1)
         assert after == pytest.approx(before * 0.25, rel=1e-6)
+
+
+def _uncached_selected(seed, i, j, fraction):
+    if fraction >= 1.0:
+        return True
+    if fraction <= 0.0:
+        return False
+    rng = _link_hash(seed ^ _SELECT_SALT, i, j, -3)
+    return bool(rng.uniform() < fraction)
+
+
+def _uncached_shape(model, i, j, t, weather):
+    """Each built-in shape with a fresh generator per draw (the oracle)."""
+    kind = type(model)
+    salted = model.seed ^ _SELECT_SALT
+    if kind is ComposedScenario:
+        combined = 1.0
+        for part in model.parts:
+            combined *= _uncached_shape(part, i, j, t, weather)
+        return combined
+    if kind in (ScenarioModel, StepDrop):
+        return model.shape(i, j, t)  # no draws
+    if kind is DiurnalSwing:
+        rng = _link_hash(salted, i, j, -4)
+        phase = float(rng.uniform(-model.phase_spread, model.phase_spread))
+        return 1.0 - model.amplitude * (
+            0.5 + 0.5 * np.sin(2.0 * np.pi * t / model.period_s + phase)
+        )
+    if kind is FlashCrowd:
+        if not _uncached_selected(model.seed, i, j, model.hit_fraction):
+            return 1.0
+        onset = _ramp(t, model.start_s, model.ramp_s)
+        recovery = _ramp(t, model.start_s + model.duration_s, model.ramp_s)
+        return 1.0 - (1.0 - model.depth) * max(0.0, onset - recovery)
+    if kind is LinkDegradation:
+        if model.links:
+            hit = (i, j) in model.links
+        else:
+            hit = _uncached_selected(model.seed, i, j, model.hit_fraction)
+        if not hit:
+            return 1.0
+        return 1.0 - (1.0 - model.residual) * _ramp(t, model.start_s, model.ramp_s)
+    if kind is CircuitFailover:
+        if not _uncached_selected(model.seed, i, j, model.hit_fraction):
+            return 1.0
+        fail_at = model.fail_at_s
+        if model.spread_s > 0.0:
+            rng = _link_hash(salted, i, j, -5)
+            fail_at += float(rng.uniform(-model.spread_s, model.spread_s))
+        return model.circuit.quality_at(t - fail_at)[0]
+    if kind is FlappingLink:
+        if t < model.start_s:
+            return 1.0
+        if not _uncached_selected(model.seed, i, j, model.hit_fraction):
+            return 1.0
+        rng = _link_hash(salted, i, j, -6)
+        phase = float(rng.uniform(0.0, model.period_s))
+        return flap_quality(
+            t - model.start_s,
+            model.period_s,
+            model.duty,
+            up_quality=1.0,
+            down_quality=model.down_quality,
+            phase_s=phase,
+        )
+    if kind is PathPolicySwitch:
+        primary = weather(model.base, i, j, t)
+        if select_path(primary, model.min_capacity_fraction) == "primary":
+            return 1.0
+        return model.secondary_quality / max(primary, FACTOR_FLOOR)
+    raise AssertionError(f"no uncached oracle for {kind.__name__}")
+
+
+class TestMemoizedParity:
+    """Memoized scenario draws reproduce the uncached shapes exactly."""
+
+    PAIRS = ((0, 1), (1, 0), (0, 2), (2, 6), (6, 2), (3, 7), (4, 5), (1, 1))
+
+    @staticmethod
+    def times():
+        # Scenario event edges (onsets, ramps, failures, flap periods),
+        # noise-bucket edges, a day boundary and seeded draws.
+        edges = (0.0, 299.0, 300.0, 300.5, 600.0, 630.0, 660.0, 900.0, 1500.0)
+        spread = np.random.default_rng(99).uniform(0.0, 2 * DAY_S, 24)
+        return [*edges, DAY_S - 0.25, DAY_S, DAY_S + 300.0, *map(float, spread)]
+
+    @pytest.mark.parametrize(
+        "name", scenario_names() + tuple(FEATURED_COMPOSITIONS)
+    )
+    @pytest.mark.parametrize("seed", [3, 7, 41])
+    def test_factor_matches_uncached_oracle(self, name, seed, uncached_factor):
+        model = scenario(name, seed=seed)
+        for i, j in self.PAIRS:
+            for t in self.times():
+                if i == j:
+                    expected = 1.0
+                else:
+                    combined = uncached_factor(model.base, i, j, t) * _uncached_shape(
+                        model, i, j, t, uncached_factor
+                    )
+                    expected = float(max(combined, FACTOR_FLOOR))
+                assert model.factor(i, j, t) == expected, (name, i, j, t)

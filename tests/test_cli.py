@@ -122,6 +122,11 @@ class TestPredict:
         _, second = run_cli(*argv)
         assert first == second
 
+    def test_single_region_fails_cleanly(self):
+        code, text = run_cli("predict", "us-east-1")
+        assert code == 2
+        assert text == "predict needs at least 2 regions (no WAN otherwise)\n"
+
 
 class TestReport:
     def test_report_writes_file(self, tmp_path, monkeypatch):
