@@ -16,6 +16,7 @@ Baselines future PRs can regress against:
 import json
 import time
 from pathlib import Path
+from typing import Callable
 
 from repro.experiments import online_replanning, recalibration
 from repro.gda.engine.cluster import GeoCluster
@@ -201,17 +202,15 @@ MIN_KERNEL_SPEEDUP = 5.0
 _EVENT_KERNEL_TRANSFERS = 100_000
 
 
-def _event_kernel_rate(n_transfers: int) -> tuple[float, float, int]:
-    """(events/wall-s, wall seconds, events) for the bare event kernel.
+def event_kernel_workload() -> tuple[Simulator, Callable[[], None], dict]:
+    """Untimed set-up of the bare event-kernel row: ``(sim, arrive,
+    state)``.
 
     Replays the :class:`NetworkSimulator` event shape with the network
-    math stripped out: arrivals land in bulk waves via
-    ``schedule_many`` and every arrival cancels and re-arms one shared
+    math stripped out: every ``arrive`` cancels and re-arms one shared
     completion event (the ``_schedule_completion`` pattern), whose
-    firings then chain until the wave drains.  Arrivals share instants
-    ten at a time, so ``run()``'s same-instant batch dispatch is on the
-    measured path too.  What this prices is heap discipline alone —
-    tuple entries, the skim loop, batch dispatch, and bulk insert.
+    firings then chain until the live count (``state["live"]``) drains.
+    Callers drive it in bulk waves of ``arrive`` via ``schedule_many``.
     """
     sim = Simulator()
     state: dict = {"live": 0, "next": None}
@@ -232,6 +231,19 @@ def _event_kernel_rate(n_transfers: int) -> tuple[float, float, int]:
         state["live"] += 1
         rearm()
 
+    return sim, arrive, state
+
+
+def _event_kernel_rate(n_transfers: int) -> tuple[float, float, int]:
+    """(events/wall-s, wall seconds, events) for the bare event kernel.
+
+    Arrivals land in bulk waves via ``schedule_many`` (see
+    :func:`event_kernel_workload`) and share instants ten at a time,
+    so ``run()``'s same-instant batch dispatch is on the measured path
+    too.  What this prices is heap discipline alone — tuple entries,
+    the skim loop, batch dispatch, and bulk insert.
+    """
+    sim, arrive, state = event_kernel_workload()
     wave = 1000
     start = time.perf_counter()
     for _ in range(max(1, n_transfers // wave)):
@@ -242,15 +254,24 @@ def _event_kernel_rate(n_transfers: int) -> tuple[float, float, int]:
     return sim.events_processed / wall_s, wall_s, sim.events_processed
 
 
-def _sim_event_rate(kernel: str) -> tuple[float, float, int]:
-    """(events/wall-s, wall seconds, events) draining one crowded pair."""
+def crowded_pair_network(
+    kernel: str, n_transfers: int = _KERNEL_TRANSFERS
+) -> NetworkSimulator:
+    """Untimed set-up of the crowded-pair row: ``n_transfers`` started
+    on one WAN pair, ready for ``net.sim.run()`` to drain."""
     topology = Topology.build(("us-east-1", "us-west-1"), "t2.medium")
     net = NetworkSimulator(topology, fluctuation=StaticModel(), kernel=kernel)
-    for i in range(_KERNEL_TRANSFERS):
+    for i in range(n_transfers):
         # Strictly increasing sizes: every transfer completes at its
         # own instant, so each completion re-shares the surviving
         # crowd — the scalar kernel's quadratic worst case.
         net.start_transfer("us-east-1", "us-west-1", 100.0 + 0.25 * i)
+    return net
+
+
+def _sim_event_rate(kernel: str) -> tuple[float, float, int]:
+    """(events/wall-s, wall seconds, events) draining one crowded pair."""
+    net = crowded_pair_network(kernel)
     start = time.perf_counter()
     net.sim.run()
     wall_s = time.perf_counter() - start

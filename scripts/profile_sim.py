@@ -1,7 +1,9 @@
 #!/usr/bin/env python
 """cProfile the simulator's event hot loop and print the top-N rows.
 
-Two workloads, selected with ``--mode``:
+Two workloads, selected with ``--mode``, both built by the runtime
+benchmark (``benchmarks/test_bench_runtime.py``) so the profile and
+the bench rows measure the same thing:
 
 * ``kernel`` (default) — the bare event kernel: bulk arrival waves via
   ``schedule_many`` where every arrival cancels and re-arms a shared
@@ -28,32 +30,20 @@ import pstats
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT / "benchmarks"))
 
 from repro.sim.kernel import Simulator  # noqa: E402
+from test_bench_runtime import (  # noqa: E402
+    crowded_pair_network,
+    event_kernel_workload,
+)
 
 
 def _kernel_workload(n_transfers: int) -> Simulator:
-    """Run the arrival/re-arm/chained-completion event workload."""
-    sim = Simulator()
-    state: dict = {"live": 0, "next": None}
-
-    def complete() -> None:
-        state["next"] = None
-        state["live"] -= 1
-        rearm()
-
-    def rearm() -> None:
-        if state["next"] is not None:
-            state["next"].cancel()
-            state["next"] = None
-        if state["live"] > 0:
-            state["next"] = sim.schedule(1.0, complete, priority=1)
-
-    def arrive() -> None:
-        state["live"] += 1
-        rearm()
-
+    """Drive the bench's event-kernel workload in waves of 1000."""
+    sim, arrive, _ = event_kernel_workload()
     wave = 1000
     for _ in range(max(1, n_transfers // wave)):
         sim.schedule_many((0.001 * (k // 10), arrive) for k in range(wave))
@@ -62,15 +52,8 @@ def _kernel_workload(n_transfers: int) -> Simulator:
 
 
 def _network_workload(n_transfers: int, kernel: str) -> Simulator:
-    """Drain one crowded WAN pair through the NetworkSimulator."""
-    from repro.net.dynamics import StaticModel
-    from repro.net.simulator import NetworkSimulator
-    from repro.net.topology import Topology
-
-    topology = Topology.build(("us-east-1", "us-west-1"), "t2.medium")
-    net = NetworkSimulator(topology, fluctuation=StaticModel(), kernel=kernel)
-    for i in range(n_transfers):
-        net.start_transfer("us-east-1", "us-west-1", 100.0 + 0.25 * i)
+    """Drain the bench's crowded WAN pair."""
+    net = crowded_pair_network(kernel, n_transfers)
     net.sim.run()
     return net.sim
 

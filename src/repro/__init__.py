@@ -49,15 +49,13 @@ point (``deployment("my-variant")``, ``--policy kimchi``,
 
     from repro import register_variant, register_policy, register_scenario
 
-The legacy ``WANify`` / ``WANifyService`` spellings remain as
-deprecated shims.  See ``examples/quickstart.py`` and README.md for a
+See ``examples/quickstart.py`` and README.md for a
 guided tour, and ``python -m repro --help`` for the command-line
 interface (``python -m repro serve`` drives the runtime service).
 """
 
 from repro.cloud.regions import PAPER_REGIONS
 from repro.core.globalopt import GlobalPlan, optimize_connections
-from repro.core.interface import WANify, WANifyConfig, WANifyDeployment
 from repro.core.predictor import WanPredictionModel
 from repro.net.dynamics import FluctuationModel, StaticModel
 from repro.net.matrix import BandwidthMatrix
@@ -115,13 +113,11 @@ _LAZY_EXPORTS = {
     "DriftDetector": "repro.runtime.drift",
     "JobScheduler": "repro.runtime.scheduler",
     "PipelineService": "repro.runtime.service",
-    "SCENARIOS": "repro.runtime.scenarios",
     "SLO": "repro.runtime.scheduling",
     "ControlPlane": "repro.runtime.control",
     "BandwidthGovernor": "repro.runtime.control",
     "ConcurrencyAutoscaler": "repro.runtime.control",
     "TelemetryStore": "repro.runtime.telemetry",
-    "WANifyService": "repro.runtime.service",
     "register_scenario_model": "repro.runtime.scenarios",
     "scenario": "repro.runtime.scenarios",
     "spread_slos": "repro.runtime.scheduling",
@@ -146,10 +142,8 @@ __all__ = [
     "DriftDetector",
     "JobScheduler",
     "PipelineService",
-    "SCENARIOS",
     "SLO",
     "TelemetryStore",
-    "WANifyService",
     "register_scenario_model",
     "scenario",
     "spread_slos",
@@ -177,9 +171,6 @@ __all__ = [
     "StaticModel",
     "Topology",
     "VPC_PEERING",
-    "WANify",
-    "WANifyConfig",
-    "WANifyDeployment",
     "WanPredictionModel",
     "admission_policy",
     "admission_policy_registry",

@@ -43,6 +43,7 @@ with ``+`` (``diurnal+flash-crowd``).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import IO, Optional
@@ -281,12 +282,20 @@ def cmd_predict(args: argparse.Namespace, out: IO[str]) -> int:
         out.write("predict needs at least 2 regions (no WAN otherwise)\n")
         return 2
     weather = profile.fluctuation(seed=config.seed)
-    pipeline = Pipeline(topology, weather, config)
+    # Everything a knob can reject runs before the first line of
+    # output, so a bad value prints one message and nothing else.
+    try:
+        pipeline = Pipeline(topology, weather, config)
+        summary = pipeline.train()
+        predicted = pipeline.predict(at_time=args.at)
+        plan = pipeline.plan(predicted)
+    except ValueError as exc:
+        out.write(f"bad configuration: {exc}\n")
+        return 2
     out.write(
         f"training on {config.n_training_datasets} datasets "
         f"({config.n_estimators} estimators) ...\n"
     )
-    summary = pipeline.train()
     out.write(
         f"  rows={summary['rows']:.0f}  "
         f"target SD={summary['target_std_mbps']:.0f} Mbps  "
@@ -296,13 +305,11 @@ def cmd_predict(args: argparse.Namespace, out: IO[str]) -> int:
     static = measure_independent(topology, weather, at_time=0.0).matrix
     out.write("Static-independent BWs (Mbps, measured one pair at a time):\n")
     out.write(static.to_table())
-    predicted = pipeline.predict(at_time=args.at)
     out.write(
         f"\n\nPredicted runtime BWs at t={args.at:.0f}s (Mbps):\n"
     )
     out.write(predicted.to_table())
 
-    plan = pipeline.plan(predicted)
     out.write("\n\nOptimal connection windows (min–max per pair):\n")
     window = BandwidthMatrix.zeros(topology.keys)
     for src, dst in window.pairs():
@@ -451,8 +458,16 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
             f"autoscaler scales between them\n"
         )
         return 2
-    if args.scale_mb <= 0:
+    if not (math.isfinite(args.scale_mb) and args.scale_mb > 0):
         out.write(f"--scale-mb must be positive (got {args.scale_mb})\n")
+        return 2
+    if args.duration is not None and not (
+        math.isfinite(args.duration) and args.duration > 0
+    ):
+        out.write(
+            f"--duration must be a positive number of seconds "
+            f"(got {args.duration})\n"
+        )
         return 2
     if base_config.shard_workers < 0:
         out.write(
@@ -461,9 +476,29 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
         )
         return 2
 
-    def run_once(online: bool, metrics: bool = False) -> PipelineService:
+    def prepare(online: bool) -> tuple[PipelineService, list]:
         config = dataclasses.replace(base_config, online=online)
         service = PipelineService.build(config)
+        mix = default_job_mix(
+            keys,
+            count=args.jobs,
+            seed=config.seed,
+            scale_mb=args.scale_mb,
+        )
+        # submit_mix spreads heterogeneous SLO deadlines over the mix
+        # when --slo-deadline-s (or the config layers) set one.  With
+        # --shard-workers set the mix instead drains through the
+        # partitioned shard executor at run time (tenant-hashed
+        # shards, one seeded simulation per shard, optionally in
+        # worker processes).
+        if config.shard_workers == 0:
+            service.submit_mix(mix)
+        return service, mix
+
+    def run_once(
+        service: PipelineService, mix: list, metrics: bool = False
+    ) -> None:
+        config = service.config
         if (
             metrics
             and service.hub is not None
@@ -474,28 +509,26 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
             flush = getattr(out, "flush", None)
             if flush is not None:
                 flush()
-        mix = default_job_mix(
-            keys,
-            count=args.jobs,
-            seed=config.seed,
-            scale_mb=args.scale_mb,
-        )
-        # submit_mix spreads heterogeneous SLO deadlines over the mix
-        # when --slo-deadline-s (or the config layers) set one.  With
-        # --shard-workers set the mix instead drains through the
-        # partitioned shard executor (tenant-hashed shards, one seeded
-        # simulation per shard, optionally in worker processes).
         if config.shard_workers > 0:
             service.drain_parallel(mix)
         else:
-            service.submit_mix(mix)
             service.run(until=args.duration)
         service.stop()
-        return service
 
     # --static is an explicit override; otherwise the layered `online`
     # knob (file / WANIFY_ONLINE / dataclass default True) decides.
     primary_online = False if args.static else base_config.online
+    # Build (and submit to) every service before the first line of
+    # output: a knob its constructors reject prints one message and
+    # nothing else.  Errors raised while a simulation runs propagate.
+    try:
+        primary, primary_mix = prepare(primary_online)
+        other, other_mix = (
+            prepare(not primary_online) if args.compare else (None, None)
+        )
+    except ValueError as exc:
+        out.write(f"bad configuration: {exc}\n")
+        return 2
     mode = "online re-planning" if primary_online else "static plan"
     out.write(
         f"serving {args.jobs} jobs on {len(keys)} DCs, scenario "
@@ -503,9 +536,9 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
     )
     # Only the primary run owns the /metrics endpoint — a comparison
     # run binding the same port would clash.
-    primary = run_once(online=primary_online, metrics=True)
+    run_once(primary, primary_mix, metrics=True)
     _render_service(primary, out)
-    if args.compare:
+    if other is not None:
         # The comparison run is always the *opposite* mode, so
         # `--static --compare` works too.
         other_mode = (
@@ -513,7 +546,7 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
             "online re-planning"
         )
         out.write(f"\n-- comparison: {other_mode} --\n\n")
-        other = run_once(online=not primary_online)
+        run_once(other, other_mix)
         _render_service(other, out)
         online_svc, static_svc = (
             (primary, other) if primary_online else (other, primary)

@@ -10,16 +10,16 @@
   :mod:`repro.core.connections` — the per-VM Local Agent (§3.2.2,
   §4.1.3);
 * :mod:`repro.core.heterogeneity` — skew weights, refactoring vector,
-  association (§3.3);
-* :mod:`repro.core.interface` — the WANify Interface any GDA system
-  calls (§4.1).
+  association (§3.3).
+
+The WANify Interface a GDA system calls (§4.1) is
+:class:`repro.pipeline.Pipeline`, which composes these modules.
 """
 
 from repro.core.analyzer import BandwidthAnalyzer
 from repro.core.dataset import TrainingSet, build_training_set
 from repro.core.features import FEATURE_NAMES, pair_feature_vector
 from repro.core.globalopt import GlobalPlan, optimize_connections
-from repro.core.interface import WANify, WANifyConfig
 from repro.core.localopt import AimdState, LocalOptimizer
 from repro.core.predictor import WanPredictionModel
 from repro.core.relations import infer_dc_relations
@@ -31,8 +31,6 @@ __all__ = [
     "GlobalPlan",
     "LocalOptimizer",
     "TrainingSet",
-    "WANify",
-    "WANifyConfig",
     "WanPredictionModel",
     "build_training_set",
     "infer_dc_relations",

@@ -60,10 +60,6 @@ def trained_pipeline(
     return pipeline
 
 
-#: Deprecated spelling kept for downstream callers.
-trained_wanify = trained_pipeline
-
-
 def improvement_pct(baseline: float, value: float) -> float:
     """Percentage improvement of ``value`` over ``baseline`` (positive =
     better, i.e. smaller)."""

@@ -30,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.interface import WANifyDeployment
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.cost import CostBreakdown, job_cost
 from repro.gda.engine.dag import JobSpec, StageSpec
 from repro.net.matrix import BandwidthMatrix
+from repro.pipeline.deploy import Deployment
 
 #: Transfers below this volume are dropped (numerical dust from
 #: fractional placements).  Shared with the runtime executor.
@@ -108,7 +108,7 @@ class GdaEngine:
         job: JobSpec,
         policy: "PlacementPolicy",
         decision_bw: Optional[BandwidthMatrix] = None,
-        deployment: Optional[WANifyDeployment] = None,
+        deployment: Optional[Deployment] = None,
         reset: bool = True,
     ) -> JobResult:
         """Execute ``job`` and return its metrics.

@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.interface import WANifyDeployment
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.cost import CostBreakdown, job_cost
 from repro.net.matrix import BandwidthMatrix
+from repro.pipeline.deploy import Deployment
 
 #: Quantization ladder: (minimum decision BW in Mbps, gradient bits).
 #: Strong links keep full precision; the weakest drop to 4 bits.  The
@@ -137,7 +137,7 @@ class SagqTrainer:
         self,
         variant: str,
         decision_bw: Optional[BandwidthMatrix] = None,
-        deployment: Optional[WANifyDeployment] = None,
+        deployment: Optional[Deployment] = None,
     ) -> TrainingResult:
         """Train for the configured epochs under one §5.6 variant."""
         network = self.cluster.network

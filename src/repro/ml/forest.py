@@ -58,6 +58,10 @@ class RandomForestRegressor:
     _n_features: int = field(default=0, repr=False)
     _fit_count: int = field(default=0, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.n_estimators < 1:
+            raise ValueError(f"n_estimators must be ≥ 1: {self.n_estimators}")
+
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         """Fit (or, with warm start, extend) the forest."""
         X = np.asarray(X, dtype=float)

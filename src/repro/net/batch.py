@@ -23,15 +23,10 @@ Progressive-filling rate allocation has an array-wise twin too
 (:func:`allocate_batch`), used by the vectorized simulator in place of
 :func:`repro.net.sharing.allocate`.
 
-Two fallbacks keep the kernel safe to enable anywhere:
-
-* numpy is imported lazily through :func:`load_numpy`; when it is
-  absent the simulator emits one warning, records
-  ``kernel_fallback=True``, and runs the scalar path;
-* buckets at or below :data:`SMALL_BUCKET` transfers keep plain
-  per-object arithmetic — array overhead only pays for itself on
-  crowded pairs, and the small-bucket path leaves the transfer objects
-  authoritative exactly like the scalar kernel.
+Buckets at or below :data:`SMALL_BUCKET` transfers keep plain
+per-object arithmetic — array overhead only pays for itself on crowded
+pairs, and the small-bucket path leaves the transfer objects
+authoritative exactly like the scalar kernel.
 
 While a bucket is array-backed its transfer objects' ``rate_mbps`` /
 ``transferred_mbits`` fields go stale by design; the simulator calls
@@ -44,6 +39,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable
 
+import numpy as np
+
 if TYPE_CHECKING:
     from repro.net.sharing import PairFlow
     from repro.net.simulator import Transfer
@@ -52,7 +49,6 @@ __all__ = [
     "SMALL_BUCKET",
     "VectorKernel",
     "allocate_batch",
-    "load_numpy",
 ]
 
 #: Buckets at or below this many transfers stay on per-object
@@ -66,27 +62,10 @@ FINISH_EPS = 1e-6
 _EPS = 1e-9
 
 
-def load_numpy():
-    """The numpy module, or ``None`` when the import fails.
-
-    Deliberately lazy (a function, not a module-level import): the
-    vectorized kernel must degrade to the scalar path — with a single
-    warning, not a crash — in environments without numpy, and the
-    fallback test hides numpy via ``sys.modules`` patching, which only
-    intercepts *new* imports.
-    """
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
 def allocate_batch(
     flows: list["PairFlow"],
     egress_caps: list[float],
     ingress_caps: list[float],
-    np=None,
 ) -> list[float]:
     """Array-wise weighted progressive filling.
 
@@ -94,14 +73,7 @@ def allocate_batch(
     water level, freeze flows at their caps or behind saturated NICs —
     with the per-iteration bookkeeping done on numpy arrays
     (``bincount`` aggregates the per-resource weights and gains).
-    Falls back to the scalar implementation when numpy is unavailable.
     """
-    if np is None:
-        np = load_numpy()
-    if np is None:
-        from repro.net.sharing import allocate
-
-        return allocate(flows, egress_caps, ingress_caps)
     n_flows = len(flows)
     if n_flows == 0:
         return []
@@ -186,10 +158,9 @@ class _Bucket:
     completion ETA until shares land.
     """
 
-    __slots__ = ("np", "transfers", "share", "fresh", "size", "transferred")
+    __slots__ = ("transfers", "share", "fresh", "size", "transferred")
 
-    def __init__(self, np) -> None:
-        self.np = np
+    def __init__(self) -> None:
         self.transfers: list["Transfer"] = []
         #: Per-transfer rate (every member moves at the same share).
         self.share = 0.0
@@ -207,7 +178,6 @@ class _Bucket:
         return self.size is not None
 
     def _build_arrays(self) -> None:
-        np = self.np
         self.size = np.array(
             [t.size_mbits for t in self.transfers], dtype=float
         )
@@ -225,7 +195,6 @@ class _Bucket:
         self.transfers.append(transfer)
         self.fresh += 1
         if self.vectorized:
-            np = self.np
             self.size = np.append(self.size, transfer.size_mbits)
             self.transferred = np.append(
                 self.transferred, transfer.transferred_mbits
@@ -254,7 +223,6 @@ class _Bucket:
         transfer.transferred_mbits = float(self.transferred[index])
         if not was_fresh:
             transfer.rate_mbps = self.share
-        np = self.np
         self.size = np.delete(self.size, index)
         self.transferred = np.delete(self.transferred, index)
         if len(self.transfers) <= SMALL_BUCKET:
@@ -277,7 +245,6 @@ class _Bucket:
     def progress(self, dt: float) -> None:
         """Advance every rate-carrying member by ``dt`` seconds."""
         if self.vectorized:
-            np = self.np
             limit = len(self.transfers) - self.fresh
             np.minimum(
                 self.size[:limit],
@@ -313,7 +280,7 @@ class _Bucket:
         """Members whose remaining payload is within the finish slop."""
         if self.vectorized:
             mask = (self.size - self.transferred) <= FINISH_EPS
-            indices = self.np.nonzero(mask)[0]
+            indices = np.nonzero(mask)[0]
             if indices.size == 0:
                 return []
             transfers = self.transfers
@@ -347,15 +314,14 @@ class VectorKernel:
     #: Bucket key for intra-DC (LAN) transfers.
     LAN = "lan"
 
-    def __init__(self, np) -> None:
-        self.np = np
+    def __init__(self) -> None:
         self.buckets: dict[Hashable, _Bucket] = {}
 
     def add(self, key: Hashable, transfer: "Transfer") -> None:
         """Track a newly started transfer under ``key``."""
         bucket = self.buckets.get(key)
         if bucket is None:
-            bucket = self.buckets[key] = _Bucket(self.np)
+            bucket = self.buckets[key] = _Bucket()
         bucket.add(transfer)
 
     def remove(self, key: Hashable, transfer: "Transfer") -> None:

@@ -25,12 +25,11 @@ Model summary (see DESIGN.md §5):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.net import tcp
-from repro.net.batch import FINISH_EPS, VectorKernel, allocate_batch, load_numpy
+from repro.net.batch import FINISH_EPS, VectorKernel, allocate_batch
 from repro.net.dynamics import FluctuationModel, StaticModel
 from repro.net.matrix import BandwidthMatrix
 from repro.net.sharing import PairFlow, allocate
@@ -128,27 +127,11 @@ class NetworkSimulator:
             raise ValueError(
                 f"unknown kernel {kernel!r}; expected one of {KERNELS}"
             )
-        #: Whether ``kernel="vectorized"`` was requested but numpy was
-        #: unavailable, forcing the scalar path.
-        self.kernel_fallback = False
-        self._vec: Optional[VectorKernel] = None
-        self._np = None
-        if kernel == "vectorized":
-            np_mod = load_numpy()
-            if np_mod is None:
-                warnings.warn(
-                    "kernel='vectorized' requested but numpy is not "
-                    "importable; falling back to the scalar kernel",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self.kernel_fallback = True
-                kernel = "scalar"
-            else:
-                self._np = np_mod
-                self._vec = VectorKernel(np_mod)
-        #: Effective advancement kernel ("scalar" after a fallback).
+        #: Transfer advancement kernel, one of :data:`KERNELS`.
         self.kernel = kernel
+        self._vec: Optional[VectorKernel] = (
+            VectorKernel() if kernel == "vectorized" else None
+        )
         #: Offset added to simulator time when evaluating network
         #: weather — lets measurement replays probe "the same network at
         #: a different hour" without restarting the clock.
@@ -380,7 +363,7 @@ class NetworkSimulator:
                 * tcp.vm_efficiency(in_conns[i] // max(1, dc.num_vms))
             )
         if self._vec is not None:
-            rates = allocate_batch(flows, egress, ingress, np=self._np)
+            rates = allocate_batch(flows, egress, ingress)
             for (src, dst), rate in zip(pairs, rates):
                 share = rate / len(self._active[(src, dst)])
                 self._vec.set_share((src, dst), share)

@@ -163,11 +163,6 @@ class TcpModel:
 #: The VPC-peering default every module-level helper delegates to.
 DEFAULT_MODEL = TcpModel()
 
-# Backward-compatible aliases for the original module constants.
-TCP_K_MBPS = DEFAULT_MODEL.k_mbps
-TCP_ALPHA = DEFAULT_MODEL.alpha
-MAX_SINGLE_CONNECTION_MBPS = DEFAULT_MODEL.max_single_mbps
-
 
 def parallel_efficiency(connections: int, knee: int = DEFAULT_KNEE) -> float:
     """Aggregate scaling factor for ``connections`` parallel streams.

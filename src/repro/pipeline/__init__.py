@@ -24,8 +24,8 @@ behind one object:
 * :mod:`repro.pipeline.deploy` — :class:`Deployment`, what a variant
   installs on (and scopes its teardown to) the network.
 
-The legacy ``WANify`` / ``WANifyService`` classes are thin deprecated
-shims over this package.
+:class:`Pipeline` is the WANify Interface (§4.1) a GDA system calls;
+:class:`repro.runtime.PipelineService` runs it as a long-lived service.
 """
 
 from repro.pipeline.alternates import (
@@ -42,7 +42,7 @@ from repro.pipeline.config import (
     load_config_file,
 )
 from repro.pipeline.core import Pipeline
-from repro.pipeline.deploy import Deployment, WANifyDeployment
+from repro.pipeline.deploy import Deployment
 from repro.pipeline.registry import (
     Registry,
     admission_policy,
@@ -99,7 +99,6 @@ __all__ = [
     "ServiceConfig",
     "SnapshotGauger",
     "VariantStrategy",
-    "WANifyDeployment",
     "WindowPlanner",
     "admission_policy",
     "admission_policy_registry",

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass
@@ -388,6 +389,11 @@ def layered_config(
     ``overrides`` win over everything (explicit CLI flags / kwargs).
     File keys that are not fields of ``cls`` are ignored, so one file
     can feed entry points with different config classes.
+
+    Every float-valued field of the result must be finite: NaN slips
+    through ordinary range checks (all comparisons are False), so a
+    NaN or infinite value from any layer raises :class:`ValueError`
+    naming the field.
     """
     names = {field_.name for field_ in dataclasses.fields(cls)}
     types = _field_types(cls)
@@ -398,7 +404,12 @@ def layered_config(
                 values[key] = _coerce(key, types[key], raw)
     values.update(env_overrides(cls, environ))
     values.update(overrides or {})
-    return cls(**values)
+    config = cls(**values)
+    for field_ in dataclasses.fields(cls):
+        value = getattr(config, field_.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field_.name} must be finite (got {value})")
+    return config
 
 
 # ----------------------------------------------------------------------

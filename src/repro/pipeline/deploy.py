@@ -88,7 +88,3 @@ class Deployment:
             for dst in self.plan.keys:
                 if src != dst:
                     network.tc.clear_limit(src, dst)
-
-
-#: Back-compat spelling (the class predates the pipeline package).
-WANifyDeployment = Deployment

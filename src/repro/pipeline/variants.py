@@ -1,10 +1,9 @@
 """The built-in deployment variants, registered by name.
 
-These reproduce the evaluation's baselines (the table in
-:mod:`repro.core.interface` maps each to its paper section):
+These reproduce the evaluation's baselines:
 
 =================  ====================================================
-variant            meaning
+variant            meaning (paper section)
 =================  ====================================================
 ``single``         predicted BW only, single connection (§5.2)
 ``wanify-p``       uniform parallel connections (§5.3.1)

@@ -45,14 +45,14 @@ service on the deterministic :mod:`repro.sim` kernel:
   the p95 of observed throughput on an interval (ceiling/floor
   guards, max step per tick), keeping plans honest between drift
   re-plans;
-* :mod:`repro.runtime.service` — :class:`WANifyService`, which wires
+* :mod:`repro.runtime.service` — :class:`PipelineService`, which wires
   the pieces together and owns the replanning loop.
 
 Quick tour::
 
-    from repro.runtime import ServiceConfig, WANifyService, scenario
+    from repro.runtime import PipelineService, ServiceConfig, scenario
 
-    service = WANifyService.build(
+    service = PipelineService.build(
         ServiceConfig(scenario="link-degradation", seed=11)
     )
     service.submit(my_job)           # queued, admitted when a slot frees
@@ -83,7 +83,6 @@ from repro.runtime.observability import (
 )
 from repro.runtime.recalibrator import CapacityRecalibrator
 from repro.runtime.scenarios import (
-    SCENARIOS,
     CircuitFailover,
     ComposedScenario,
     DiurnalSwing,
@@ -109,7 +108,6 @@ from repro.runtime.service import (
     PipelineService,
     ServiceConfig,
     ServiceSummary,
-    WANifyService,
     default_job_mix,
 )
 from repro.runtime.telemetry import LinkEstimate, LinkSeries, TelemetryStore
@@ -149,13 +147,11 @@ __all__ = [
     "LinkSeries",
     "PipelineService",
     "ReplanEvent",
-    "SCENARIOS",
     "ScenarioModel",
     "ServiceConfig",
     "ServiceSummary",
     "StepDrop",
     "TelemetryStore",
-    "WANifyService",
     "default_job_mix",
     "jain_index",
     "register_scenario_model",

@@ -69,7 +69,6 @@ REQUIRED_METRIC_FAMILIES: tuple[str, ...] = (
     "wanify_work_steals_total",
     "wanify_shard_workers",
     "wanify_parallel_wall_seconds",
-    "wanify_kernel_fallback",
     "wanify_link_estimate_mbps",
     "wanify_recalibrations_total",
     "wanify_recal_capacity_mbps",
@@ -361,14 +360,6 @@ class ObservabilityHub:
             "wanify_parallel_wall_seconds",
             "Wall-clock seconds the last parallel drain took.",
         ).set(getattr(service, "parallel_wall_s", 0.0))
-        registry.gauge(
-            "wanify_kernel_fallback",
-            "1 when kernel='vectorized' degraded to scalar (no numpy).",
-        ).set(
-            1.0
-            if getattr(service.network, "kernel_fallback", False)
-            else 0.0
-        )
         shard_queue = registry.gauge(
             "wanify_shard_jobs_queued",
             "Queued jobs per scheduler shard (label: shard).",

@@ -380,11 +380,6 @@ register_scenario_model(CircuitFailover)
 register_scenario_model(FlappingLink)
 register_scenario_model(PathPolicySwitch)
 
-#: Legacy name → factory(base, seed) mapping — now a live read-only
-#: view of the scenario registry, so ``@register_scenario`` entries
-#: appear here too.
-SCENARIOS = scenario_registry.mapping
-
 #: Composed spellings advertised by entry points (help strings, error
 #: messages, the sweep axis validator).  Composition is open-ended —
 #: any ``+``-join of registered names resolves — but discoverability

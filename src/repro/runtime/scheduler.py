@@ -463,10 +463,6 @@ class JobScheduler:
 
     # -- statistics -----------------------------------------------------
 
-    #: Class-level alias of the module :data:`ZERO_STATS` (kept for
-    #: callers that spelled it ``JobScheduler.ZERO_STATS``).
-    ZERO_STATS: dict[str, float] = ZERO_STATS
-
     def stats(self) -> dict[str, float]:
         """Aggregate completion statistics for the run so far.
 

@@ -37,13 +37,10 @@ Every service knob — including the pipeline's ``variant`` and the
 scheduler's default placement ``policy`` — lives in
 :class:`~repro.pipeline.config.ServiceConfig`, resolvable through the
 layered config system from code, files, env vars, or the CLI.
-
-:class:`WANifyService` remains as a deprecated alias.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,7 +69,6 @@ __all__ = [
     "PipelineService",
     "ServiceConfig",
     "ServiceSummary",
-    "WANifyService",
     "default_job_mix",
 ]
 
@@ -161,10 +157,8 @@ class ServiceSummary:
     shard_worker_count: int = 0
     parallel_wall_s: float = 0.0
     #: The transfer-advancement kernel the WAN simulator ran
-    #: (``scalar`` or ``vectorized``), and whether a requested
-    #: vectorized kernel silently degraded because numpy was missing.
+    #: (``scalar`` or ``vectorized``).
     kernel: str = "scalar"
-    kernel_fallback: bool = False
     #: Continuous-recalibration statistics (all zero with
     #: ``recalibrate = False``, the default): ``recalibrations`` counts
     #: executed recalibrator ticks, ``recal_adjustments`` the
@@ -207,7 +201,6 @@ class ServiceSummary:
             "work_steals": float(self.work_steals),
             "shard_worker_count": float(self.shard_worker_count),
             "parallel_wall_s": self.parallel_wall_s,
-            "kernel_fallback": float(self.kernel_fallback),
             "recalibrations": float(self.recalibrations),
             "recal_adjustments": float(self.recal_adjustments),
         }
@@ -326,12 +319,7 @@ class PipelineService:
         service.start()
         return service
 
-    # -- legacy surface -------------------------------------------------
-
-    @property
-    def wanify(self) -> Pipeline:
-        """Legacy name for the service's pipeline."""
-        return self.pipeline
+    # -- deployment views -----------------------------------------------
 
     @property
     def plan(self):
@@ -781,8 +769,7 @@ class PipelineService:
             work_steals=getattr(self.scheduler, "steal_count", 0),
             shard_worker_count=self.parallel_workers,
             parallel_wall_s=self.parallel_wall_s,
-            kernel=getattr(self.network, "kernel", "scalar"),
-            kernel_fallback=getattr(self.network, "kernel_fallback", False),
+            kernel=self.network.kernel,
             recalibrations=(
                 self.recalibrator.ticks
                 if self.recalibrator is not None
@@ -795,24 +782,6 @@ class PipelineService:
             ),
             events=list(self.replans),
         )
-
-
-class WANifyService(PipelineService):
-    """Deprecated spelling of :class:`PipelineService`."""
-
-    def __init__(
-        self,
-        cluster: GeoCluster,
-        pipeline: Pipeline,
-        config: Optional[ServiceConfig] = None,
-    ) -> None:
-        warnings.warn(
-            "WANifyService is deprecated; use "
-            "repro.runtime.service.PipelineService",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(cluster, pipeline, config)
 
 
 def default_job_mix(

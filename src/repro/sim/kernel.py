@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable, Iterable, Optional
 
 
@@ -275,7 +276,13 @@ class Simulator:
         heap — which always yields the global ``(time, priority, seq)``
         minimum, so callbacks scheduling new same-instant events keep
         the exact single-step order.
+
+        A non-finite ``until`` raises :class:`ValueError`: the bound
+        check never fires for NaN or infinity, and daemon monitors
+        would keep the run alive forever.
         """
+        if until is not None and not math.isfinite(until):
+            raise ValueError(f"until must be finite: {until}")
         queue = self._queue
         heappop = heapq.heappop
         self._running = True

@@ -1,10 +1,10 @@
-"""Tests for the WANify facade and deployments."""
+"""Tests for the Pipeline facade and deployments."""
 
 import pytest
 
-from repro.core.interface import VARIANTS, WANify, WANifyConfig
 from repro.net.dynamics import FluctuationModel
 from repro.net.simulator import NetworkSimulator
+from repro.pipeline import Pipeline, PipelineConfig, variant_registry
 
 
 @pytest.fixture(scope="module")
@@ -13,10 +13,10 @@ def trained():
     from repro.cloud.regions import PAPER_REGIONS
 
     topo = Topology.build(PAPER_REGIONS[:4], "t2.medium")
-    wanify = WANify(
+    wanify = Pipeline(
         topo,
         FluctuationModel(seed=9),
-        WANifyConfig(n_training_datasets=15, n_estimators=10),
+        PipelineConfig(n_training_datasets=15, n_estimators=10),
     )
     summary = wanify.train()
     return topo, wanify, summary
@@ -31,22 +31,22 @@ class TestTraining:
         assert summary["collection_cost_usd"] > 0
 
     def test_predict_before_training_raises(self, triad):
-        wanify = WANify(triad)
+        wanify = Pipeline(triad)
         with pytest.raises(RuntimeError, match="train"):
-            wanify.predict_runtime_bw()
+            wanify.predict()
 
 
 class TestPrediction:
     def test_predict_full_topology(self, trained):
         topo, wanify, _ = trained
-        bw = wanify.predict_runtime_bw(at_time=1000.0)
+        bw = wanify.predict(at_time=1000.0)
         assert bw.keys == topo.keys
         assert bw.min_bw() >= 0
 
     def test_predict_on_subset(self, trained):
         topo, wanify, _ = trained
         sub = topo.subset(topo.keys[:2])
-        bw = wanify.predict_runtime_bw(at_time=1000.0, topology=sub)
+        bw = wanify.predict(at_time=1000.0, topology=sub)
         assert bw.keys == sub.keys
 
 
@@ -64,7 +64,7 @@ class TestDeployments:
         assert net.connections(topo.keys[0], topo.keys[1]) == 1
         assert net.tc.limits() == {}
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", variant_registry.names())
     def test_all_variants_install_and_teardown(self, trained, variant):
         topo, wanify, _ = trained
         net = NetworkSimulator(topo)
@@ -107,8 +107,8 @@ class TestDeployments:
 
     def test_global_only_uses_midpoint(self, trained):
         topo, wanify, _ = trained
-        bw = wanify.predict_runtime_bw(at_time=500.0)
-        plan = wanify.make_plan(bw)
+        bw = wanify.predict(at_time=500.0)
+        plan = wanify.plan(bw)
         net = NetworkSimulator(topo)
         deployment = wanify.deployment("global-only", bw=bw)
         deployment.install(net)

@@ -7,7 +7,6 @@ Tetrium/Kimchi placement — on a reduced topology so they stay fast.
 
 import pytest
 
-from repro.core.interface import WANify, WANifyConfig
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.engine import GdaEngine
 from repro.gda.engine.hdfs import HdfsStore
@@ -19,6 +18,7 @@ from repro.gda.workloads.tpcds import tpcds_job
 from repro.net.dynamics import FluctuationModel
 from repro.net.measurement import measure_independent
 from repro.net.topology import Topology
+from repro.pipeline import Pipeline, PipelineConfig
 
 REGIONS = ("us-east-1", "us-west-1", "eu-west-1", "ap-southeast-1")
 
@@ -27,10 +27,10 @@ REGIONS = ("us-east-1", "us-west-1", "eu-west-1", "ap-southeast-1")
 def stack():
     weather = FluctuationModel(seed=77)
     topology = Topology.build(REGIONS, "t2.medium")
-    wanify = WANify(
+    wanify = Pipeline(
         topology,
         weather,
-        WANifyConfig(n_training_datasets=15, n_estimators=10),
+        PipelineConfig(n_training_datasets=15, n_estimators=10),
     )
     wanify.train()
     return topology, weather, wanify
@@ -50,7 +50,7 @@ class TestWanifyOnTerasort:
         _, weather, wanify = stack
         store = HdfsStore.uniform(REGIONS, 20 * 1024.0)
         job = terasort_job(store.data_by_dc())
-        predicted = wanify.predict_runtime_bw(at_time=1000.0)
+        predicted = wanify.predict(at_time=1000.0)
 
         vanilla = run_job(weather, job, LocalityPolicy())
         enabled = run_job(
@@ -64,7 +64,7 @@ class TestWanifyOnTerasort:
         _, weather, wanify = stack
         store = HdfsStore.uniform(REGIONS, 20 * 1024.0)
         job = terasort_job(store.data_by_dc())
-        predicted = wanify.predict_runtime_bw(at_time=1000.0)
+        predicted = wanify.predict(at_time=1000.0)
 
         vanilla = run_job(weather, job, LocalityPolicy())
         uniform = run_job(
@@ -81,7 +81,7 @@ class TestGdaSystems:
         store = HdfsStore.uniform(REGIONS, 10 * 1024.0)
         job = tpcds_job(78, store.data_by_dc())
         static = measure_independent(topology, weather, at_time=0.0).matrix
-        predicted = wanify.predict_runtime_bw(at_time=1000.0)
+        predicted = wanify.predict(at_time=1000.0)
 
         with_static = run_job(weather, job, policy_cls(), bw=static)
         with_predicted = run_job(weather, job, policy_cls(), bw=predicted)
@@ -94,7 +94,7 @@ class TestGdaSystems:
         _, weather, wanify = stack
         store = HdfsStore.uniform(REGIONS, 5 * 1024.0)
         job = tpcds_job(95, store.data_by_dc())
-        predicted = wanify.predict_runtime_bw(at_time=1000.0)
+        predicted = wanify.predict(at_time=1000.0)
         for _ in range(2):
             deployment = wanify.deployment("wanify-tc", bw=predicted)
             result = run_job(
@@ -112,7 +112,7 @@ class TestPredictionQuality:
 
         at = 3000.0
         static = measure_independent(topology, weather, at_time=0.0).matrix
-        predicted = wanify.predict_runtime_bw(at_time=at)
+        predicted = wanify.predict(at_time=at)
         actual = stable_runtime(topology, weather, at_time=at).matrix
         static_misses = len(static.significant_differences(actual))
         predicted_misses = len(predicted.significant_differences(actual))

@@ -8,7 +8,6 @@ crash / wedge / emit garbage?
 import numpy as np
 import pytest
 
-from repro.core.interface import WANify, WANifyConfig
 from repro.core.globalopt import optimize_connections
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec, StageSpec
@@ -20,6 +19,7 @@ from repro.gda.workloads.wordcount import wordcount_job
 from repro.net.dynamics import FluctuationModel, StaticModel
 from repro.net.matrix import BandwidthMatrix
 from repro.net.topology import Topology
+from repro.pipeline import Pipeline, PipelineConfig
 
 TRIAD = ("us-east-1", "us-west-1", "ap-southeast-1")
 
@@ -34,15 +34,15 @@ class TestBrownout:
 
     def test_full_deployment_completes_under_storm(self, stormy):
         topology = Topology.build(TRIAD, "t2.medium")
-        wanify = WANify(
+        wanify = Pipeline(
             topology,
             stormy,
-            WANifyConfig(n_training_datasets=8, n_estimators=6),
+            PipelineConfig(n_training_datasets=8, n_estimators=6),
         )
         wanify.train()
         cluster = GeoCluster.from_topology(topology, fluctuation=stormy)
         job = terasort_job({dc: 300.0 for dc in TRIAD})
-        predicted = wanify.predict_runtime_bw(at_time=3600.0)
+        predicted = wanify.predict(at_time=3600.0)
         deployment = wanify.deployment("wanify-tc", predicted)
         result = GdaEngine(cluster).run(
             job, TetriumPolicy(), predicted, deployment
@@ -54,15 +54,15 @@ class TestBrownout:
         """Under a storm the AIMD agents must spend epochs in decrease
         mode rather than pinning the optimistic maximum."""
         topology = Topology.build(TRIAD, "t2.medium")
-        wanify = WANify(
+        wanify = Pipeline(
             topology,
             stormy,
-            WANifyConfig(n_training_datasets=8, n_estimators=6),
+            PipelineConfig(n_training_datasets=8, n_estimators=6),
         )
         wanify.train()
         cluster = GeoCluster.from_topology(topology, fluctuation=stormy)
         job = terasort_job({dc: 1500.0 for dc in TRIAD})
-        predicted = wanify.predict_runtime_bw(at_time=0.0)
+        predicted = wanify.predict(at_time=0.0)
         deployment = wanify.deployment("wanify-dynamic", predicted)
         GdaEngine(cluster).run(job, TetriumPolicy(), predicted, deployment)
         modes = [
@@ -170,10 +170,10 @@ class TestPredictionClamping:
     def test_predictions_never_negative_even_off_hull(self):
         topology = Topology.build(TRIAD, "t2.medium")
         weather = FluctuationModel(seed=4)
-        wanify = WANify(
+        wanify = Pipeline(
             topology,
             weather,
-            WANifyConfig(n_training_datasets=6, n_estimators=5),
+            PipelineConfig(n_training_datasets=6, n_estimators=5),
         )
         wanify.train()
         X = np.array(
@@ -189,6 +189,6 @@ class TestPredictionClamping:
 
     def test_untrained_model_raises_cleanly(self):
         topology = Topology.build(TRIAD, "t2.medium")
-        wanify = WANify(topology, FluctuationModel(seed=4))
+        wanify = Pipeline(topology, FluctuationModel(seed=4))
         with pytest.raises(RuntimeError, match="train"):
-            wanify.predict_runtime_bw()
+            wanify.predict()

@@ -8,13 +8,13 @@ exercise mixed-provider topologies end to end.
 import pytest
 
 from repro.core.heterogeneity import refactoring_vector
-from repro.core.interface import WANify, WANifyConfig
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.engine import GdaEngine
 from repro.gda.systems.vanilla import LocalityPolicy
 from repro.gda.workloads.terasort import terasort_job
 from repro.net.dynamics import FluctuationModel
 from repro.net.topology import Topology
+from repro.pipeline import Pipeline, PipelineConfig
 
 MIXED = ("us-east-1", "eu-west-1", "gcp-us-east1", "gcp-europe-west1")
 
@@ -44,17 +44,17 @@ class TestMixedProviderPipeline:
     def test_wanify_with_rvec_end_to_end(self):
         weather = FluctuationModel(seed=21)
         topo = Topology.build(MIXED, "t2.medium")
-        wanify = WANify(
+        wanify = Pipeline(
             topo,
             weather,
-            WANifyConfig(n_training_datasets=10, n_estimators=8),
+            PipelineConfig(n_training_datasets=10, n_estimators=8),
         )
         wanify.train()
-        bw = wanify.predict_runtime_bw(at_time=500.0)
+        bw = wanify.predict(at_time=500.0)
         providers = {dc.key: dc.region.provider for dc in topo.dcs}
         rvec = refactoring_vector(providers)
-        plan = wanify.make_plan(bw, rvec=rvec)
-        plain = wanify.make_plan(bw)
+        plan = wanify.plan(bw, rvec=rvec)
+        plain = wanify.plan(bw)
         # rvec only rescales achievable BWs, never connection counts.
         assert (
             plan.max_connections.values == plain.max_connections.values

@@ -11,14 +11,9 @@ named weather scenarios and compare:
   update expression exactly);
 * full :class:`~repro.runtime.service.ServiceSummary` job outcomes for
   end-to-end service runs.
-
-A separate class covers the numpy-free fallback: requesting the
-vectorized kernel without numpy importable must warn once, flip
-``kernel_fallback``, and keep running on the scalar path.
 """
 
 import random
-import sys
 
 import pytest
 
@@ -182,56 +177,16 @@ class TestServiceParity:
         vector = _serve("calm", 3, "vectorized")
         summary = vector.summary()
         assert summary.kernel == "vectorized"
-        assert summary.kernel_fallback is False
-        assert summary.to_row()["kernel_fallback"] == 0.0
 
 
-class TestFallback:
-    """kernel="vectorized" without numpy degrades to scalar, loudly once."""
-
-    def test_hidden_numpy_warns_and_falls_back(self, triad, monkeypatch):
-        from repro.net.simulator import NetworkSimulator
-
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        with pytest.warns(RuntimeWarning, match="falling back") as warned:
-            net = NetworkSimulator(triad, kernel="vectorized")
-        assert len(warned) == 1
-        assert net.kernel == "scalar"
-        assert net.kernel_fallback is True
-        # The degraded simulator still works.
-        done = []
-        net.start_transfer(
-            "us-east-1", "us-west-1", 100.0, on_complete=done.append
-        )
-        net.sim.run()
-        assert len(done) == 1
-
-    def test_fallback_reaches_service_summary(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        config = _service_config("vectorized")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            service = PipelineService.build(config)
-        summary = service.summary()
-        assert summary.kernel == "scalar"
-        assert summary.kernel_fallback is True
-        assert summary.to_row()["kernel_fallback"] == 1.0
-
-    def test_scalar_kernel_never_touches_numpy(self, triad, monkeypatch):
-        from repro.net.simulator import NetworkSimulator
-
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        net = NetworkSimulator(triad, kernel="scalar")
-        assert net.kernel_fallback is False
+class TestDefaultsUnchanged:
+    """Default config keeps today's exact scheduler and kernel."""
 
     def test_unknown_kernel_rejected(self, triad):
         from repro.net.simulator import NetworkSimulator
 
         with pytest.raises(ValueError, match="vectorized"):
             NetworkSimulator(triad, kernel="turbo")
-
-
-class TestDefaultsUnchanged:
-    """Default config keeps today's exact scheduler and kernel."""
 
     def test_default_config_is_scalar_single_queue(self):
         from repro.runtime.scheduler import JobScheduler

@@ -142,17 +142,17 @@ class TestTopologyIntegration:
 
     def test_wanify_pipeline_runs_on_any_profile(self):
         """The full predict→optimize pipeline is profile-agnostic."""
-        from repro.core.interface import WANify, WANifyConfig
+        from repro.pipeline import Pipeline, PipelineConfig
 
         for profile in all_profiles():
             topology = Topology.build(TRIAD, "t2.medium", profile=profile)
             weather = profile.fluctuation(seed=5)
-            wanify = WANify(
+            wanify = Pipeline(
                 topology,
                 weather,
-                WANifyConfig(n_training_datasets=6, n_estimators=5),
+                PipelineConfig(n_training_datasets=6, n_estimators=5),
             )
             wanify.train()
-            bw = wanify.predict_runtime_bw(at_time=3600.0)
-            plan = wanify.make_plan(bw)
+            bw = wanify.predict(at_time=3600.0)
+            plan = wanify.plan(bw)
             assert plan.max_bw.min_bw() >= bw.min_bw() * 0.99

@@ -21,7 +21,7 @@ class TestPerConnection:
     def test_capped_at_line_rate(self):
         assert (
             tcp.per_connection_mbps(0.5)
-            == tcp.MAX_SINGLE_CONNECTION_MBPS
+            == tcp.DEFAULT_MODEL.max_single_mbps
         )
 
     def test_nonpositive_rtt_rejected(self):

@@ -1,4 +1,4 @@
-"""Tests for the composed Pipeline, its shims, and registry extensions."""
+"""Tests for the composed Pipeline and registry extensions."""
 
 import io
 
@@ -74,8 +74,8 @@ class TestPipeline:
         assert deployment.telemetry is sink
 
     def test_fresh_config_per_instance(self, triad):
-        # The old facade shared one default WANifyConfig() across all
-        # constructions; a mutable field would have aliased state.
+        # A default config shared across constructions would alias any
+        # mutable field's state between pipelines.
         a, b = Pipeline(triad), Pipeline(triad)
         assert a.config == b.config
         assert a.config is not b.config
@@ -129,6 +129,16 @@ class TestCustomStages:
 
 
 class TestCustomVariant:
+    def test_builtin_variants_registered(self):
+        assert set(variant_registry.names()) >= {
+            "single",
+            "wanify-p",
+            "wanify-dynamic",
+            "wanify-tc",
+            "global-only",
+            "local-only",
+        }
+
     def test_variant_registered_from_test_code(self, trained):
         topology, pipeline = trained
 
@@ -179,48 +189,6 @@ class TestTeardownScoping:
         deployment.install(net)
         deployment.teardown(net)
         assert net.tc.limits() == {("a", "b"): 50.0}
-
-
-class TestDeprecatedShims:
-    def test_wanify_warns_and_delegates(self, trained):
-        topology, pipeline = trained
-        from repro.core.interface import WANify, WANifyConfig
-
-        with pytest.warns(DeprecationWarning, match="Pipeline"):
-            legacy = WANify(
-                topology,
-                FluctuationModel(seed=9),
-                WANifyConfig(n_training_datasets=6, n_estimators=5),
-            )
-        assert isinstance(legacy, Pipeline)
-        legacy.train()
-        bw = legacy.predict_runtime_bw(at_time=100.0)
-        assert legacy.make_plan(bw).max_bw.min_bw() > 0
-        assert legacy.snapshot_report(at_time=0.0).matrix.keys
-        assert legacy.fluctuation is legacy.weather
-
-    def test_wanify_service_warns(self):
-        from repro.gda.engine.cluster import GeoCluster
-        from repro.runtime.service import PipelineService, WANifyService
-
-        cluster = GeoCluster.build(REGIONS, "t2.medium")
-        pipeline = Pipeline(cluster.topology)
-        with pytest.warns(DeprecationWarning, match="PipelineService"):
-            service = WANifyService(cluster, pipeline)
-        assert isinstance(service, PipelineService)
-        assert service.wanify is service.pipeline is pipeline
-
-    def test_variants_tuple_matches_registry(self):
-        from repro.core.interface import VARIANTS
-
-        assert set(VARIANTS) >= {
-            "single",
-            "wanify-p",
-            "wanify-dynamic",
-            "wanify-tc",
-            "global-only",
-            "local-only",
-        }
 
 
 class TestComposedScenarioServe:

@@ -1,5 +1,6 @@
 """Tests for the telemetry warehouse, trace, KPIs, and /metrics."""
 
+import dataclasses
 import json
 import urllib.error
 import urllib.request
@@ -402,6 +403,58 @@ class TestServiceIntegration:
         assert service.summary().rollup_rows == 0
         with pytest.raises(ValueError):
             snapshot_run(service)
+
+    @pytest.mark.parametrize("scenario", ["link-failure", "flash-crowd"])
+    def test_observability_changes_no_outcome(self, scenario):
+        """The hub only observes: switching it off moves no job."""
+        observed, blind = (
+            self._controlled_run(scenario, observability)
+            for observability in (True, False)
+        )
+        # The hub's own bookkeeping is the only difference.
+        own_columns = ("rollup_rows", "events_traced", "metrics_scrapes")
+        observed_row, blind_row = (
+            {
+                key: value
+                for key, value in service.summary().to_row().items()
+                if key not in own_columns
+            }
+            for service in (observed, blind)
+        )
+        assert observed_row == blind_row
+        assert observed_row["preemptions"] > 0
+        assert observed_row["throttle_moves"] > 0
+        assert observed_row["recalibrations"] > 0
+        assert [
+            (t.job.name, t.finished_s) for t in observed.scheduler.completed
+        ] == [(t.job.name, t.finished_s) for t in blind.scheduler.completed]
+
+    @staticmethod
+    def _controlled_run(scenario: str, observability: bool) -> PipelineService:
+        """The control-plane experiment's cell (urgent-slo preemption,
+        governor, autoscale) plus recalibration, on ``scenario``: it
+        preempts, throttles, re-plans and misses deadlines."""
+        from repro.experiments import control_plane as cell
+
+        config = dataclasses.replace(
+            cell.control_config(controlled=True),
+            scenario=scenario,
+            recalibrate=True,
+            observability=observability,
+        )
+        service = PipelineService.build(config)
+        mix = default_job_mix(
+            config.regions, count=cell.JOBS, seed=cell.SEED,
+            scale_mb=cell.SCALE_MB,
+        )
+        service.submit_mix(
+            [(delay * cell.ARRIVAL_SCALE, job) for delay, job in mix]
+        )
+        service.run()
+        service.stop()
+        if service.hub is not None:
+            service.hub.close()
+        return service
 
     def test_prometheus_surface_complete(self, observed_service):
         families = parse_prometheus_text(

@@ -6,11 +6,11 @@ import pytest
 from repro.net.circuits import flap_quality, select_path
 from repro.net.dynamics import DAY_S, FluctuationModel, StaticModel, _link_hash
 from repro.net.simulator import NetworkSimulator
+from repro.pipeline.registry import scenario_registry
 from repro.runtime.scenarios import (
     _SELECT_SALT,
     FACTOR_FLOOR,
     FEATURED_COMPOSITIONS,
-    SCENARIOS,
     CircuitFailover,
     ComposedScenario,
     DiurnalSwing,
@@ -28,7 +28,7 @@ from repro.runtime.scenarios import (
 
 class TestRegistry:
     def test_at_least_four_named_scenarios(self):
-        assert len(SCENARIOS) >= 4
+        assert len(scenario_registry.mapping) >= 4
 
     def test_expected_names_present(self):
         names = scenario_names()

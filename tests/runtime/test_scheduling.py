@@ -12,7 +12,7 @@ from repro.pipeline.registry import (
     register_admission_policy,
 )
 from repro.runtime.scenarios import scenario
-from repro.runtime.scheduler import JobScheduler, JobTicket
+from repro.runtime.scheduler import ZERO_STATS, JobScheduler, JobTicket
 from repro.runtime.scheduling import (
     SLO,
     BatchedReallocator,
@@ -320,7 +320,7 @@ class TestSchedulerIntegration:
         cluster = _cluster(calm)
         scheduler = JobScheduler(cluster, max_concurrent=2)
         # Nothing submitted at all.
-        assert scheduler.stats() == JobScheduler.ZERO_STATS
+        assert scheduler.stats() == ZERO_STATS
         # Jobs queued and running, none finished yet.
         for i in range(4):
             scheduler.submit(_small_job(f"j-{i}"))

@@ -11,9 +11,9 @@ import pytest
 from repro.net.profiles import network_profile
 from repro.runtime.scenarios import StepDrop
 from repro.runtime.service import (
+    PipelineService,
     ServiceConfig,
     ServiceSummary,
-    WANifyService,
     default_job_mix,
 )
 
@@ -41,9 +41,9 @@ def _drifting_weather(config: ServiceConfig) -> StepDrop:
     return StepDrop(base, config.seed, at_s=240.0, level=0.35)
 
 
-def _serve(online: bool) -> WANifyService:
+def _serve(online: bool) -> PipelineService:
     config = _config(online)
-    service = WANifyService.build(config, weather=_drifting_weather(config))
+    service = PipelineService.build(config, weather=_drifting_weather(config))
     # Compress the mix's arrival gaps so ≥3 jobs overlap in flight.
     for delay, job in default_job_mix(
         REGIONS, count=6, seed=7, scale_mb=4000.0
@@ -55,12 +55,12 @@ def _serve(online: bool) -> WANifyService:
 
 
 @pytest.fixture(scope="module")
-def online_service() -> WANifyService:
+def online_service() -> PipelineService:
     return _serve(online=True)
 
 
 @pytest.fixture(scope="module")
-def static_service() -> WANifyService:
+def static_service() -> PipelineService:
     return _serve(online=False)
 
 
@@ -138,7 +138,7 @@ class TestServiceMechanics:
         config = ServiceConfig(
             regions=REGIONS[:3], seed=5, online=False, **FAST
         )
-        service = WANifyService.build(config)
+        service = PipelineService.build(config)
         assert len(service.agents) == 3
         before = service.agents
         event_input = service.detector
@@ -167,11 +167,11 @@ class TestServiceMechanics:
 class TestSchedulingService:
     """Config-to-scheduler threading and re-plan cost charging."""
 
-    def _tiny(self, **overrides) -> WANifyService:
+    def _tiny(self, **overrides) -> PipelineService:
         config = ServiceConfig(
             regions=REGIONS[:3], seed=5, online=False, **FAST, **overrides
         )
-        return WANifyService.build(config)
+        return PipelineService.build(config)
 
     def test_scheduler_config_selects_admission_policy(self):
         service = self._tiny(scheduler="priority", admit_batch=4)

@@ -171,6 +171,16 @@ class TestDaemonEvents:
         assert fired == ["d"]
         assert sim.now == 5.0
 
+    @pytest.mark.parametrize("until", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_bound_rejected(self, until):
+        # A daemon monitor keeps a bounded run alive; the bound check
+        # never fires for NaN or infinity, so the run would never end.
+        sim = Simulator()
+        Process(sim, 1.0, lambda now: None)
+        with pytest.raises(ValueError, match="finite"):
+            sim.run(until=until)
+        assert sim.now == 0.0
+
     def test_daemon_periodic_process_does_not_wedge_run(self):
         sim = Simulator()
         ticks = []

@@ -390,3 +390,87 @@ class TestProfiles:
             return float(line.split("achievable")[1].split()[0])
 
         assert min_achievable(pub) < min_achievable(vpc)
+
+
+class TestBadKnobValues:
+    """A rejected knob value exits 2 with one line, never a traceback."""
+
+    REGIONS = ("us-east-1", "us-west-1", "ap-southeast-1")
+    SERVE = ("serve", *REGIONS, "--jobs", "1", "--scale-mb", "300")
+    PREDICT = ("predict", *REGIONS)
+    FAST = ("--datasets", "4", "--estimators", "3")
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("serve", ("--slo-deadline-s", "-5"), "deadline_s must be positive"),
+            (
+                "serve",
+                ("--preemption", "urgent-slo", "--control-interval-s", "0"),
+                "interval must be positive",
+            ),
+            ("serve", ("--epoch-s", "0"), "interval must be positive"),
+            ("serve", ("--check-interval-s", "-1"), "interval must be positive"),
+            (
+                "serve",
+                ("--recalibrate", "--recal-percentile", "150"),
+                "percentile must be in [0, 100]",
+            ),
+            (
+                "serve",
+                ("--tuner", "epsilon-greedy", "--tuner-epsilon", "2"),
+                "epsilon must be in [0, 1]",
+            ),
+            ("predict", ("--datasets", "0"), "n_datasets must be ≥ 1"),
+            ("predict", ("--max-connections", "0"), "max_connections must be ≥ 1"),
+            ("predict", ("--estimators", "0"), "n_estimators must be ≥ 1"),
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, command, flags, message):
+        base = self.SERVE if command == "serve" else self.PREDICT
+        code, text = run_cli(*base, *self.FAST, *flags)
+        assert code == 2
+        assert text.startswith(f"bad configuration: {message}")
+        assert text.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    def test_duration_must_be_positive_and_finite(self, value):
+        code, text = run_cli(*self.SERVE, *self.FAST, "--duration", value)
+        assert code == 2
+        assert text == (
+            f"--duration must be a positive number of seconds "
+            f"(got {float(value)})\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, flag, field",
+        [
+            ("serve", "--drift-threshold", "drift_threshold"),
+            ("serve", "--slo-deadline-s", "slo_deadline_s"),
+            ("predict", "--min-difference-mbps", "min_difference_mbps"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_rejected(self, command, flag, field, value):
+        base = self.SERVE if command == "serve" else self.PREDICT
+        # The ``=`` form keeps argparse from reading "-inf" as a flag.
+        code, text = run_cli(*base, *self.FAST, f"{flag}={value}")
+        assert code == 2
+        assert text == (
+            f"bad configuration: {field} must be finite (got {float(value)})\n"
+        )
+
+    def test_non_finite_env_value_rejected(self, monkeypatch):
+        monkeypatch.setenv("WANIFY_DRIFT_THRESHOLD", "nan")
+        code, text = run_cli(*self.SERVE, *self.FAST)
+        assert code == 2
+        assert text == "bad configuration: drift_threshold must be finite (got nan)\n"
+
+    def test_non_finite_config_file_value_rejected(self, tmp_path):
+        path = tmp_path / "run.toml"
+        path.write_text("min_difference_mbps = inf\n")
+        code, text = run_cli(*self.PREDICT, *self.FAST, "--config", str(path))
+        assert code == 2
+        assert text == (
+            "bad configuration: min_difference_mbps must be finite (got inf)\n"
+        )

@@ -23,8 +23,14 @@ class TestLazyExports:
         listed = dir(repro)
         for name in repro._LAZY_EXPORTS:
             assert name in listed
-        for name in ("Pipeline", "PipelineConfig", "Topology", "WANify"):
+        for name in ("Pipeline", "PipelineConfig", "Topology"):
             assert name in listed
+
+    def test_retired_facade_names_are_gone(self):
+        for name in ("WANify", "SCENARIOS"):
+            assert name not in repro.__all__
+            with pytest.raises(AttributeError, match="no attribute"):
+                getattr(repro, name)
 
     def test_all_names_importable(self):
         for name in repro.__all__:
