@@ -19,10 +19,13 @@ Metrics fall into two classes:
 * **wall-clock** — throughput and latency numbers that vary with the
   host.  These are flagged at ``--wall-tolerance`` (default 150 %),
   loose enough for shared CI runners but still a backstop against a
-  pathological slowdown.
+  pathological slowdown.  A higher-is-better rate is gated on the
+  slowdown it implies (``baseline / current - 1``), so a rate that
+  falls to 40 % of its baseline fails like a time that grows 2.5×.
 
-Every compared metric's percent delta is printed even when the check
-passes, so CI logs show the perf trajectory, not just a verdict.  The
+A row of the current report in neither class fails the check, so a
+new benchmark row cannot land ungated.  Every compared metric's
+percent delta is printed even when the check passes, so CI logs show the perf trajectory, not just a verdict.  The
 metrics-log overhead additionally has a hard absolute ceiling (5 % of
 the run), mirroring the assertion inside the benchmark.
 """
@@ -98,6 +101,14 @@ def check(
                 f"{name}: present in the baseline but missing from the "
                 f"current report (benchmark row dropped?)"
             )
+    # A row in neither class would be compared against nothing — a new
+    # benchmark row must be classified before it can pass.
+    for name in sorted(current):
+        if name not in DETERMINISTIC and name not in WALL_CLOCK:
+            complaints.append(
+                f"{name}: in the current report but neither DETERMINISTIC "
+                f"nor WALL_CLOCK (classify the new row)"
+            )
     for name in DETERMINISTIC:
         if name not in baseline:
             continue
@@ -119,8 +130,15 @@ def check(
         change = _change_pct(
             float(current.get(name, 0.0)), float(baseline[name])
         )
-        # A regression is the metric moving *against* its direction.
-        regression = -change if direction > 0 else change
+        # A regression is the metric moving *against* its direction,
+        # measured as a slowdown: a rate's drop is gated as the time
+        # growth it implies (10 → 4 per s reads +150 %), since a
+        # percent drop can never exceed 100 %.
+        regression = (
+            _change_pct(float(baseline[name]), float(current.get(name, 0.0)))
+            if direction > 0
+            else change
+        )
         deltas.append(
             f"{name}: {float(current.get(name, 0.0)):.4g} vs "
             f"{float(baseline[name]):.4g} ({change:+.1f}%, "

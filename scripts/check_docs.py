@@ -16,7 +16,12 @@ Checks, over README.md and every ``docs/*.md``:
 5. **config coverage** — every field of ``PipelineConfig`` and
    ``ServiceConfig`` must appear (as `` `field_name` ``) in
    docs/OPERATIONS.md, so the operator's guide cannot silently rot
-   when a config knob is added.
+   when a config knob is added;
+6. **metric coverage** — every ``ServiceSummary.to_row()`` name must
+   appear (backticked) in docs/OPERATIONS.md, and every ``/metrics``
+   family the hub renders must appear in a table row of
+   docs/OBSERVABILITY.md.  Both lists come from the ``metric_field``
+   declarations on ``ServiceSummary`` plus the hub's own families.
 
 Shell blocks and absolute/external URLs are left alone.  Exit code 0
 when everything passes; 1 with a findings list otherwise.
@@ -47,6 +52,19 @@ DOCUMENTS = (
 
 #: The operator's guide — must document every config field.
 OPERATIONS = "docs/OPERATIONS.md"
+
+#: The observability guide — its family table lists every family.
+OBSERVABILITY = "docs/OBSERVABILITY.md"
+
+#: The hub module; every ``"wanify_…"`` literal in it is a family it
+#: renders by hand.
+HUB_SOURCE = "src/repro/runtime/observability/hub.py"
+
+#: A quoted family name in the hub source.
+FAMILY_LITERAL = re.compile(r'"(wanify_[a-z0-9_]+)"')
+
+#: A backticked family in a doc table cell (``{labels}`` suffix allowed).
+FAMILY_CELL = re.compile(r"`(wanify_[a-z0-9_]+)(?:\{[^}`]*\})?`")
 
 #: ```python … ``` fenced blocks.
 CODE_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
@@ -161,6 +179,54 @@ def check_config_coverage(failures: list[str]) -> int:
     return checked
 
 
+def rendered_families(summary=None) -> set[str]:
+    """Every family ``render_prometheus`` emits: those declared on
+    ``ServiceSummary`` fields plus the hub's hand-rendered ones."""
+    from repro.runtime.observability.hub import REQUIRED_METRIC_FAMILIES
+    from repro.runtime.summary import ServiceSummary
+
+    summary = summary if summary is not None else ServiceSummary()
+    declared = {name for name, _, _ in summary.families()}
+    spelled = set(FAMILY_LITERAL.findall((REPO / HUB_SOURCE).read_text()))
+    return set(REQUIRED_METRIC_FAMILIES) | declared | spelled
+
+
+def check_metric_coverage(failures: list[str], summary=None) -> int:
+    """Every reported metric must be documented.
+
+    ``summary.to_row()`` names must appear backticked in
+    docs/OPERATIONS.md and every rendered family in a table row of
+    docs/OBSERVABILITY.md.  Requires ``src/`` on ``sys.path``;
+    ``summary`` defaults to an empty ``ServiceSummary``.
+    """
+    from repro.runtime.summary import ServiceSummary
+
+    summary = summary if summary is not None else ServiceSummary()
+    checked = 0
+    operations = (REPO / OPERATIONS).read_text()
+    for name in summary.to_row():
+        checked += 1
+        if f"`{name}`" not in operations:
+            failures.append(
+                f"{OPERATIONS}: summary metric `{name}` undocumented "
+                f"(add it to \"Reading `ServiceSummary`\")"
+            )
+    table = {
+        family
+        for line in (REPO / OBSERVABILITY).read_text().splitlines()
+        if line.startswith("|")
+        for family in FAMILY_CELL.findall(line)
+    }
+    for family in sorted(rendered_families(summary)):
+        checked += 1
+        if family not in table:
+            failures.append(
+                f"{OBSERVABILITY}: metric family `{family}` missing from "
+                f"the family table"
+            )
+    return checked
+
+
 def main() -> int:
     """Run every check; print a summary; 0 iff clean."""
     sys.path.insert(0, str(REPO / "src"))
@@ -171,9 +237,11 @@ def main() -> int:
         blocks += check_code_blocks(path, failures)
         links += check_links(path, failures)
     fields = check_config_coverage(failures)
+    metrics = check_metric_coverage(failures)
     print(
         f"checked {len(documents)} documents: {blocks} code blocks, "
-        f"{links} intra-repo links, {fields} config fields"
+        f"{links} intra-repo links, {fields} config fields, "
+        f"{metrics} metric names"
     )
     for failure in failures:
         print(f"FAIL: {failure}")

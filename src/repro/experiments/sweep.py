@@ -74,6 +74,7 @@ from repro.pipeline.registry import (
     variant_registry,
 )
 from repro.pipeline.stages import ForestPredictor
+from repro.runtime.summary import SWEEP_COLUMNS
 
 #: ``[sweep]`` axis key → (ServiceConfig field, validating registry).
 #: Scenarios validate through :func:`repro.runtime.scenarios
@@ -102,30 +103,9 @@ SWEEP_DEFAULTS: Mapping[str, Any] = {
     "n_estimators": 6,
 }
 
-#: Columns every report carries, beyond the axis columns.
-METRIC_COLUMNS: tuple[str, ...] = (
-    "completed",
-    "mean_jct_s",
-    "total_jct_s",
-    "makespan_s",
-    "replans",
-    "probe_transfers",
-    "probe_gb",
-    "probe_cost_usd",
-    "replan_cost_usd",
-    "slo_attainment",
-    "fairness",
-    "preemptions",
-    "throttle_moves",
-    "concurrency_high_water",
-    "rollup_rows",
-    "events_traced",
-    "metrics_scrapes",
-    "policy_switches",
-    "tuner_arms_explored",
-    "recalibrations",
-    "recal_adjustments",
-)
+#: Columns every report carries, beyond the axis columns: the
+#: ``sweep=True`` metrics declared on :class:`ServiceSummary`.
+METRIC_COLUMNS: tuple[str, ...] = SWEEP_COLUMNS
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,9 @@ service on the deterministic :mod:`repro.sim` kernel:
   the p95 of observed throughput on an interval (ceiling/floor
   guards, max step per tick), keeping plans honest between drift
   re-plans;
+* :mod:`repro.runtime.summary` — :class:`ServiceSummary`, where each
+  reported metric is declared once (row key, sweep column, Prometheus
+  family);
 * :mod:`repro.runtime.service` — :class:`PipelineService`, which wires
   the pieces together and owns the replanning loop.
 

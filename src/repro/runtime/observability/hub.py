@@ -37,6 +37,7 @@ from repro.runtime.observability.prometheus import (
 from repro.runtime.observability.trace import EventTrace
 from repro.runtime.observability.warehouse import MetricsLog
 from repro.runtime.scheduling.slo import tenant_of
+from repro.runtime.summary import SUMMARY_FAMILIES
 
 if TYPE_CHECKING:
     from repro.pipeline.stages import GaugeEvent
@@ -45,35 +46,26 @@ if TYPE_CHECKING:
     from repro.runtime.service import PipelineService
 
 #: Metric families :meth:`ObservabilityHub.render_prometheus` always
-#: emits — the contract the CI smoke scrape asserts.
+#: emits — the contract the CI smoke scrape asserts: the hub's own
+#: families, then every family declared on a
+#: :class:`~repro.runtime.summary.ServiceSummary` field.
 REQUIRED_METRIC_FAMILIES: tuple[str, ...] = (
     "wanify_jobs_submitted_total",
     "wanify_jobs_admitted_total",
     "wanify_jobs_completed_total",
     "wanify_jobs_preempted_total",
-    "wanify_replans_total",
     "wanify_drift_events_total",
-    "wanify_probe_transfers_total",
-    "wanify_probe_cost_usd_total",
-    "wanify_telemetry_samples_total",
-    "wanify_trace_events_total",
-    "wanify_metrics_scrapes_total",
     "wanify_jobs_running",
     "wanify_jobs_queued",
     "wanify_max_concurrent",
     "wanify_governor_caps_held",
     "wanify_metrics_log_entries",
-    "wanify_policy_switches_total",
     "wanify_tuner_arm_pulls",
     "wanify_scheduler_shards",
-    "wanify_work_steals_total",
-    "wanify_shard_workers",
-    "wanify_parallel_wall_seconds",
     "wanify_link_estimate_mbps",
-    "wanify_recalibrations_total",
     "wanify_recal_capacity_mbps",
     "wanify_job_latency_seconds",
-)
+) + SUMMARY_FAMILIES
 
 #: Scheduler event kind → hub counter key.
 _JOB_COUNTER = {
@@ -238,9 +230,11 @@ class ObservabilityHub:
         """The service's live state in Prometheus text format.
 
         A fresh registry is built per call, so the text always reflects
-        the moment of the scrape; totals accumulated elsewhere (probe
-        ledger, telemetry store) are read off their owners here rather
-        than double-counted through hooks.
+        the moment of the scrape.  Families declared on a
+        :class:`~repro.runtime.summary.ServiceSummary` field are read
+        off one ``service.live_summary()`` (no rollup rebuild) rather
+        than double-counted through hooks; the rest come from the hub's own counters and
+        the live scheduler, telemetry and recalibrator state.
         """
         service = self.service
         scheduler = service.scheduler
@@ -270,41 +264,15 @@ class ObservabilityHub:
             self.counters["preempted"],
         )
         counter(
-            "wanify_replans_total",
-            "Drift-triggered re-plans executed.",
-            len(service.replans),
-        )
-        counter(
             "wanify_drift_events_total",
             "Drift events fired by the detector.",
             self.counters["drift"],
         )
-        gauger = service.pipeline.gauger
-        counter(
-            "wanify_probe_transfers_total",
-            "Probe flows launched by the gauger.",
-            float(getattr(gauger, "probe_transfers", 0)),
-        )
-        counter(
-            "wanify_probe_cost_usd_total",
-            "Probe dollars spent by the gauger.",
-            float(getattr(gauger, "probe_cost_usd", 0.0)),
-        )
-        counter(
-            "wanify_telemetry_samples_total",
-            "Monitor ticks ingested by the telemetry store.",
-            service.telemetry.total_samples,
-        )
-        counter(
-            "wanify_trace_events_total",
-            "Events recorded into the trace ring.",
-            self.trace.recorded,
-        )
-        counter(
-            "wanify_metrics_scrapes_total",
-            "Scrapes served by the /metrics endpoint.",
-            self.metrics_scrapes,
-        )
+        for name, help_text, value in service.live_summary().families():
+            if name.endswith("_total"):
+                counter(name, help_text, value)
+            else:
+                registry.gauge(name, help_text).set(value)
 
         registry.gauge(
             "wanify_jobs_running", "Jobs currently in flight."
@@ -330,11 +298,6 @@ class ObservabilityHub:
         switcher = (
             service.control.switcher if service.control is not None else None
         )
-        counter(
-            "wanify_policy_switches_total",
-            "Bandit-driven policy switches applied by the tuner.",
-            switcher.switches if switcher is not None else 0,
-        )
         pulls = registry.gauge(
             "wanify_tuner_arm_pulls",
             "Bandit pulls per tuner arm (label: arm).",
@@ -347,19 +310,6 @@ class ObservabilityHub:
             "wanify_scheduler_shards",
             "Scheduler shards serving the run (1 = single queue).",
         ).set(getattr(scheduler, "shard_count", 1))
-        counter(
-            "wanify_work_steals_total",
-            "Queued tickets moved between shards by work-stealing.",
-            getattr(scheduler, "steal_count", 0),
-        )
-        registry.gauge(
-            "wanify_shard_workers",
-            "Worker processes the last parallel drain used (0 = in-process).",
-        ).set(getattr(service, "parallel_workers", 0))
-        registry.gauge(
-            "wanify_parallel_wall_seconds",
-            "Wall-clock seconds the last parallel drain took.",
-        ).set(getattr(service, "parallel_wall_s", 0.0))
         shard_queue = registry.gauge(
             "wanify_shard_jobs_queued",
             "Queued jobs per scheduler shard (label: shard).",
@@ -378,11 +328,6 @@ class ObservabilityHub:
             estimates.set(estimate.ewma, src=src, dst=dst, stat="ewma")
 
         recalibrator = service.recalibrator
-        counter(
-            "wanify_recalibrations_total",
-            "Capacity-recalibration ticks executed.",
-            recalibrator.ticks if recalibrator is not None else 0,
-        )
         recal_capacity = registry.gauge(
             "wanify_recal_capacity_mbps",
             "Recalibrated per-link capacity (labels: src, dst).",

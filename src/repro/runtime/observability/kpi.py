@@ -32,7 +32,7 @@ from repro.runtime.observability.warehouse import (
     RollupRow,
     merge_link_rollups,
 )
-from repro.runtime.scheduling.slo import deadline_met, tenant_of
+from repro.runtime.scheduling.slo import deadline_met, deadline_tally, tenant_of
 
 if TYPE_CHECKING:
     from repro.runtime.service import PipelineService
@@ -219,20 +219,14 @@ class KpiReport:
         tenants = []
         for tenant in sorted(by_tenant):
             jobs = by_tenant[tenant]
-            attained = sum(1 for j in jobs if j["met"] is True)
-            missed = sum(1 for j in jobs if j["met"] is False)
-            promised = attained + missed
+            attained, missed, attainment = deadline_tally(j["met"] for j in jobs)
             tenants.append(
                 {
                     "tenant": tenant,
                     "jobs": len(jobs),
                     "slo_attained": attained,
                     "slo_missed": missed,
-                    # Nothing promised → nothing broken, same convention
-                    # as the scheduler's aggregate attainment.
-                    "slo_attainment": (
-                        attained / promised if promised else 1.0
-                    ),
+                    "slo_attainment": attainment,
                     "mean_jct_s": (
                         sum(j["jct_s"] for j in jobs) / len(jobs)
                     ),

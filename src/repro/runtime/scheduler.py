@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec
@@ -47,16 +47,19 @@ from repro.pipeline.registry import admission_policy, placement_policy
 from repro.runtime.executor import DecisionBw, JobCheckpoint, JobRun
 from repro.runtime.scheduling.policies import AdmissionPolicy, SchedulerView
 from repro.runtime.scheduling.reallocator import DEFAULT_BATCH, BatchedReallocator
-from repro.runtime.scheduling.slo import SLO, attainment, jain_index
+from repro.runtime.scheduling.slo import SLO, deadline_met, deadline_tally, jain_index, tenant_of
 
 __all__ = [
     "AdmissionSpec",
+    "JobRecord",
     "JobScheduler",
     "JobTicket",
     "PolicySpec",
     "ZERO_STATS",
+    "aggregate_records",
     "aggregate_stats",
     "jain_index",
+    "job_record",
 ]
 
 #: A policy spec: an instance, a registered name, a class, or ``None``
@@ -66,7 +69,7 @@ PolicySpec = PlacementPolicy | str | type | None
 #: An admission-policy spec: an instance, a registered name, or a class.
 AdmissionSpec = AdmissionPolicy | str | type
 
-#: Every key :func:`aggregate_stats` reports, with its
+#: Every key :func:`aggregate_records` reports, with its
 #: before-anything-finished value.  Kept explicit (and returned
 #: wholesale in the empty case) so a stats call mid-run — jobs queued
 #: or running, none finished — can never divide by a zero completion
@@ -85,48 +88,87 @@ ZERO_STATS: dict[str, float] = {
 }
 
 
+@dataclass(frozen=True)
+class JobRecord:
+    """One finished job's plain numbers, detached from its ticket.
+
+    Tickets hold live simulator state (runs, checkpoints, callbacks)
+    and cannot cross a process boundary; records carry exactly what
+    the statistics need, so in-process and partitioned runs aggregate
+    through the same :func:`aggregate_records`.
+    """
+
+    name: str
+    tenant: str
+    shard: int
+    submitted_s: float
+    finished_s: float
+    wait_s: float
+    jct_s: float
+    #: Achieved WAN throughput in Mbps (0.0 when the job spent no time
+    #: on the WAN) — the fairness input.
+    throughput_mbps: float
+    #: Deadline verdict: ``True``/``False`` when the job carried one,
+    #: ``None`` when it promised nothing.
+    met: Optional[bool] = None
+
+
+def job_record(ticket: "JobTicket", shard: int = 0) -> JobRecord:
+    """Flatten a finished ticket into a picklable record."""
+    throughput = 0.0
+    if ticket.result is not None and ticket.result.network_s > 0:
+        throughput = ticket.result.wan_gb * 8.0 * 1024.0 / ticket.result.network_s
+    return JobRecord(
+        name=ticket.job.name,
+        tenant=tenant_of(ticket),
+        shard=shard,
+        submitted_s=ticket.submitted_s,
+        finished_s=float(ticket.finished_s or 0.0),
+        wait_s=ticket.wait_s,
+        jct_s=ticket.jct_s,
+        throughput_mbps=throughput,
+        met=deadline_met(ticket),
+    )
+
+
+def aggregate_records(
+    records: Sequence[JobRecord], first_submit: Optional[float]
+) -> dict[str, float]:
+    """Completion statistics over finished jobs' records.
+
+    The one aggregation behind :meth:`JobScheduler.stats`, the sharded
+    scheduler's and the partitioned executor's
+    :func:`~repro.runtime.scheduling.parallel.merge_stats`, so every
+    execution mode reports comparable numbers.  Returns
+    :data:`ZERO_STATS` wholesale before anything finishes (ratio
+    metrics 1.0, counters and averages 0.0).  Jobs that moved nothing
+    over the WAN (throughput 0.0) take no part in fairness.
+    """
+    if not records or first_submit is None:
+        return dict(ZERO_STATS)
+    makespan = max(r.finished_s for r in records) - first_submit
+    attained, missed, attainment = deadline_tally(r.met for r in records)
+    return {
+        "completed": float(len(records)),
+        "mean_wait_s": sum(r.wait_s for r in records) / len(records),
+        "mean_jct_s": sum(r.jct_s for r in records) / len(records),
+        "total_jct_s": sum(r.jct_s for r in records),
+        "makespan_s": makespan,
+        "jobs_per_hour": (
+            len(records) / (makespan / 3600.0) if makespan > 0 else 0.0
+        ),
+        "fairness": jain_index([r.throughput_mbps for r in records]),
+        "slo_attained": float(attained),
+        "slo_missed": float(missed),
+        "slo_attainment": attainment,
+    }
+
+
 def aggregate_stats(
     done: list["JobTicket"], first_submit: Optional[float]
 ) -> dict[str, float]:
-    """Completion statistics over any collection of finished tickets.
-
-    The shared aggregation behind :meth:`JobScheduler.stats` and
-    :meth:`~repro.runtime.scheduling.shards.ShardedScheduler.stats` —
-    a sharded scheduler merges its shards' completed tickets and
-    reports one population, so single- and multi-shard runs are
-    directly comparable.  Returns :data:`ZERO_STATS` wholesale before
-    anything finishes; note the *ratio* metrics' zero values are 1.0
-    (``fairness``, ``slo_attainment``: nothing has been unfair or
-    broken yet), while the counters and averages are 0.0.
-    """
-    if not done or first_submit is None:
-        return dict(ZERO_STATS)
-    makespan = max(t.finished_s for t in done) - first_submit
-    throughputs = [
-        t.result.wan_gb * 8.0 * 1024.0 / t.result.network_s
-        for t in done
-        if t.result is not None and t.result.network_s > 0
-    ]
-    attained, missed = attainment(done)
-    with_deadline = attained + missed
-    return {
-        "completed": float(len(done)),
-        "mean_wait_s": sum(t.wait_s for t in done) / len(done),
-        "mean_jct_s": sum(t.jct_s for t in done) / len(done),
-        "total_jct_s": sum(t.jct_s for t in done),
-        "makespan_s": makespan,
-        "jobs_per_hour": (
-            len(done) / (makespan / 3600.0) if makespan > 0 else 0.0
-        ),
-        "fairness": jain_index(throughputs),
-        "slo_attained": float(attained),
-        "slo_missed": float(missed),
-        # Deadline-free runs report perfect attainment — nothing
-        # was promised, so nothing was broken.
-        "slo_attainment": (
-            attained / with_deadline if with_deadline > 0 else 1.0
-        ),
-    }
+    """:func:`aggregate_records` over finished tickets."""
+    return aggregate_records([job_record(t) for t in done], first_submit)
 
 
 @dataclass(eq=False)

@@ -41,8 +41,8 @@ from repro.runtime.scheduling.policies import (
 from repro.runtime.scheduling.reallocator import DEFAULT_BATCH, BatchedReallocator
 from repro.runtime.scheduling.slo import (
     SLO,
-    attainment,
     deadline_met,
+    deadline_tally,
     jain_index,
     slo_weight,
     spread_slos,
@@ -61,8 +61,8 @@ __all__ = [
     "SchedulerView",
     "ShardExecutor",
     "ShardedScheduler",
-    "attainment",
     "deadline_met",
+    "deadline_tally",
     "jain_index",
     "slo_weight",
     "spread_slos",

@@ -23,11 +23,10 @@ CPU core cannot help.  This module is the scale-out answer:
   (``workers`` ≤ 1) — the results are **byte-identical** either way,
   because each shard's simulation is seeded and self-contained and the
   merge consumes results in shard order, never arrival order;
-* :func:`merge_stats` folds the per-shard records into the same
-  statistics vocabulary as
-  :func:`~repro.runtime.scheduler.aggregate_stats` (global makespan
-  from the earliest submit to the latest finish, Jain fairness over
-  the merged per-job throughputs), plus reconciliation counters.
+* :func:`merge_stats` folds the per-shard records through the same
+  :func:`~repro.runtime.scheduler.aggregate_records` as the in-process
+  schedulers (global makespan from the earliest submit to the latest
+  finish), plus reconciliation counters.
 
 Pool construction or pickling can fail on exotic platforms; the
 executor then falls back to the serial path and records
@@ -54,13 +53,18 @@ from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec
 from repro.gda.engine.engine import SHUFFLE_OVERHEAD
 from repro.net.profiles import network_profile
-from repro.runtime.scheduler import ZERO_STATS, JobScheduler, JobTicket
+from repro.runtime.scheduler import (
+    JobRecord,
+    JobScheduler,
+    aggregate_records,
+    job_record,
+)
 from repro.runtime.scheduling.shards import (
     shard_for_tenant,
     split_concurrency,
     tenant_of_submission,
 )
-from repro.runtime.scheduling.slo import SLO, deadline_met, jain_index, tenant_of
+from repro.runtime.scheduling.slo import SLO
 
 __all__ = [
     "JobRecord",
@@ -107,30 +111,6 @@ class ShardTask:
     jobs: tuple[Entry, ...] = ()
 
 
-@dataclass(frozen=True)
-class JobRecord:
-    """One finished job's numbers, detached from its ticket.
-
-    Tickets hold live simulator state (runs, checkpoints, callbacks)
-    and cannot cross the process boundary; records carry exactly what
-    the merge needs.
-    """
-
-    name: str
-    tenant: str
-    shard: int
-    submitted_s: float
-    finished_s: float
-    wait_s: float
-    jct_s: float
-    #: Achieved WAN throughput in Mbps (0.0 when the job moved no WAN
-    #: bytes) — the fairness input.
-    throughput_mbps: float
-    #: Deadline verdict: ``True``/``False`` when the job carried one,
-    #: ``None`` when it promised nothing.
-    met: Optional[bool] = None
-
-
 @dataclass
 class ShardResult:
     """What one shard's drain produced."""
@@ -171,24 +151,6 @@ def partition_mix(
     return slices
 
 
-def _record(ticket: JobTicket, shard: int) -> JobRecord:
-    """Flatten a finished ticket into a picklable record."""
-    throughput = 0.0
-    if ticket.result is not None and ticket.result.network_s > 0:
-        throughput = ticket.result.wan_gb * 8.0 * 1024.0 / ticket.result.network_s
-    return JobRecord(
-        name=ticket.job.name,
-        tenant=tenant_of(ticket),
-        shard=shard,
-        submitted_s=ticket.submitted_s,
-        finished_s=float(ticket.finished_s or 0.0),
-        wait_s=ticket.wait_s,
-        jct_s=ticket.jct_s,
-        throughput_mbps=throughput,
-        met=deadline_met(ticket),
-    )
-
-
 def run_shard(task: ShardTask) -> ShardResult:
     """Build, submit, and drain one shard's world; return its records.
 
@@ -227,7 +189,7 @@ def run_shard(task: ShardTask) -> ShardResult:
     sim.run()
     return ShardResult(
         index=task.index,
-        records=[_record(t, task.index) for t in scheduler.completed],
+        records=[job_record(t, task.index) for t in scheduler.completed],
         submitted=len(task.jobs),
         queued=len(scheduler.queued),
         running=len(scheduler.running),
@@ -241,12 +203,10 @@ def run_shard(task: ShardTask) -> ShardResult:
 def merge_stats(results: list[ShardResult]) -> dict[str, float]:
     """Fold per-shard results into one statistics row.
 
-    Same vocabulary (and same zero values) as
-    :func:`~repro.runtime.scheduler.aggregate_stats`: the makespan
-    spans from the globally earliest submission to the globally latest
-    finish, fairness is Jain's index over the merged per-job
-    throughputs, and attainment counts only jobs that promised a
-    deadline.  ``submitted`` / ``queued`` / ``running`` / ``shards``
+    The merged records go through the same
+    :func:`~repro.runtime.scheduler.aggregate_records` as the
+    in-process schedulers, with the makespan spanning from the globally
+    earliest submission to the globally latest finish.  ``submitted`` / ``queued`` / ``running`` / ``shards``
     ride along so callers can reconcile
     (``submitted == completed + queued + running``).
     """
@@ -254,26 +214,9 @@ def merge_stats(results: list[ShardResult]) -> dict[str, float]:
     submitted = sum(result.submitted for result in results)
     queued = sum(result.queued for result in results)
     running = sum(result.running for result in results)
-    if records:
-        first_submit = min(r.submitted_s for r in records)
-        makespan = max(r.finished_s for r in records) - first_submit
-        attained = sum(1 for r in records if r.met is True)
-        missed = sum(1 for r in records if r.met is False)
-        with_deadline = attained + missed
-        merged = {
-            "completed": float(len(records)),
-            "mean_wait_s": sum(r.wait_s for r in records) / len(records),
-            "mean_jct_s": sum(r.jct_s for r in records) / len(records),
-            "total_jct_s": sum(r.jct_s for r in records),
-            "makespan_s": makespan,
-            "jobs_per_hour": len(records) / (makespan / 3600.0) if makespan > 0 else 0.0,
-            "fairness": jain_index([r.throughput_mbps for r in records]),
-            "slo_attained": float(attained),
-            "slo_missed": float(missed),
-            "slo_attainment": attained / with_deadline if with_deadline > 0 else 1.0,
-        }
-    else:
-        merged = dict(ZERO_STATS)
+    merged = aggregate_records(
+        records, min((r.submitted_s for r in records), default=None)
+    )
     merged["shards"] = float(len(results))
     merged["submitted"] = float(submitted)
     merged["queued"] = float(queued)

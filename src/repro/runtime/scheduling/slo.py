@@ -104,18 +104,15 @@ def deadline_met(ticket: "JobTicket") -> Optional[bool]:
     return ticket.finished_s <= deadline
 
 
-def attainment(tickets: Iterable["JobTicket"]) -> tuple[int, int]:
-    """``(attained, missed)`` deadline counts over finished tickets."""
-    attained = missed = 0
-    for ticket in tickets:
-        met = deadline_met(ticket)
-        if met is None:
-            continue
-        if met:
-            attained += 1
-        else:
-            missed += 1
-    return attained, missed
+def deadline_tally(verdicts: Iterable[Optional[bool]]) -> tuple[int, int, float]:
+    """``(attained, missed, attainment)`` over per-job deadline verdicts.
+
+    ``None`` (no deadline promised) counts in neither; when nothing
+    promised a deadline, attainment is 1.0 — nothing was broken.
+    """
+    decided = [met for met in verdicts if met is not None]
+    attained = sum(decided)
+    return attained, len(decided) - attained, attained / len(decided) if decided else 1.0
 
 
 def spread_slos(

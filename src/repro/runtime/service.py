@@ -41,7 +41,6 @@ layered config system from code, files, env vars, or the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.gda.engine.cluster import GeoCluster
@@ -59,6 +58,7 @@ from repro.runtime.scenarios import scenario
 from repro.runtime.scheduler import JobScheduler, JobTicket, PolicySpec
 from repro.runtime.scheduling import SLO, spread_slos
 from repro.runtime.scheduling.shards import ShardedScheduler
+from repro.runtime.summary import ServiceSummary
 from repro.runtime.telemetry import TelemetryStore
 from repro.sim.kernel import Process
 from repro.core.agent import LocalAgent
@@ -71,139 +71,6 @@ __all__ = [
     "ServiceSummary",
     "default_job_mix",
 ]
-
-
-@dataclass
-class ServiceSummary:
-    """What a service run produced, for tables and assertions.
-
-    Built from :meth:`JobScheduler.stats
-    <repro.runtime.scheduler.JobScheduler.stats>` plus the gauger's
-    ledger, the re-plan log, and the control plane's counters.  Safe
-    to take mid-run: before anything completes the stats side reports
-    its zero values — counters and averages 0.0, but the *ratio*
-    metrics (``fairness``, ``slo_attainment``) 1.0, since nothing has
-    yet been unfair or broken.
-    """
-
-    completed: int
-    mean_wait_s: float
-    mean_jct_s: float
-    total_jct_s: float
-    makespan_s: float
-    jobs_per_hour: float
-    fairness: float
-    replans: int
-    telemetry_samples: int
-    #: Probe accounting read off the gauger's ledger — zero across the
-    #: board for a passive-telemetry run.
-    probe_transfers: int = 0
-    probe_gb: float = 0.0
-    probe_cost_usd: float = 0.0
-    #: The admission policy the scheduler ran under.
-    scheduler: str = "fifo"
-    #: Deadline accounting: jobs that finished within / past their SLO
-    #: deadline (jobs without a deadline count in neither).
-    slo_attained: int = 0
-    slo_missed: int = 0
-    #: ``attained / (attained + missed)`` — 1.0 when nothing promised
-    #: a deadline.
-    slo_attainment: float = 1.0
-    #: The slice of probe cost charged to drift-triggered re-gauges —
-    #: re-planning is no longer free, and this is its bill.
-    replan_probe_transfers: int = 0
-    replan_probe_gb: float = 0.0
-    replan_cost_usd: float = 0.0
-    #: Control-plane interventions (all zero when the control plane is
-    #: disabled — the default).  ``preemptions`` counts slot swaps
-    #: executed by the configured preemption policy; ``migrations`` the
-    #: subset whose victim resumed under a re-resolved placement
-    #: policy; ``throttle_moves`` / ``throttle_releases`` the
-    #: governor's cap ledger (equal once a run has drained — the
-    #: no-leaked-throttles invariant).
-    preemptions: int = 0
-    migrations: int = 0
-    throttle_moves: int = 0
-    throttle_releases: int = 0
-    #: Highest concurrency reached: the autoscaler's high-water bound
-    #: when autoscaling, otherwise the scheduler's achieved peak.
-    concurrency_high_water: int = 0
-    #: Observability-hub statistics (all zero with the hub disabled):
-    #: ``rollup_rows`` counts link-level warehouse rollup rows across
-    #: every grain, ``events_traced`` the events ever recorded into
-    #: the trace ring, ``metrics_scrapes`` the ``/metrics`` fetches
-    #: served.  Sweep reports carry all three, so observability
-    #: overhead is comparable across cells.
-    rollup_rows: int = 0
-    events_traced: int = 0
-    metrics_scrapes: int = 0
-    #: Online-tuner statistics (all zero/empty with ``tuner = "none"``,
-    #: the default): ``policy_switches`` counts bandit-driven policy
-    #: swaps the switcher applied, ``tuner_arm_stats`` is the per-arm
-    #: ``{pulls, rewarded, total_reward, mean_reward}`` ledger for the
-    #: arms it actually pulled.
-    policy_switches: int = 0
-    tuner_arm_stats: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: Scale-out statistics: how many scheduler shards served the run
-    #: (1 = the plain single-queue scheduler) and how many queued
-    #: tickets work-stealing moved between them (always 0 unsharded).
-    scheduler_shards: int = 1
-    work_steals: int = 0
-    #: Process-parallel execution: worker processes the partitioned
-    #: shard executor used for the last :meth:`PipelineService
-    #: .drain_parallel` (0 = the serial in-process path, also the
-    #: value when the service never drained in parallel) and the
-    #: wall-clock seconds that drain took end to end.
-    shard_worker_count: int = 0
-    parallel_wall_s: float = 0.0
-    #: The transfer-advancement kernel the WAN simulator ran
-    #: (``scalar`` or ``vectorized``).
-    kernel: str = "scalar"
-    #: Continuous-recalibration statistics (all zero with
-    #: ``recalibrate = False``, the default): ``recalibrations`` counts
-    #: executed recalibrator ticks, ``recal_adjustments`` the
-    #: cumulative per-link capacity moves those ticks published.
-    recalibrations: int = 0
-    recal_adjustments: int = 0
-    events: list[ReplanEvent] = field(default_factory=list)
-
-    def to_row(self) -> dict[str, float]:
-        """Flat dict for table rendering."""
-        return {
-            "completed": float(self.completed),
-            "mean_wait_s": self.mean_wait_s,
-            "mean_jct_s": self.mean_jct_s,
-            "total_jct_s": self.total_jct_s,
-            "makespan_s": self.makespan_s,
-            "jobs_per_hour": self.jobs_per_hour,
-            "fairness": self.fairness,
-            "replans": float(self.replans),
-            "probe_transfers": float(self.probe_transfers),
-            "probe_gb": self.probe_gb,
-            "probe_cost_usd": self.probe_cost_usd,
-            "slo_attained": float(self.slo_attained),
-            "slo_missed": float(self.slo_missed),
-            "slo_attainment": self.slo_attainment,
-            "replan_probe_transfers": float(self.replan_probe_transfers),
-            "replan_probe_gb": self.replan_probe_gb,
-            "replan_cost_usd": self.replan_cost_usd,
-            "preemptions": float(self.preemptions),
-            "migrations": float(self.migrations),
-            "throttle_moves": float(self.throttle_moves),
-            "throttle_releases": float(self.throttle_releases),
-            "concurrency_high_water": float(self.concurrency_high_water),
-            "rollup_rows": float(self.rollup_rows),
-            "events_traced": float(self.events_traced),
-            "metrics_scrapes": float(self.metrics_scrapes),
-            "policy_switches": float(self.policy_switches),
-            "tuner_arms_explored": float(len(self.tuner_arm_stats)),
-            "scheduler_shards": float(self.scheduler_shards),
-            "work_steals": float(self.work_steals),
-            "shard_worker_count": float(self.shard_worker_count),
-            "parallel_wall_s": self.parallel_wall_s,
-            "recalibrations": float(self.recalibrations),
-            "recal_adjustments": float(self.recal_adjustments),
-        }
 
 
 class PipelineService:
@@ -692,11 +559,46 @@ class PipelineService:
 
     def summary(self) -> ServiceSummary:
         """Aggregate statistics for everything completed so far."""
+        summary = self.live_summary()
+        if self.hub is not None:
+            summary.rollup_rows = self.hub.rollup_rows
+        return summary
+
+    def live_summary(self) -> ServiceSummary:
+        """:meth:`summary` without ``rollup_rows``, which rebuilds the
+        hub's rollups over the whole metrics log; what a ``/metrics``
+        scrape reads, so a scrape never aggregates the log."""
         stats = self.scheduler.stats()
         if self.parallel_stats is not None:
             # A parallel drain ran outside the in-process scheduler;
             # its merged row supersedes the idle scheduler's zeros.
             stats = {**stats, **self.parallel_stats}
+        # Components that are off leave their metrics at the defaults.
+        observed: dict[str, object] = {
+            "concurrency_high_water": self.scheduler.peak_concurrency
+        }
+        control = self.control
+        if control is not None:
+            observed.update(
+                preemptions=control.preemptions,
+                migrations=control.migrations,
+                throttle_moves=control.throttle_moves,
+                throttle_releases=control.throttle_releases,
+                concurrency_high_water=control.concurrency_high_water,
+                policy_switches=control.policy_switches,
+            )
+            if control.switcher is not None:
+                observed["tuner_arm_stats"] = control.switcher.arm_stats()
+        if self.hub is not None:
+            observed.update(
+                events_traced=self.hub.events_traced,
+                metrics_scrapes=self.hub.metrics_scrapes,
+            )
+        if self.recalibrator is not None:
+            observed.update(
+                recalibrations=self.recalibrator.ticks,
+                recal_adjustments=self.recalibrator.adjustments,
+            )
         gauger = self.pipeline.gauger
         return ServiceSummary(
             completed=int(stats["completed"]),
@@ -720,47 +622,6 @@ class PipelineService:
             ),
             replan_probe_gb=sum(event.probe_gb for event in self.replans),
             replan_cost_usd=self.replan_spent_usd,
-            preemptions=(
-                self.control.preemptions if self.control is not None else 0
-            ),
-            migrations=(
-                self.control.migrations if self.control is not None else 0
-            ),
-            throttle_moves=(
-                self.control.throttle_moves
-                if self.control is not None
-                else 0
-            ),
-            throttle_releases=(
-                self.control.throttle_releases
-                if self.control is not None
-                else 0
-            ),
-            concurrency_high_water=(
-                self.control.concurrency_high_water
-                if self.control is not None
-                else self.scheduler.peak_concurrency
-            ),
-            rollup_rows=(
-                self.hub.rollup_rows if self.hub is not None else 0
-            ),
-            events_traced=(
-                self.hub.events_traced if self.hub is not None else 0
-            ),
-            metrics_scrapes=(
-                self.hub.metrics_scrapes if self.hub is not None else 0
-            ),
-            policy_switches=(
-                self.control.policy_switches
-                if self.control is not None
-                else 0
-            ),
-            tuner_arm_stats=(
-                self.control.switcher.arm_stats()
-                if self.control is not None
-                and self.control.switcher is not None
-                else {}
-            ),
             scheduler_shards=(
                 int(self.parallel_stats["shards"])
                 if self.parallel_stats is not None
@@ -770,17 +631,8 @@ class PipelineService:
             shard_worker_count=self.parallel_workers,
             parallel_wall_s=self.parallel_wall_s,
             kernel=self.network.kernel,
-            recalibrations=(
-                self.recalibrator.ticks
-                if self.recalibrator is not None
-                else 0
-            ),
-            recal_adjustments=(
-                self.recalibrator.adjustments
-                if self.recalibrator is not None
-                else 0
-            ),
             events=list(self.replans),
+            **observed,
         )
 
 

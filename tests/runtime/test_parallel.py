@@ -8,12 +8,17 @@ matches the in-process sharded scheduler's tenant hash, and any pool
 failure degrades to the serial path instead of crashing.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.gda.engine.cluster import GeoCluster
+from repro.gda.systems.vanilla import LocalityPolicy
+from repro.runtime.scheduler import JobTicket, aggregate_stats, job_record
 from repro.runtime.scheduling import parallel as parallel_mod
 from repro.runtime.scheduling.parallel import (
     ShardExecutor,
+    ShardResult,
     ShardTask,
     build_tasks,
     merge_stats,
@@ -157,6 +162,42 @@ class TestMerge:
         assert merged["slo_attained"] == 0.0
         assert merged["slo_missed"] == 0.0
         assert merged["slo_attainment"] == 1.0
+
+    def test_merge_matches_in_process_aggregation(self):
+        """Records of a ticket population — one job that never touched
+        the WAN, deadlines met, missed and absent — merge to exactly the
+        in-process scheduler's statistics over the same tickets."""
+        mix = default_job_mix(KEYS, count=4, seed=3)
+        outcomes = (
+            # (wan_gb, network_s, finished_s, deadline_s)
+            (2.0, 40.0, 100.0, 500.0),
+            (0.0, 0.0, 130.0, None),
+            (1.0, 0.0, 150.0, 50.0),
+            (3.0, 25.0, 90.0, None),
+        )
+        tickets = []
+        for seq, ((_, job), (wan_gb, network_s, finished_s, deadline_s)) in (
+            enumerate(zip(mix, outcomes))
+        ):
+            ticket = JobTicket(
+                job,
+                LocalityPolicy(),
+                submitted_s=10.0 * seq,
+                seq=seq,
+                slo=SLO(deadline_s=deadline_s) if deadline_s else None,
+            )
+            ticket.started_s = ticket.submitted_s
+            ticket.finished_s = finished_s
+            ticket.result = SimpleNamespace(wan_gb=wan_gb, network_s=network_s)
+            tickets.append(ticket)
+        merged = merge_stats(
+            [ShardResult(index=0, records=[job_record(t) for t in tickets])]
+        )
+        expected = aggregate_stats(tickets, min(t.submitted_s for t in tickets))
+        assert {key: merged[key] for key in expected} == expected
+        assert expected["slo_attained"] == 1.0
+        assert expected["slo_missed"] == 1.0
+        assert expected["fairness"] < 1.0
 
 
 class TestFallback:

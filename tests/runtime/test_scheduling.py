@@ -21,7 +21,8 @@ from repro.runtime.scheduling import (
     FifoAdmission,
     PriorityAdmission,
     SchedulerView,
-    attainment,
+    deadline_met,
+    deadline_tally,
     jain_index,
     spread_slos,
     tenant_of,
@@ -85,7 +86,8 @@ class TestSLO:
         free = _ticket("a-2")
         free.finished_s = 9999.0
         unfinished = _ticket("a-3", slo=SLO(deadline_s=100.0))
-        assert attainment([met, missed, free, unfinished]) == (1, 1)
+        tickets = [met, missed, free, unfinished]
+        assert deadline_tally(deadline_met(t) for t in tickets)[:2] == (1, 1)
 
     def test_spread_slos_is_deterministic_and_heterogeneous(self):
         mix = [(0.0, _job(f"j-{i}")) for i in range(6)]

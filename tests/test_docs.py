@@ -100,3 +100,36 @@ class TestDocsHealth:
         finally:
             sys.path.remove(str(REPO / "src"))
         assert any("drift_threshold" in f for f in failures)
+
+    def test_metric_coverage_passes_on_shipped_docs(self, check_docs):
+        failures: list[str] = []
+        sys.path.insert(0, str(REPO / "src"))
+        try:
+            checked = check_docs.check_metric_coverage(failures)
+        finally:
+            sys.path.remove(str(REPO / "src"))
+        assert checked > 50  # row names + rendered families
+        assert failures == []
+
+    def test_metric_coverage_catches_undocumented_metric(self, check_docs):
+        """A newly declared metric fails the job until both the row name
+        and its family are documented."""
+        sys.path.insert(0, str(REPO / "src"))
+        try:
+            from repro.runtime.summary import ServiceSummary
+
+            class Extended(ServiceSummary):
+                def to_row(self):
+                    return {**super().to_row(), "brand_new_metric": 0.0}
+
+                def families(self):
+                    yield from super().families()
+                    yield ("wanify_brand_new_total", "A new metric.", 0)
+
+            failures: list[str] = []
+            check_docs.check_metric_coverage(failures, Extended())
+        finally:
+            sys.path.remove(str(REPO / "src"))
+        assert len(failures) == 2
+        assert "`brand_new_metric`" in failures[0]
+        assert "`wanify_brand_new_total`" in failures[1]
