@@ -1,32 +1,26 @@
-"""Vectorized batch advancement of concurrent transfers.
+"""The simulator's store of in-flight transfers, advanced bucket by bucket.
 
-The scalar :class:`~repro.net.simulator.NetworkSimulator` hot path
-touches every active transfer from Python on every simulator step:
-progress accrual, rate assignment, next-completion ETA, and finished
-scanning are each an interpreted loop over the transfer objects.  With
-thousands of concurrent transfers per pair that is quadratic end to
-end — every completion event re-walks the whole population four times.
+:class:`~repro.net.simulator.NetworkSimulator` keeps every in-flight
+transfer here and nowhere else: one bucket per ordered DC pair, in
+first-use order, plus one bucket for intra-DC (LAN) traffic that is
+always visited last.  Transfers multiplexed on one pair all share the
+pair's allocated rate *equally*, so progress accrual, rate
+assignment, next-completion ETA and finished scanning are per-bucket
+operations.
 
-This module is the batched alternative, selected by
-``ServiceConfig.kernel = "vectorized"`` (``NetworkSimulator(...,
-kernel="vectorized")``).  Transfers multiplexed on one pair all share
-the pair's allocated rate *equally*, so a whole bucket advances as one
-numpy vector: progress is ``transferred = minimum(size, transferred +
+A bucket holding more than its *threshold* transfers switches to numpy
+arrays: progress is ``transferred = minimum(size, transferred +
 share·dt)``, the next completion is ``min(size - transferred) /
-share``, and finished transfers fall out of one boolean mask.  The
-per-element arithmetic is exactly the scalar path's (same operations,
-same order), so a vectorized run reproduces scalar per-transfer
-completion times — the parity contract
-``tests/net/test_batch_parity.py`` enforces at 1e-6.
-
-Progressive-filling rate allocation has an array-wise twin too
-(:func:`allocate_batch`), used by the vectorized simulator in place of
-:func:`repro.net.sharing.allocate`.
-
-Buckets at or below :data:`SMALL_BUCKET` transfers keep plain
-per-object arithmetic — array overhead only pays for itself on crowded
-pairs, and the small-bucket path leaves the transfer objects
-authoritative exactly like the scalar kernel.
+share``, and finished transfers fall out of one boolean mask.  At or
+below the threshold it keeps plain per-object arithmetic — the same
+operations in the same order — and the transfer objects stay
+authoritative.  The simulator's ``kernel`` knob picks the threshold
+(:data:`SMALL_BUCKET` for ``"vectorized"``, infinite for ``"scalar"``,
+so a scalar bucket never leaves per-object arithmetic) and the
+allocator (:func:`allocate_batch`, the array-wise twin of
+:func:`repro.net.sharing.allocate`, for ``"vectorized"``).  A
+vectorized run reproduces scalar per-transfer completion times — the
+parity contract ``tests/net/test_batch_parity.py`` enforces at 1e-6.
 
 While a bucket is array-backed its transfer objects' ``rate_mbps`` /
 ``transferred_mbits`` fields go stale by design; the simulator calls
@@ -51,8 +45,9 @@ __all__ = [
     "allocate_batch",
 ]
 
-#: Buckets at or below this many transfers stay on per-object
-#: arithmetic — numpy array overhead only pays off beyond it.
+#: The vectorized kernel's threshold: buckets at or below this many
+#: transfers stay on per-object arithmetic — numpy array overhead only
+#: pays off beyond it.
 SMALL_BUCKET = 2
 
 #: Remaining-payload slop below which a transfer counts as finished
@@ -146,9 +141,12 @@ def allocate_batch(
 class _Bucket:
     """One pair's (or the LAN's) transfers advancing at a shared rate.
 
-    Invariant: ``arrays`` exist exactly when the population exceeds
-    :data:`SMALL_BUCKET`; while they exist, the arrays — not the
-    transfer objects — are authoritative for progress.
+    Invariant: the ``size``/``transferred`` arrays exist (are not
+    ``None``) exactly when the population exceeds ``threshold``; while
+    they exist, the arrays — not the transfer objects — are
+    authoritative for progress.  The hot methods test ``size`` inline
+    rather than through a property: they run per bucket on every
+    simulator step.
 
     ``fresh`` counts trailing members admitted since the last
     :meth:`set_share`.  The scalar kernel leaves a new transfer at
@@ -158,24 +156,18 @@ class _Bucket:
     completion ETA until shares land.
     """
 
-    __slots__ = ("transfers", "share", "fresh", "size", "transferred")
+    __slots__ = ("transfers", "threshold", "share", "fresh", "size", "transferred")
 
-    def __init__(self) -> None:
+    def __init__(self, threshold: float) -> None:
         self.transfers: list["Transfer"] = []
+        #: Population above which the bucket is array-backed.
+        self.threshold = threshold
         #: Per-transfer rate (every member moves at the same share).
         self.share = 0.0
         #: Trailing members not yet covered by ``share``.
         self.fresh = 0
         self.size = None
         self.transferred = None
-
-    def __len__(self) -> int:
-        return len(self.transfers)
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether the bucket is currently array-backed."""
-        return self.size is not None
 
     def _build_arrays(self) -> None:
         self.size = np.array(
@@ -194,12 +186,12 @@ class _Bucket:
         """Admit one transfer (object state is current at this point)."""
         self.transfers.append(transfer)
         self.fresh += 1
-        if self.vectorized:
+        if self.size is not None:
             self.size = np.append(self.size, transfer.size_mbits)
             self.transferred = np.append(
                 self.transferred, transfer.transferred_mbits
             )
-        elif len(self.transfers) > SMALL_BUCKET:
+        elif len(self.transfers) > self.threshold:
             self._build_arrays()
 
     def remove(self, transfer: "Transfer") -> None:
@@ -218,33 +210,33 @@ class _Bucket:
         del self.transfers[index]
         if was_fresh:
             self.fresh -= 1
-        if not self.vectorized:
+        if self.size is None:
             return
         transfer.transferred_mbits = float(self.transferred[index])
         if not was_fresh:
             transfer.rate_mbps = self.share
         self.size = np.delete(self.size, index)
         self.transferred = np.delete(self.transferred, index)
-        if len(self.transfers) <= SMALL_BUCKET:
+        if len(self.transfers) <= self.threshold:
             self._drop_arrays()
 
     def set_share(self, share: float) -> None:
         """Install the per-transfer rate for the current allocation."""
         self.share = share
         self.fresh = 0
-        if not self.vectorized:
+        if self.size is None:
             for transfer in self.transfers:
                 transfer.rate_mbps = share
 
     def rate_total(self) -> float:
         """Aggregate instantaneous rate of the bucket (Mbps)."""
-        if not self.vectorized:
+        if self.size is None:
             return sum(t.rate_mbps for t in self.transfers)
         return self.share * (len(self.transfers) - self.fresh)
 
     def progress(self, dt: float) -> None:
         """Advance every rate-carrying member by ``dt`` seconds."""
-        if self.vectorized:
+        if self.size is not None:
             limit = len(self.transfers) - self.fresh
             np.minimum(
                 self.size[:limit],
@@ -260,7 +252,7 @@ class _Bucket:
 
     def min_eta(self) -> float:
         """Seconds until the bucket's next completion (inf when idle)."""
-        if not self.vectorized:
+        if self.size is None:
             eta = float("inf")
             for transfer in self.transfers:
                 if transfer.rate_mbps > 0:
@@ -278,7 +270,7 @@ class _Bucket:
 
     def finished(self) -> list["Transfer"]:
         """Members whose remaining payload is within the finish slop."""
-        if self.vectorized:
+        if self.size is not None:
             mask = (self.size - self.transferred) <= FINISH_EPS
             indices = np.nonzero(mask)[0]
             if indices.size == 0:
@@ -293,7 +285,7 @@ class _Bucket:
 
     def sync_objects(self) -> None:
         """Write array progress and rates back to the transfer objects."""
-        if not self.vectorized:
+        if self.size is None:
             return
         limit = len(self.transfers) - self.fresh
         for index, transfer in enumerate(self.transfers):
@@ -303,50 +295,62 @@ class _Bucket:
 
 
 class VectorKernel:
-    """Array-backed advancement state for one simulator.
+    """Every in-flight transfer of one simulator, bucketed.
 
-    Keyed by the simulator's bucket identity — an ordered ``(src,
-    dst)`` pair, or :attr:`LAN` for intra-DC traffic.  The simulator
-    routes its per-transfer hot loops here when built with
-    ``kernel="vectorized"``.
+    WAN buckets live in :attr:`pairs`, keyed by ordered ``(src, dst)``
+    pair in first-use order; a pair's bucket is dropped when it
+    empties.  Intra-DC traffic shares the permanent :attr:`lan` bucket
+    (key :attr:`LAN`).  Walks visit the pairs first and the LAN last,
+    so completions collected in one walk come out pair by pair, then
+    LAN.  ``threshold`` is the population above which a bucket
+    switches to numpy arrays.
     """
 
     #: Bucket key for intra-DC (LAN) transfers.
     LAN = "lan"
 
-    def __init__(self) -> None:
-        self.buckets: dict[Hashable, _Bucket] = {}
+    def __init__(self, threshold: float) -> None:
+        self.threshold = threshold
+        self.pairs: dict[Hashable, _Bucket] = {}
+        self.lan = _Bucket(threshold)
+
+    def _buckets(self) -> list[_Bucket]:
+        # A list, not a generator: the walks below run on every
+        # simulator step.
+        buckets = list(self.pairs.values())
+        buckets.append(self.lan)
+        return buckets
 
     def add(self, key: Hashable, transfer: "Transfer") -> None:
         """Track a newly started transfer under ``key``."""
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            bucket = self.buckets[key] = _Bucket()
+        if key == self.LAN:
+            bucket = self.lan
+        else:
+            bucket = self.pairs.get(key)
+            if bucket is None:
+                bucket = self.pairs[key] = _Bucket(self.threshold)
         bucket.add(transfer)
 
     def remove(self, key: Hashable, transfer: "Transfer") -> None:
         """Stop tracking a finished or cancelled transfer."""
-        bucket = self.buckets.get(key)
+        if key == self.LAN:
+            self.lan.remove(transfer)
+            return
+        bucket = self.pairs.get(key)
         if bucket is None:
             return
         bucket.remove(transfer)
         if not bucket.transfers:
-            del self.buckets[key]
-
-    def set_share(self, key: Hashable, share: float) -> None:
-        """Install one bucket's per-transfer rate."""
-        bucket = self.buckets.get(key)
-        if bucket is not None:
-            bucket.set_share(share)
+            del self.pairs[key]
 
     def rate_total(self, key: Hashable) -> float:
         """Aggregate rate of one bucket (0.0 when absent)."""
-        bucket = self.buckets.get(key)
+        bucket = self.lan if key == self.LAN else self.pairs.get(key)
         return bucket.rate_total() if bucket is not None else 0.0
 
     def progress(self, dt: float) -> None:
         """Advance every bucket by ``dt`` seconds."""
-        for bucket in self.buckets.values():
+        for bucket in self._buckets():
             bucket.progress(dt)
 
     def advance(self, dt: float) -> list["Transfer"]:
@@ -360,7 +364,7 @@ class VectorKernel:
         an instant another event already progressed to.
         """
         out: list["Transfer"] = []
-        for bucket in self.buckets.values():
+        for bucket in self._buckets():
             if dt > 0:
                 bucket.progress(dt)
             out.extend(bucket.finished())
@@ -369,18 +373,11 @@ class VectorKernel:
     def min_eta(self) -> float:
         """Seconds until the next completion across all buckets."""
         eta = float("inf")
-        for bucket in self.buckets.values():
+        for bucket in self._buckets():
             eta = min(eta, bucket.min_eta())
         return eta
 
-    def finished(self) -> list["Transfer"]:
-        """Every tracked transfer whose payload has fully arrived."""
-        out: list["Transfer"] = []
-        for bucket in self.buckets.values():
-            out.extend(bucket.finished())
-        return out
-
     def sync_objects(self) -> None:
         """Flush array state back to the transfer objects (observers)."""
-        for bucket in self.buckets.values():
+        for bucket in self._buckets():
             bucket.sync_objects()

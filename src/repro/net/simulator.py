@@ -21,15 +21,20 @@ Model summary (see DESIGN.md §5):
   connection pool is multiplexed);
 * intra-DC transfers ride the LAN at a fixed high rate, uncontended
   (§2.1: a single connection fully utilizes intra-DC bandwidth).
+
+In-flight transfers live in one store, a
+:class:`~repro.net.batch.VectorKernel`; the ``kernel`` knob picks only
+its array threshold and the max-min solver (``_KERNEL_SPECS``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.net import tcp
-from repro.net.batch import FINISH_EPS, VectorKernel, allocate_batch
+from repro.net.batch import SMALL_BUCKET, VectorKernel, allocate_batch
 from repro.net.dynamics import FluctuationModel, StaticModel
 from repro.net.matrix import BandwidthMatrix
 from repro.net.sharing import PairFlow, allocate
@@ -37,8 +42,17 @@ from repro.net.topology import Topology
 from repro.net.traffic_control import TrafficController
 from repro.sim.kernel import Event, Simulator
 
+#: What the ``kernel`` constructor knob picks: the bucket population
+#: above which progress runs on numpy arrays, and the max-min solver.
+#: The solvers call through the module globals, so a patched
+#: ``allocate`` or ``allocate_batch`` applies to live simulators too.
+_KERNEL_SPECS = {
+    "scalar": (math.inf, lambda *args: allocate(*args)),
+    "vectorized": (SMALL_BUCKET, lambda *args: allocate_batch(*args)),
+}
+
 #: Valid values for the ``kernel`` constructor knob.
-KERNELS = ("scalar", "vectorized")
+KERNELS = tuple(_KERNEL_SPECS)
 
 #: Intra-DC (LAN) rate per transfer, Mbps.  High enough that it never
 #: bottlenecks a geo-analytics stage.
@@ -59,6 +73,11 @@ CONGESTION_RTT_BIAS = 0.3
 _RTT_NORM_MS = 100.0
 
 _EPS = 1e-9
+
+
+def _bucket_key(src: str, dst: str) -> object:
+    """A transfer's bucket in the in-flight store."""
+    return VectorKernel.LAN if src == dst else (src, dst)
 
 
 @dataclass
@@ -129,9 +148,9 @@ class NetworkSimulator:
             )
         #: Transfer advancement kernel, one of :data:`KERNELS`.
         self.kernel = kernel
-        self._vec: Optional[VectorKernel] = (
-            VectorKernel() if kernel == "vectorized" else None
-        )
+        threshold, self._solve = _KERNEL_SPECS[kernel]
+        #: Every in-flight transfer, bucketed by pair.
+        self._inflight = VectorKernel(threshold)
         #: Offset added to simulator time when evaluating network
         #: weather — lets measurement replays probe "the same network at
         #: a different hour" without restarting the clock.
@@ -139,8 +158,6 @@ class NetworkSimulator:
         self.tc = TrafficController()
         self.tc.bind(self._reallocate)
         self._connections = BandwidthMatrix.full(topology.keys, 1.0)
-        self._active: dict[tuple[str, str], list[Transfer]] = {}
-        self._lan_active: list[Transfer] = []
         self._stats: dict[tuple[str, str], PairStats] = {}
         self._last_progress_time = self.sim.now
         self._completion_event: Optional[Event] = None
@@ -197,40 +214,24 @@ class NetworkSimulator:
             # Zero-size transfer completes immediately (still async).
             self.sim.schedule(0.0, lambda: self._finish(transfer))
             return transfer
-        if src == dst:
-            self._lan_active.append(transfer)
-            if self._vec is not None:
-                self._vec.add(VectorKernel.LAN, transfer)
-        else:
-            self._active.setdefault((src, dst), []).append(transfer)
-            if self._vec is not None:
-                self._vec.add((src, dst), transfer)
+        self._inflight.add(_bucket_key(src, dst), transfer)
         self._reallocate()
         return transfer
 
     def cancel_transfer(self, transfer: Transfer) -> None:
         """Abort a transfer; ``on_complete`` does not fire."""
-        if transfer.done:
+        if transfer.cancelled or transfer.finish_time is not None:
             return
         transfer.cancelled = True
+        if transfer.size_mbits <= _EPS:
+            # Never entered the store; its pending zero-delay delivery
+            # sees the flag, so there is nothing to re-solve.
+            return
         self._remove(transfer)
         self._reallocate()
 
     def _remove(self, transfer: Transfer) -> None:
-        if transfer.src == transfer.dst:
-            if transfer in self._lan_active:
-                self._lan_active.remove(transfer)
-                if self._vec is not None:
-                    self._vec.remove(VectorKernel.LAN, transfer)
-            return
-        pair = (transfer.src, transfer.dst)
-        bucket = self._active.get(pair)
-        if bucket and transfer in bucket:
-            bucket.remove(transfer)
-            if self._vec is not None:
-                self._vec.remove(pair, transfer)
-            if not bucket:
-                del self._active[pair]
+        self._inflight.remove(_bucket_key(transfer.src, transfer.dst), transfer)
 
     def _finish(self, transfer: Transfer) -> None:
         if transfer.cancelled:
@@ -269,50 +270,19 @@ class NetworkSimulator:
         already progressed to.
         """
         dt = self.sim.now - self._last_progress_time
-        vec = self._vec
         finished: list[Transfer] = []
+        if collect:
+            finished = self._inflight.advance(dt)
+        elif dt > 0:
+            self._inflight.progress(dt)
         if dt > 0:
-            if vec is not None:
-                finished = vec.advance(dt) if collect else vec.progress(dt) or []
-            else:
-                for bucket in self._active.values():
-                    for transfer in bucket:
-                        transfer.transferred_mbits = min(
-                            transfer.size_mbits,
-                            transfer.transferred_mbits + transfer.rate_mbps * dt,
-                        )
-                        if collect and transfer.remaining_mbits <= FINISH_EPS:
-                            finished.append(transfer)
-                for transfer in self._lan_active:
-                    transfer.transferred_mbits = min(
-                        transfer.size_mbits,
-                        transfer.transferred_mbits + transfer.rate_mbps * dt,
-                    )
-                    if collect and transfer.remaining_mbits <= FINISH_EPS:
-                        finished.append(transfer)
-            for (src, dst), bucket in self._active.items():
-                if vec is not None:
-                    rate = vec.rate_total((src, dst))
-                else:
-                    rate = sum(t.rate_mbps for t in bucket)
-                stats = self._stats.setdefault((src, dst), PairStats())
+            for pair, bucket in self._inflight.pairs.items():
+                rate = bucket.rate_total()
+                stats = self._stats.setdefault(pair, PairStats())
                 stats.mbits += rate * dt
                 stats.active_seconds += dt
                 if rate > 0:
                     stats.min_rate_mbps = min(stats.min_rate_mbps, rate)
-        elif collect:
-            if vec is not None:
-                finished = vec.advance(0.0)
-            else:
-                for bucket in self._active.values():
-                    finished.extend(
-                        t for t in bucket if t.remaining_mbits <= FINISH_EPS
-                    )
-                finished.extend(
-                    t
-                    for t in self._lan_active
-                    if t.remaining_mbits <= FINISH_EPS
-                )
         self._last_progress_time = self.sim.now
         return finished
 
@@ -320,7 +290,8 @@ class NetworkSimulator:
         """Re-solve rates and re-schedule the next completion event."""
         self._progress()
 
-        pairs = sorted(self._active.keys())
+        buckets = self._inflight.pairs
+        pairs = sorted(buckets)
         flows = []
         caps_by_src: dict[str, float] = {}
         specs = []
@@ -362,21 +333,11 @@ class NetworkSimulator:
                 dc.ingress_cap_mbps
                 * tcp.vm_efficiency(in_conns[i] // max(1, dc.num_vms))
             )
-        if self._vec is not None:
-            rates = allocate_batch(flows, egress, ingress)
-            for (src, dst), rate in zip(pairs, rates):
-                share = rate / len(self._active[(src, dst)])
-                self._vec.set_share((src, dst), share)
-            self._vec.set_share(VectorKernel.LAN, LAN_MBPS)
-        else:
-            rates = allocate(flows, egress, ingress)
-            for (src, dst), rate in zip(pairs, rates):
-                bucket = self._active[(src, dst)]
-                share = rate / len(bucket)
-                for transfer in bucket:
-                    transfer.rate_mbps = share
-            for transfer in self._lan_active:
-                transfer.rate_mbps = LAN_MBPS
+        rates = self._solve(flows, egress, ingress)
+        for pair, rate in zip(pairs, rates):
+            bucket = buckets[pair]
+            bucket.set_share(rate / len(bucket.transfers))
+        self._inflight.lan.set_share(LAN_MBPS)
 
         self._schedule_completion()
         self._schedule_weather()
@@ -385,19 +346,7 @@ class NetworkSimulator:
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
-        if self._vec is not None:
-            eta = self._vec.min_eta()
-        else:
-            eta = float("inf")
-            for bucket in self._active.values():
-                for transfer in bucket:
-                    if transfer.rate_mbps > 0:
-                        eta = min(
-                            eta, transfer.remaining_mbits / transfer.rate_mbps
-                        )
-            for transfer in self._lan_active:
-                if transfer.rate_mbps > 0:
-                    eta = min(eta, transfer.remaining_mbits / transfer.rate_mbps)
+        eta = self._inflight.min_eta()
         if eta < float("inf"):
             self._completion_event = self.sim.schedule(
                 eta, self._on_completion, priority=1
@@ -410,8 +359,7 @@ class NetworkSimulator:
         self._reallocate()
 
     def _schedule_weather(self) -> None:
-        has_traffic = bool(self._active)
-        if not has_traffic:
+        if not self._inflight.pairs:
             if self._weather_event is not None:
                 self._weather_event.cancel()
                 self._weather_event = None
@@ -437,32 +385,21 @@ class NetworkSimulator:
         the control plane's bandwidth governor reads this to attribute
         per-pair WAN share to jobs before shifting it.
         """
-        if self._vec is not None:
-            self._vec.sync_objects()
+        self._inflight.sync_objects()
         out: list[Transfer] = []
-        for bucket in self._active.values():
-            out.extend(bucket)
+        for bucket in self._inflight.pairs.values():
+            out.extend(bucket.transfers)
         return out
 
     def current_rate(self, src: str, dst: str) -> float:
         """Instantaneous aggregate rate of an ordered pair (Mbps)."""
-        if src == dst:
-            if self._vec is not None:
-                return self._vec.rate_total(VectorKernel.LAN)
-            return sum(t.rate_mbps for t in self._lan_active)
-        if self._vec is not None:
-            return self._vec.rate_total((src, dst))
-        bucket = self._active.get((src, dst), [])
-        return sum(t.rate_mbps for t in bucket)
+        return self._inflight.rate_total(_bucket_key(src, dst))
 
     def rate_matrix(self) -> BandwidthMatrix:
         """Instantaneous rates for all pairs."""
         out = BandwidthMatrix.zeros(self.topology.keys)
-        for (src, dst), bucket in self._active.items():
-            if self._vec is not None:
-                out.set(src, dst, self._vec.rate_total((src, dst)))
-            else:
-                out.set(src, dst, sum(t.rate_mbps for t in bucket))
+        for (src, dst), bucket in self._inflight.pairs.items():
+            out.set(src, dst, bucket.rate_total())
         return out
 
     def pair_statistics(self) -> dict[tuple[str, str], PairStats]:

@@ -130,9 +130,9 @@ class ServiceConfig(PipelineConfig):
     shard_workers: int = config_field(0, help="shard worker processes (0 = in-process)")
     #: Transfer-advancement kernel for the WAN simulator: ``scalar``
     #: advances each transfer from Python (the reference path);
-    #: ``vectorized`` advances each link's concurrent transfers as one
-    #: numpy vector (falls back to scalar, with a warning, when numpy
-    #: is unavailable).
+    #: ``vectorized`` advances a link's concurrent transfers as one
+    #: numpy vector once it carries more than two, and solves the
+    #: max-min allocation array-wise.
     kernel: str = config_field("scalar", help="transfer kernel: scalar or vectorized")
     #: Default per-job SLO deadline, seconds from submission.  Unset
     #: means jobs carry no deadline (and SLO attainment reads 100%).

@@ -127,6 +127,18 @@ class Registry:
             known = ", ".join(self.names())
             raise KeyError(f"unknown {self.kind} {name!r}; known: {known}") from None
 
+    def resolve(self, spec: object) -> object:
+        """Resolve a spec — an instance, class, or registered name.
+
+        Names go through :meth:`get`, classes are instantiated, and
+        anything else passes through as an already-built instance.
+        """
+        if isinstance(spec, str):
+            spec = self.get(spec)
+        if isinstance(spec, type):
+            spec = spec()
+        return spec
+
     def names(self) -> tuple[str, ...]:
         """All registered names, sorted."""
         self._ensure_bootstrapped()
@@ -243,42 +255,8 @@ def build_stage(registry: Registry, name: str, **context: object) -> object:
     return entry(**kwargs)
 
 
-def placement_policy(policy: object) -> object:
-    """Resolve a policy spec — an instance, class, or registered name.
-
-    The scheduler and service accept all three spellings; strings go
-    through the registry, classes are instantiated.
-    """
-    if isinstance(policy, str):
-        policy = policy_registry.get(policy)
-    if isinstance(policy, type):
-        policy = policy()
-    return policy
-
-
-def admission_policy(spec: object) -> object:
-    """Resolve an admission-policy spec — instance, class, or name.
-
-    The scheduler accepts all three spellings, mirroring
-    :func:`placement_policy`; strings resolve through
-    :data:`admission_policy_registry`, classes are instantiated.
-    """
-    if isinstance(spec, str):
-        spec = admission_policy_registry.get(spec)
-    if isinstance(spec, type):
-        spec = spec()
-    return spec
-
-
-def preemption_policy(spec: object) -> object:
-    """Resolve a preemption-policy spec — instance, class, or name.
-
-    The control plane accepts all three spellings, mirroring
-    :func:`admission_policy`; strings resolve through
-    :data:`preemption_policy_registry`, classes are instantiated.
-    """
-    if isinstance(spec, str):
-        spec = preemption_policy_registry.get(spec)
-    if isinstance(spec, type):
-        spec = spec()
-    return spec
+#: Resolvers for the policy seams the scheduler, service and control
+#: plane accept as an instance, class, or registered name.
+placement_policy = policy_registry.resolve
+admission_policy = admission_policy_registry.resolve
+preemption_policy = preemption_policy_registry.resolve

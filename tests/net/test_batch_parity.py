@@ -8,7 +8,7 @@ named weather scenarios and compare:
 
 * per-transfer completion times (≤ 1e-6 s apart — in practice they are
   bit-identical, because the batched arithmetic mirrors the scalar
-  update expression exactly);
+  update expression exactly) and the order ``on_complete`` fires in;
 * full :class:`~repro.runtime.service.ServiceSummary` job outcomes for
   end-to-end service runs.
 """
@@ -47,7 +47,10 @@ def _sim(name: str, seed: int, kernel: str):
 
 
 def _run_workload(name: str, seed: int, kernel: str):
-    """Run a seeded transfer mix; return transfers in submission order.
+    """Run a seeded transfer mix.
+
+    Returns the simulator, the transfers in submission order, and the
+    submission indices in the order their ``on_complete`` fired.
 
     The mix deliberately piles many concurrent transfers onto shared
     pairs (that is the vectorized bucket's hot path) while also
@@ -56,9 +59,15 @@ def _run_workload(name: str, seed: int, kernel: str):
     net = _sim(name, seed, kernel)
     rng = random.Random(seed * 1009)
     transfers = []
+    completed = []
 
     def start(src, dst, mbits):
-        transfers.append(net.start_transfer(src, dst, mbits))
+        index = len(transfers)
+        transfers.append(
+            net.start_transfer(
+                src, dst, mbits, on_complete=lambda t: completed.append(index)
+            )
+        )
 
     for i in range(40):
         src, dst = rng.sample(TRIAD, 2)
@@ -72,7 +81,7 @@ def _run_workload(name: str, seed: int, kernel: str):
         mbits = rng.uniform(100.0, 2000.0)
         net.sim.schedule(delay, lambda d=dc, m=mbits: start(d, d, m))
     net.sim.run()
-    return net, transfers
+    return net, transfers, completed
 
 
 class TestTransferParity:
@@ -80,9 +89,11 @@ class TestTransferParity:
 
     @pytest.mark.parametrize(("name", "seed"), SCENARIOS)
     def test_completion_times_match(self, name, seed):
-        _, scalar = _run_workload(name, seed, "scalar")
-        _, vector = _run_workload(name, seed, "vectorized")
+        _, scalar, scalar_order = _run_workload(name, seed, "scalar")
+        _, vector, vector_order = _run_workload(name, seed, "vectorized")
         assert len(scalar) == len(vector) == 46
+        assert sorted(scalar_order) == list(range(46))
+        assert vector_order == scalar_order
         for s, v in zip(scalar, vector):
             assert (s.src, s.dst, s.size_mbits) == (v.src, v.dst, v.size_mbits)
             assert s.finish_time is not None and v.finish_time is not None
@@ -90,8 +101,8 @@ class TestTransferParity:
 
     @pytest.mark.parametrize(("name", "seed"), SCENARIOS)
     def test_transferred_payloads_match(self, name, seed):
-        _, scalar = _run_workload(name, seed, "scalar")
-        _, vector = _run_workload(name, seed, "vectorized")
+        _, scalar, _ = _run_workload(name, seed, "scalar")
+        _, vector, _ = _run_workload(name, seed, "vectorized")
         for s, v in zip(scalar, vector):
             assert s.transferred_mbits == pytest.approx(
                 v.transferred_mbits, abs=1e-6
@@ -99,8 +110,8 @@ class TestTransferParity:
 
     def test_event_counts_match(self):
         """Both kernels walk the same event sequence, not just end state."""
-        scalar_net, _ = _run_workload("flash-crowd", 7, "scalar")
-        vector_net, _ = _run_workload("flash-crowd", 7, "vectorized")
+        scalar_net, *_ = _run_workload("flash-crowd", 7, "scalar")
+        vector_net, *_ = _run_workload("flash-crowd", 7, "vectorized")
         assert (
             scalar_net.sim.events_processed
             == vector_net.sim.events_processed
@@ -199,4 +210,19 @@ class TestDefaultsUnchanged:
         service = PipelineService.build(config)
         assert type(service.scheduler) is JobScheduler
         assert service.network.kernel == "scalar"
-        assert service.network._vec is None
+
+    def test_scalar_bucket_keeps_objects_current(self):
+        """A crowded scalar bucket never goes array-backed: its transfer
+        objects carry live rates and progress without a sync."""
+        net = _sim("calm", 3, "scalar")
+        transfers = [
+            net.start_transfer("us-east-1", "us-west-1", 1e6) for _ in range(5)
+        ]
+        net.sim.run(until=10.0)
+        # pair_statistics advances progress to now; it does not sync.
+        stats = net.pair_statistics()[("us-east-1", "us-west-1")]
+        share = net.current_rate("us-east-1", "us-west-1") / 5
+        assert share > 0
+        for transfer in transfers:
+            assert transfer.rate_mbps == pytest.approx(share, rel=1e-12)
+            assert transfer.transferred_mbits == pytest.approx(stats.mbits / 5)

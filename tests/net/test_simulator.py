@@ -51,6 +51,31 @@ class TestTransfers:
         assert done == []
         assert t.cancelled
 
+    def test_cancel_zero_size_before_delivery(self, triad, calm):
+        # A zero-size transfer is delivered by a zero-delay event;
+        # cancelling it before that event runs must stick.
+        net = make_sim(triad, calm)
+        done = []
+        t = net.start_transfer(
+            "us-east-1", "us-west-1", 0.0, on_complete=done.append
+        )
+        net.cancel_transfer(t)
+        net.sim.run()
+        assert t.cancelled
+        assert t.finish_time is None
+        assert done == []
+
+    def test_cancel_after_completion_is_a_no_op(self, triad, calm):
+        net = make_sim(triad, calm)
+        done = []
+        t = net.start_transfer(
+            "us-east-1", "us-west-1", 100.0, on_complete=done.append
+        )
+        net.sim.run()
+        net.cancel_transfer(t)
+        assert not t.cancelled
+        assert done == [t]
+
     def test_unknown_dc_rejected(self, triad):
         net = make_sim(triad)
         with pytest.raises(KeyError):
