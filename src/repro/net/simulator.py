@@ -8,6 +8,16 @@ This is the standard flow-level abstraction for WAN studies — accurate
 at the timescales that matter here (seconds), and fast enough to run
 hundreds of geo-analytics queries on a laptop.
 
+Rates are re-solved once per simulated instant, not once per change: a
+change accrues progress at the old rates and marks the rates stale, and
+the solve is deferred (:meth:`~repro.sim.kernel.Simulator.defer`) to
+the end of the instant, after its last change — a burst of same-instant
+starts, cancels and completions costs one solve.  Observers that read
+rates (:meth:`~NetworkSimulator.current_rate`,
+:meth:`~NetworkSimulator.rate_matrix`,
+:meth:`~NetworkSimulator.active_transfers`) flush a pending solve
+first.
+
 Model summary (see DESIGN.md §5):
 
 * each ordered DC pair carries one aggregate flow whose *weight* is
@@ -85,7 +95,8 @@ class Transfer:
     """One data transfer between DCs (or within one DC).
 
     ``size_mbits`` is the payload in megabits.  ``rate_mbps`` is the
-    instantaneous fluid rate, updated by the simulator.
+    instantaneous fluid rate, updated by the simulator's solve at the
+    end of each instant that changed it.
     """
 
     src: str
@@ -162,6 +173,12 @@ class NetworkSimulator:
         self._last_progress_time = self.sim.now
         self._completion_event: Optional[Event] = None
         self._weather_event: Optional[Event] = None
+        #: True while a change awaits its deferred solve.
+        self._stale = False
+        #: Changes that asked for a re-solve, and solves actually run;
+        #: the difference is what deferring to the instant's end saved.
+        self.solve_requests = 0
+        self.solves = 0
 
     # ------------------------------------------------------------------
     # Connection plan
@@ -287,9 +304,27 @@ class NetworkSimulator:
         return finished
 
     def _reallocate(self) -> None:
-        """Re-solve rates and re-schedule the next completion event."""
-        self._progress()
+        """Note a change to the rates' inputs; solve at the instant's end.
 
+        Progress and the weather refresh stay eager: transfers accrue
+        at the old rates up to now, and a pair that empties and refills
+        within one instant gets a fresh refresh time.  Only the solve
+        waits, so any number of same-instant changes share one.
+        """
+        self._progress()
+        self._schedule_weather()
+        self.solve_requests += 1
+        if not self._stale:
+            self._stale = True
+            self.sim.defer(self._flush)
+
+    def _flush(self) -> None:
+        """Run the pending solve, if any: re-solve rates and re-schedule
+        the next completion event (observers call this first)."""
+        if not self._stale:
+            return
+        self._stale = False
+        self.solves += 1
         buckets = self._inflight.pairs
         pairs = sorted(buckets)
         flows = []
@@ -338,9 +373,7 @@ class NetworkSimulator:
             bucket = buckets[pair]
             bucket.set_share(rate / len(bucket.transfers))
         self._inflight.lan.set_share(LAN_MBPS)
-
         self._schedule_completion()
-        self._schedule_weather()
 
     def _schedule_completion(self) -> None:
         if self._completion_event is not None:
@@ -385,6 +418,7 @@ class NetworkSimulator:
         the control plane's bandwidth governor reads this to attribute
         per-pair WAN share to jobs before shifting it.
         """
+        self._flush()
         self._inflight.sync_objects()
         out: list[Transfer] = []
         for bucket in self._inflight.pairs.values():
@@ -393,10 +427,12 @@ class NetworkSimulator:
 
     def current_rate(self, src: str, dst: str) -> float:
         """Instantaneous aggregate rate of an ordered pair (Mbps)."""
+        self._flush()
         return self._inflight.rate_total(_bucket_key(src, dst))
 
     def rate_matrix(self) -> BandwidthMatrix:
         """Instantaneous rates for all pairs."""
+        self._flush()
         out = BandwidthMatrix.zeros(self.topology.keys)
         for (src, dst), bucket in self._inflight.pairs.items():
             out.set(src, dst, bucket.rate_total())

@@ -631,6 +631,8 @@ class PipelineService:
             shard_worker_count=self.parallel_workers,
             parallel_wall_s=self.parallel_wall_s,
             kernel=self.network.kernel,
+            net_solves=self.network.solves,
+            net_solve_requests=self.network.solve_requests,
             events=list(self.replans),
             **observed,
         )

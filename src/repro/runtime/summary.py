@@ -167,6 +167,16 @@ class ServiceSummary:
     recal_adjustments: int = metric_field(
         0, "Per-link capacity moves the recalibrator published.", sweep=True
     )
+    #: The live WAN simulator's own cost: it re-solves rates at most
+    #: once per simulated instant, however many changes asked.
+    net_solves: int = metric_field(
+        0, "Max-min rate solves the WAN simulator ran.", family="wanify_net_solves_total"
+    )
+    net_solve_requests: int = metric_field(
+        0,
+        "Changes that asked the WAN simulator to re-solve (requests minus solves were saved).",
+        family="wanify_net_solve_requests_total",
+    )
     events: list[ReplanEvent] = field(default_factory=list)
 
     def to_row(self) -> dict[str, float]:

@@ -18,11 +18,20 @@ the scale benchmarks drain millions of events through it):
   ``step`` / ``run`` — no path pays the old peek-then-step double scan;
 * :meth:`Simulator.run` batch-dispatches every event sharing one
   timestamp in a single inner loop, re-entering the outer
-  bookkeeping (``until`` bound, live count, head skim) once per
-  *instant* instead of once per *event* — same total order, since the
-  heap top is always the global ``(time, priority, seq)`` minimum;
+  bookkeeping (the ``until`` bound) once per *instant* instead of
+  once per *event* — same total order, since the heap top is always
+  the global ``(time, priority, seq)`` minimum;
 * :meth:`Simulator.schedule_many` bulk-inserts a batch of callbacks
-  with one heapify instead of per-event pushes.
+  with one heapify instead of per-event pushes;
+* :meth:`Simulator.defer` queues end-of-instant work: a deferred
+  callback runs once, after every event of the current instant and
+  before the clock moves, and is not counted as an event.  The WAN
+  simulator defers its max-min re-solve this way, so a burst of
+  same-instant transfer changes costs one solve.  Deferred work runs
+  whenever ``run``, ``run(until=…)``, ``step`` or ``peek`` finds the
+  queue head past the current instant, and ``run`` checks for it only
+  then, so an instant without deferred work pays one extra attribute
+  read.
 """
 
 from __future__ import annotations
@@ -123,6 +132,8 @@ class Simulator:
         #: Total events executed (lazy-cancelled pops excluded) — the
         #: numerator of the ``sim_events_per_s`` benchmark row.
         self.events_processed = 0
+        #: End-of-instant callbacks queued by :meth:`defer`.
+        self._deferred: list[Callable[[], None]] = []
 
     @property
     def now(self) -> float:
@@ -138,10 +149,11 @@ class Simulator:
     ) -> Event:
         """Schedule ``callback`` to fire ``delay`` seconds from now.
 
-        ``priority`` breaks ties at equal times (lower fires first);
-        it is used e.g. to ensure flow-rate recomputation happens after
-        all flow arrivals at the same instant.  ``daemon`` events do not
-        keep an open-ended :meth:`run` alive.
+        ``priority`` breaks ties at equal times (lower fires first):
+        a completion (priority 1) fires after the same-instant arrivals
+        scheduled at the default 0.  Work that must see *every* change
+        of an instant belongs in :meth:`defer` instead.  ``daemon``
+        events do not keep an open-ended :meth:`run` alive.
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
@@ -220,6 +232,18 @@ class Simulator:
             )
         return self.schedule(time - self._now, callback, priority, daemon)
 
+    def defer(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once at the end of the current instant.
+
+        It fires after every event at the current time — including
+        events those events schedule at zero delay — and before the
+        clock moves on; zero-delay events it schedules itself still
+        dispatch in the same instant.  Deferred callbacks run in the
+        order they were deferred and are not counted in
+        :attr:`events_processed`.
+        """
+        self._deferred.append(callback)
+
     def _skim(self) -> Optional[_Entry]:
         """The live heap head, with cancelled entries dropped.
 
@@ -236,9 +260,25 @@ class Simulator:
                 return head
         return None
 
+    def _next(self) -> Optional[_Entry]:
+        """:meth:`_skim`, after ending the instant if the head is past it.
+
+        When the live head lies past the current instant (or the queue
+        is empty), the instant is over: deferred callbacks run, and the
+        skim repeats over whatever they scheduled.
+        """
+        head = self._skim()
+        while self._deferred and (head is None or head[0] > self._now):
+            deferred = self._deferred
+            self._deferred = []
+            for callback in deferred:
+                callback()
+            head = self._skim()
+        return head
+
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the queue is empty."""
-        head = self._skim()
+        head = self._next()
         return head[0] if head is not None else None
 
     def _dispatch(self, event: Event) -> None:
@@ -254,7 +294,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Pop and run the next event.  Returns ``False`` when drained."""
-        head = self._skim()
+        head = self._next()
         if head is None:
             return False
         heapq.heappop(self._queue)
@@ -271,11 +311,15 @@ class Simulator:
         cannot wedge the simulation.
 
         Events sharing one timestamp are dispatched as a batch: the
-        outer bookkeeping (bound check, head skim) runs once per
-        simulated instant, and the inner loop pops straight off the
-        heap — which always yields the global ``(time, priority, seq)``
-        minimum, so callbacks scheduling new same-instant events keep
-        the exact single-step order.
+        outer bookkeeping (bound check) runs once per simulated
+        instant, and the inner loop pops straight off the heap — which
+        always yields the global ``(time, priority, seq)`` minimum, so
+        callbacks scheduling new same-instant events keep the exact
+        single-step order.  The live-count check never ends an instant
+        whose end-of-instant work (:meth:`defer`) is still pending —
+        not even when only daemons share that instant — so deferred
+        work that schedules the next real event keeps an open-ended
+        run going.
 
         A non-finite ``until`` raises :class:`ValueError`: the bound
         check never fires for NaN or infinity, and daemon monitors
@@ -285,26 +329,33 @@ class Simulator:
             raise ValueError(f"until must be finite: {until}")
         queue = self._queue
         heappop = heapq.heappop
+        skim = self._skim
         self._running = True
         try:
-            while self._running:
-                if until is None and self._live <= 0:
-                    break
-                head = self._skim()
-                if head is None:
+            head = self._next()
+            while self._running and head is not None:
+                if until is None and self._live <= 0 and not self._deferred:
                     break
                 now = head[0]
                 if until is not None and now > until:
                     break
                 self._now = now
                 # Batch-dispatch every event at this instant.
-                while self._running:
+                while True:
                     heappop(queue)
                     self._dispatch(head[3])
-                    if until is None and self._live <= 0:
-                        break
-                    head = self._skim()
+                    head = skim()
                     if head is None or head[0] != now:
+                        # The instant is over once its deferred work
+                        # has run and scheduled nothing at ``now``.
+                        if not self._deferred:
+                            break
+                        head = self._next()
+                        if head is None or head[0] != now:
+                            break
+                    if not self._running or (
+                        until is None and self._live <= 0 and not self._deferred
+                    ):
                         break
         finally:
             self._running = False
@@ -312,7 +363,11 @@ class Simulator:
             self._now = until
 
     def stop(self) -> None:
-        """Stop an in-progress :meth:`run` after the current event."""
+        """Stop an in-progress :meth:`run` after the current event.
+
+        If that event was the instant's last, the instant's deferred
+        work still runs before :meth:`run` returns.
+        """
         self._running = False
 
 

@@ -58,6 +58,8 @@ ROW_KEYS = (
     "parallel_wall_s",
     "recalibrations",
     "recal_adjustments",
+    "net_solves",
+    "net_solve_requests",
 )
 
 #: The columns every sweep report carries (as a set: their order
@@ -117,6 +119,8 @@ REQUIRED_SET = frozenset(
         "wanify_recalibrations_total",
         "wanify_recal_capacity_mbps",
         "wanify_job_latency_seconds",
+        "wanify_net_solves_total",
+        "wanify_net_solve_requests_total",
     }
 )
 
@@ -138,7 +142,7 @@ def assert_families_mirror_summary(service):
     families = parse_prometheus_text(service.hub.render_prometheus())
     summary = service.summary()
     declared = _declared_families()
-    assert len(declared) == 11
+    assert len(declared) == 13
     for attr, family, help_text in declared:
         assert families[family]["type"] == (
             "counter" if family.endswith("_total") else "gauge"

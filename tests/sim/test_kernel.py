@@ -464,3 +464,160 @@ class TestCancelAfterFire:
         sim.schedule(4.0, lambda: ticks.append("tail"))
         sim.run()
         assert ticks == [1.0, "tail"]
+
+
+class TestDefer:
+    """End-of-instant callbacks: after every same-instant event, before
+    the clock moves, never counted as events."""
+
+    def test_runs_after_every_same_instant_event(self):
+        sim = Simulator()
+        log = []
+
+        def first():
+            log.append(("first", sim.now))
+            sim.defer(lambda: log.append(("deferred", sim.now)))
+            # Scheduled by an event of this instant: still runs first.
+            sim.schedule(0.0, lambda: log.append(("chained", sim.now)))
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, lambda: log.append(("second", sim.now)), priority=5)
+        sim.schedule(2.0, lambda: log.append(("later", sim.now)))
+        sim.run()
+        assert log == [
+            ("first", 1.0),
+            ("chained", 1.0),
+            ("second", 1.0),
+            ("deferred", 1.0),
+            ("later", 2.0),
+        ]
+
+    def test_runs_once_per_defer_in_order(self):
+        sim = Simulator()
+        log = []
+
+        def burst():
+            sim.defer(lambda: log.append("a"))
+            sim.defer(lambda: log.append("b"))
+
+        sim.schedule(1.0, burst)
+        sim.run()
+        assert log == ["a", "b"]
+
+    def test_bounded_run_flushes_before_final_clock_jump(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: sim.defer(lambda: seen.append(sim.now)))
+        sim.run(until=5.0)
+        assert seen == [1.0]
+        assert sim.now == 5.0
+
+    def test_bounded_run_with_no_events_flushes_at_now(self):
+        sim = Simulator()
+        seen = []
+        sim.defer(lambda: seen.append(sim.now))
+        sim.run(until=3.0)
+        assert seen == [0.0]
+        assert sim.now == 3.0
+
+    def test_bounded_run_flushes_before_stopping_at_bound(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: sim.defer(lambda: seen.append(sim.now)))
+        sim.schedule(9.0, lambda: seen.append("late"))
+        sim.run(until=5.0)
+        assert seen == [1.0]
+
+    def test_step_on_otherwise_empty_queue(self):
+        sim = Simulator()
+        seen = []
+        sim.defer(lambda: seen.append(sim.now))
+        assert sim.step() is False
+        assert seen == [0.0]
+
+    def test_step_flushes_before_advancing(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: sim.defer(lambda: seen.append(sim.now)))
+        sim.schedule(2.0, lambda: seen.append("next"))
+        assert sim.step()
+        assert seen == []  # the instant is not over until the next look
+        assert sim.step()
+        assert seen == [1.0, "next"]
+
+    def test_peek_flushes_and_reports_what_it_scheduled(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: sim.defer(lambda: sim.schedule(0.5, lambda: None)))
+        sim.schedule(4.0, lambda: None)
+        assert sim.step()
+        assert sim.peek() == 1.5
+
+    def test_zero_delay_event_dispatches_in_same_instant(self):
+        sim = Simulator()
+        log = []
+
+        def deferred():
+            log.append(("deferred", sim.now))
+            sim.schedule(0.0, lambda: log.append(("zero", sim.now)))
+
+        sim.schedule(1.0, lambda: sim.defer(deferred))
+        sim.schedule(2.0, lambda: log.append(("later", sim.now)))
+        sim.run()
+        assert log == [("deferred", 1.0), ("zero", 1.0), ("later", 2.0)]
+
+    def test_deferring_from_a_deferred_callback_runs_after_its_events(self):
+        sim = Simulator()
+        log = []
+
+        def outer():
+            sim.schedule(0.0, lambda: log.append("event"))
+            sim.defer(lambda: log.append("inner"))
+
+        sim.schedule(1.0, lambda: sim.defer(outer))
+        sim.run()
+        assert log == ["event", "inner"]
+
+    def test_not_counted_as_events(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: sim.defer(lambda: None))
+        sim.defer(lambda: None)
+        sim.run()
+        assert sim.events_processed == 1
+
+    def test_keeps_open_ended_run_alive(self):
+        sim = Simulator()
+        log = []
+
+        def last():
+            log.append("last")
+            sim.defer(lambda: sim.schedule(2.0, lambda: log.append("follow-up")))
+
+        sim.schedule(1.0, last)
+        # A daemon alone must not keep the run going.
+        sim.schedule(10.0, lambda: log.append("daemon"), daemon=True)
+        sim.run()
+        assert log == ["last", "follow-up"]
+        assert sim.now == 3.0
+
+    def test_same_instant_daemon_does_not_end_open_ended_run(self):
+        sim = Simulator()
+        log = []
+
+        def last():
+            log.append("last")
+            sim.defer(lambda: sim.schedule(2.0, lambda: log.append("follow-up")))
+
+        sim.schedule(1.0, last)
+        # Only a daemon is left at this instant once ``last`` has run;
+        # the deferred work is still pending and must get to run.
+        sim.schedule(1.0, lambda: log.append("daemon"), daemon=True)
+        sim.run()
+        assert log == ["last", "daemon", "follow-up"]
+        assert sim.now == 3.0
+
+    def test_open_ended_run_flushes_work_deferred_before_it(self):
+        sim = Simulator()
+        log = []
+        sim.defer(lambda: sim.schedule(1.0, lambda: log.append("work")))
+        sim.run()
+        assert log == ["work"]
