@@ -6,7 +6,8 @@ environment, so this package implements the needed pieces directly on
 numpy:
 
 * :mod:`repro.ml.tree` — CART regression trees (variance-reduction
-  splits, vectorized split search),
+  splits, a pure-Python split search in numpy's float order, flat-array
+  batched prediction),
 * :mod:`repro.ml.forest` — bootstrap-aggregated forest with feature
   subsampling, warm start (for the §3.3.2/§3.3.4 retraining story), and
   impurity-based feature importances,

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree
+from repro.ml.tree import RegressionTree, check_training_data
 
 
 def _resolve_max_features(spec: object, n_features: int) -> Optional[int]:
@@ -64,14 +64,7 @@ class RandomForestRegressor:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         """Fit (or, with warm start, extend) the forest."""
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if len(X) != len(y):
-            raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
-        if len(X) == 0:
-            raise ValueError("cannot fit on an empty dataset")
+        X, y = check_training_data(X, y)
         if self.warm_start and self.trees and X.shape[1] != self._n_features:
             raise ValueError(
                 f"warm start requires {self._n_features} features, "

@@ -1,33 +1,76 @@
 """CART regression trees.
 
-A straightforward, vectorized CART implementation: at each node the best
-axis-aligned split is the one maximizing the reduction in sum of squared
-errors, found by sorting each candidate feature once and scanning prefix
-sums.  Trees are stored as flat arrays for fast batched prediction.
+At each node the best axis-aligned split is the one maximizing the
+reduction in sum of squared errors, found by sorting each candidate
+feature once and scanning prefix sums.
+
+The grow runs in pure Python: the forest's nodes are tiny (median six
+samples), where numpy's per-call overhead costs far more than the
+arithmetic.  It performs the same float operations, in the same order,
+as the numpy formulation of the search, so every tree is bit-identical
+to it node for node:
+
+* a node's value is ``np.mean`` of its targets and the parent SSE is
+  ``np.sum((y - mean) ** 2)``, both replicated by :func:`pairwise_sum`;
+* prefix sums add sequentially, like ``np.cumsum``;
+* each feature's order is a stable sort, like ``argsort(kind="stable")``;
+* the best position is the first maximum of the gains, like
+  ``np.argmax`` (a NaN gain wins, as it does there);
+* the features examined per split come from the same ``rng.choice``
+  draw.
+
+:func:`pairwise_sum` mirrors a numpy-internal rule; the differential
+tests against the numpy formulation pin it per numpy version.  A fitted
+tree keeps no copy of its training data.  It is stored as flat per-field
+node arrays in preorder (root first, each left subtree before its
+right), and :meth:`RegressionTree.predict` walks all rows down them one
+level at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import reduce
+from itertools import accumulate
+from operator import add, mul
+from typing import Optional, Sequence
 
 import numpy as np
 
 _LEAF = -1
 
-
-@dataclass
-class _Node:
-    feature: int = _LEAF
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    value: float = 0.0
-    impurity_gain: float = 0.0
-    n_samples: int = 0
+#: numpy's pairwise-summation block: up to this many elements are
+#: summed by eight interleaved accumulators, larger runs are halved.
+_PW_BLOCK = 128
 
 
-@dataclass
+def pairwise_sum(values: Sequence[float]) -> float:
+    """``np.add.reduce`` of a contiguous float64 array, bit for bit.
+
+    numpy adds fewer than 8 elements sequentially.  Up to 128 it keeps
+    8 accumulators, one per residue mod 8, combines them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then adds the tail;
+    above 128 it recurses on halves split at a multiple of 8.  The
+    reduction starts from the identity ``0.0``, so a zero sum is +0.0.
+    """
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= _PW_BLOCK:
+        end = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = (
+            reduce(add, values[j:end:8]) for j in range(8)
+        )
+        head = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        # Adding the identity changes only the sign of a zero.
+        return reduce(add, values[end:], 0.0 + head)
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+@dataclass(eq=False)
 class RegressionTree:
     """A single CART regression tree.
 
@@ -41,158 +84,211 @@ class RegressionTree:
     min_samples_leaf: int = 1
     max_features: Optional[int] = None
     random_state: Optional[int] = None
-    _nodes: list[_Node] = field(default_factory=list, repr=False)
-    _n_features: int = field(default=0, repr=False)
+    _n_features: int = field(default=0, init=False, repr=False)
+    # One entry per node, in preorder; leaves have feature -1 and
+    # children -1.
+    _feature: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _threshold: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _left: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _right: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _value: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _impurity_gain: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _n_samples: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
         """Grow the tree on ``X`` (n×d) and targets ``y`` (n,)."""
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if len(X) != len(y):
-            raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
-        if len(X) == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        self._n_features = X.shape[1]
-        self._nodes = []
+        X, y = check_training_data(X, y)
+        n, self._n_features = X.shape
+        # Plain lists for the grow; locals, so the fitted tree keeps none.
+        columns = X.T.tolist()
+        targets = y.tolist()
+        all_features = np.arange(self._n_features)
+        feature_list = all_features.tolist()
+        subsample = (
+            self.max_features is not None and self.max_features < self._n_features
+        )
         rng = np.random.default_rng(self.random_state)
-        self._grow(X, y, np.arange(len(X)), depth=0, rng=rng)
+        # Split positions run over 0..n-2 whatever the setting.
+        min_leaf = max(self.min_samples_leaf, 1)
+
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        value: list[float] = []
+        impurity_gain: list[float] = []
+        n_samples: list[int] = []
+
+        # Depth-first, left child first: the preorder numbering and the
+        # order of the rng draws of a recursive grow.  ``idx`` stays
+        # ascending, so stable sorts of it break ties by row.
+        stack: list[tuple[list[int], int, list[int], int]] = [
+            (list(range(n)), 0, left, -1)
+        ]
+        while stack:
+            idx, depth, link, parent = stack.pop()
+            node = len(value)
+            if parent >= 0:
+                link[parent] = node
+            m = len(idx)
+            y_node = [targets[i] for i in idx]
+            mean = pairwise_sum(y_node) / m
+            feature.append(_LEAF)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(mean)
+            impurity_gain.append(0.0)
+            n_samples.append(m)
+
+            if (
+                m < self.min_samples_split
+                or (self.max_depth is not None and depth >= self.max_depth)
+                or max(y_node) == min(y_node)
+            ):
+                continue
+
+            sse_parent = pairwise_sum([(v - mean) * (v - mean) for v in y_node])
+            features = (
+                rng.choice(all_features, size=self.max_features, replace=False).tolist()
+                if subsample
+                else feature_list
+            )
+            split = _best_split(columns, targets, idx, features, sse_parent, min_leaf)
+            if split is None:
+                continue
+
+            f, cut, gain = split
+            feature[node] = f
+            threshold[node] = cut
+            impurity_gain[node] = gain
+            column = columns[f]
+            stack.append(([i for i in idx if not column[i] <= cut], depth + 1, right, node))
+            stack.append(([i for i in idx if column[i] <= cut], depth + 1, left, node))
+
+        self._feature = np.array(feature, dtype=np.intp)
+        self._threshold = np.array(threshold, dtype=float)
+        self._left = np.array(left, dtype=np.intp)
+        self._right = np.array(right, dtype=np.intp)
+        self._value = np.array(value, dtype=float)
+        self._impurity_gain = np.array(impurity_gain, dtype=float)
+        self._n_samples = np.array(n_samples, dtype=np.intp)
         return self
 
-    def _grow(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        idx: np.ndarray,
-        depth: int,
-        rng: np.random.Generator,
-    ) -> int:
-        node_id = len(self._nodes)
-        node = _Node(value=float(y[idx].mean()), n_samples=len(idx))
-        self._nodes.append(node)
-
-        if (
-            len(idx) < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or np.ptp(y[idx]) == 0.0
-        ):
-            return node_id
-
-        split = self._best_split(X, y, idx, rng)
-        if split is None:
-            return node_id
-
-        feature, threshold, gain = split
-        mask = X[idx, feature] <= threshold
-        left_idx, right_idx = idx[mask], idx[~mask]
-        node.feature = feature
-        node.threshold = threshold
-        node.impurity_gain = gain
-        node.left = self._grow(X, y, left_idx, depth + 1, rng)
-        node.right = self._grow(X, y, right_idx, depth + 1, rng)
-        return node_id
-
-    def _best_split(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        idx: np.ndarray,
-        rng: np.random.Generator,
-    ) -> Optional[tuple[int, float, float]]:
-        n = len(idx)
-        y_node = y[idx]
-        sse_parent = float(((y_node - y_node.mean()) ** 2).sum())
-
-        features = np.arange(self._n_features)
-        if self.max_features is not None and self.max_features < len(features):
-            features = rng.choice(
-                features, size=self.max_features, replace=False
-            )
-
-        best: Optional[tuple[int, float, float]] = None
-        min_leaf = self.min_samples_leaf
-        for feature in features:
-            values = X[idx, feature]
-            order = np.argsort(values, kind="stable")
-            v_sorted = values[order]
-            y_sorted = y_node[order]
-            # Candidate split positions: between distinct values,
-            # respecting min_samples_leaf.
-            csum = np.cumsum(y_sorted)
-            csum2 = np.cumsum(y_sorted**2)
-            total, total2 = csum[-1], csum2[-1]
-            counts = np.arange(1, n)
-            left_sum = csum[:-1]
-            left_sse = csum2[:-1] - left_sum**2 / counts
-            right_sum = total - left_sum
-            right_counts = n - counts
-            right_sse = (total2 - csum2[:-1]) - right_sum**2 / right_counts
-            valid = (
-                (v_sorted[:-1] != v_sorted[1:])
-                & (counts >= min_leaf)
-                & (right_counts >= min_leaf)
-            )
-            if not valid.any():
-                continue
-            gains = sse_parent - (left_sse + right_sse)
-            gains[~valid] = -np.inf
-            pos = int(np.argmax(gains))
-            gain = float(gains[pos])
-            if gain <= 1e-12:
-                continue
-            threshold = float((v_sorted[pos] + v_sorted[pos + 1]) / 2.0)
-            if threshold >= v_sorted[pos + 1]:
-                # Adjacent floats: the midpoint rounded up and would put
-                # every sample left of the split; fall back to the lower
-                # value so both children stay non-empty.
-                threshold = float(v_sorted[pos])
-            if best is None or gain > best[2]:
-                best = (int(feature), threshold, gain)
-        return best
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict targets for ``X`` (n×d)."""
-        if not self._nodes:
+        """Predict targets for ``X`` (n×d).
+
+        A NaN feature fails every ``<=`` test, so the row goes right.
+        """
+        if self._value is None:
             raise RuntimeError("tree is not fitted")
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self._n_features:
             raise ValueError(
                 f"X must have shape (n, {self._n_features}), got {X.shape}"
             )
-        out = np.empty(len(X))
-        for row, x in enumerate(X):
-            node = self._nodes[0]
-            while node.feature != _LEAF:
-                node = self._nodes[
-                    node.left if x[node.feature] <= node.threshold else node.right
-                ]
-            out[row] = node.value
-        return out
+        rows = np.arange(len(X))
+        at = np.zeros(len(X), dtype=np.intp)
+        while True:
+            feature = self._feature[at]
+            leaf = feature == _LEAF
+            if leaf.all():
+                return self._value[at]
+            # A leaf's -1 reads the last column; its row stays put.
+            go_left = X[rows, feature] <= self._threshold[at]
+            at = np.where(leaf, at, np.where(go_left, self._left[at], self._right[at]))
 
     @property
     def n_nodes(self) -> int:
         """Number of nodes in the grown tree."""
-        return len(self._nodes)
+        return 0 if self._value is None else len(self._value)
 
     @property
     def depth(self) -> int:
         """Depth of the grown tree (root = 0)."""
-        if not self._nodes:
+        if self._value is None:
             return 0
-
-        def walk(node_id: int) -> int:
-            node = self._nodes[node_id]
-            if node.feature == _LEAF:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(0)
+        depths = np.zeros(len(self._value), dtype=np.intp)
+        # Preorder: every parent precedes its children.
+        for node in np.flatnonzero(self._feature != _LEAF).tolist():
+            depths[self._left[node]] = depths[self._right[node]] = depths[node] + 1
+        return int(depths.max())
 
     def feature_importances(self) -> np.ndarray:
         """Total impurity reduction attributed to each feature."""
         importances = np.zeros(self._n_features)
-        for node in self._nodes:
-            if node.feature != _LEAF:
-                importances[node.feature] += node.impurity_gain
+        if self._value is not None:
+            inner = self._feature != _LEAF
+            np.add.at(importances, self._feature[inner], self._impurity_gain[inner])
         return importances
+
+
+def _best_split(
+    columns: list[list[float]],
+    targets: list[float],
+    idx: list[int],
+    features: list[int],
+    sse_parent: float,
+    min_leaf: int,
+) -> Optional[tuple[int, float, float]]:
+    """Best ``(feature, threshold, gain)`` for the node holding ``idx``, if any."""
+    m = len(idx)
+    best: Optional[tuple[int, float, float]] = None
+    for f in features:
+        column = columns[f]
+        order = sorted(idx, key=column.__getitem__)
+        v_sorted = [column[i] for i in order]
+        y_sorted = [targets[i] for i in order]
+        csum = list(accumulate(y_sorted))
+        csum2 = list(accumulate(map(mul, y_sorted, y_sorted)))
+        total, total2 = csum[-1], csum2[-1]
+        # First maximum over the split positions between distinct
+        # values that leave min_leaf samples on each side.
+        gain, pos = -math.inf, -1
+        lo = min_leaf - 1
+        for p, v, v_next, left_sum, left_sq in zip(
+            range(lo, m - min_leaf),
+            v_sorted[lo:],
+            v_sorted[lo + 1:],
+            csum[lo:],
+            csum2[lo:],
+        ):
+            if v == v_next:
+                continue
+            right_sum = total - left_sum
+            g = sse_parent - (
+                (left_sq - left_sum * left_sum / (p + 1))
+                + ((total2 - left_sq) - right_sum * right_sum / (m - p - 1))
+            )
+            if not g <= gain:
+                gain, pos = g, p
+                if g != g:
+                    break
+        if pos < 0 or gain <= 1e-12:
+            continue
+        cut = (v_sorted[pos] + v_sorted[pos + 1]) / 2.0
+        if cut >= v_sorted[pos + 1]:
+            # Adjacent floats: the midpoint rounded up and would put every
+            # sample left of the split; fall back to the lower value so
+            # both children stay non-empty.
+            cut = v_sorted[pos]
+        if best is None or gain > best[2]:
+            best = (f, cut, gain)
+    return best
+
+
+def check_training_data(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` (n×d) and ``y`` (n,) as float arrays, or a one-line ``ValueError``."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    if len(X) != len(y):
+        raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
+    if len(X) == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    if not np.isfinite(X).all():
+        raise ValueError("X contains NaN or infinite values")
+    if not np.isfinite(y).all():
+        raise ValueError("y contains NaN or infinite values")
+    return X, y

@@ -43,6 +43,16 @@ class TestFit:
         with pytest.raises(ValueError):
             RandomForestRegressor().fit(np.empty((0, 3)), np.empty(0))
 
+    def test_non_finite_data_rejected(self):
+        X, y = noisy_linear(n=40)
+        X[5, 2] = np.nan
+        with pytest.raises(ValueError, match="X contains NaN"):
+            RandomForestRegressor(n_estimators=2).fit(X, y)
+        X, y = noisy_linear(n=40)
+        y[9] = np.inf
+        with pytest.raises(ValueError, match="y contains NaN or infinite"):
+            RandomForestRegressor(n_estimators=2).fit(X, y)
+
 
 class TestWarmStart:
     def test_warm_start_extends_forest(self):

@@ -1,5 +1,7 @@
 """Tests for the CART regression tree."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,9 +40,10 @@ class TestFit:
         X, y = step_data(n=50)
         tree = RegressionTree(min_samples_leaf=10).fit(X, y)
         # Every leaf must hold ≥ 10 samples.
-        for node in tree._nodes:
-            if node.feature == -1:
-                assert node.n_samples >= 10
+        leaves = tree._feature == -1
+        assert leaves.any()
+        for n_samples in tree._n_samples[leaves].tolist():
+            assert n_samples >= 10
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
@@ -53,6 +56,41 @@ class TestFit:
     def test_1d_x_rejected(self):
         with pytest.raises(ValueError):
             RegressionTree().fit(np.zeros(5), np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_rejected(self, bad):
+        X, y = step_data(n=20)
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="X contains NaN or infinite"):
+            RegressionTree().fit(X, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_y_rejected(self, bad):
+        X, y = step_data(n=20)
+        y[7] = bad
+        with pytest.raises(ValueError, match="y contains NaN or infinite"):
+            RegressionTree().fit(X, y)
+
+    def test_fitted_tree_keeps_no_training_data(self):
+        X, y = step_data()
+        tree = RegressionTree().fit(X, y)
+        for name, attr in vars(tree).items():
+            assert not isinstance(attr, list), name
+            if isinstance(attr, np.ndarray):
+                assert attr.shape == (tree.n_nodes,), name
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # Doubling targets peel one sample off per split: a chain
+        # deeper than the recursion limit in force during the fit.
+        X = np.arange(300, dtype=float).reshape(-1, 1)
+        y = 2.0 ** np.arange(300)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            tree = RegressionTree().fit(X, y)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert tree.depth > 150
 
     def test_adjacent_float_thresholds_do_not_crash(self):
         # Regression test: midpoints of adjacent floats used to create
@@ -74,6 +112,15 @@ class TestPredict:
         tree = RegressionTree().fit(X, y)
         with pytest.raises(ValueError):
             tree.predict(np.zeros((3, 5)))
+
+    def test_nan_goes_right_at_every_split(self):
+        X, y = step_data()
+        tree = RegressionTree(max_depth=4).fit(X, y)
+        node = 0
+        while tree._feature[node] != -1:
+            node = tree._right[node]
+        assert tree.n_nodes > 1
+        assert tree.predict(np.full((2, 2), np.nan)).tolist() == [tree._value[node]] * 2
 
     def test_predictions_within_target_hull(self):
         X, y = step_data()
