@@ -21,7 +21,12 @@ Checks, over README.md and every ``docs/*.md``:
    appear (backticked) in docs/OPERATIONS.md, and every ``/metrics``
    family the hub renders must appear in a table row of
    docs/OBSERVABILITY.md.  Both lists come from the ``metric_field``
-   declarations on ``ServiceSummary`` plus the hub's own families.
+   declarations on ``ServiceSummary`` plus the hub's own families;
+7. **dotted references resolve** — every backticked name that starts
+   ``repro.`` (`` `repro.runtime.JobRun` ``) must import and resolve
+   attribute by attribute, so a moved or deleted module cannot linger
+   in prose.  The "Removed legacy spellings" section is exempt: it
+   lists names that are gone on purpose.
 
 Shell blocks and absolute/external URLs are left alone.  Exit code 0
 when everything passes; 1 with a findings list otherwise.
@@ -34,6 +39,7 @@ Run locally::
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -74,6 +80,18 @@ LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: Marker that promotes a block from compile+imports to full execution.
 RUN_MARKER = "# doctest: run"
+
+#: Any fenced block (its lines are code, not headings or prose).
+FENCED_BLOCK = re.compile(r"^```.*?^```", re.DOTALL | re.MULTILINE)
+
+#: A markdown heading line.
+HEADING = re.compile(r"^(#+)\s+(.*?)\s*$")
+
+#: A backticked span opening with a dotted ``repro.…`` name.
+DOTTED_REF = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`]*`")
+
+#: The section whose references name removed API on purpose.
+REMOVED_SECTION = "Removed legacy spellings"
 
 
 def display(path: Path) -> str:
@@ -145,6 +163,62 @@ def check_links(path: Path, failures: list[str]) -> int:
         if not resolved.exists():
             failures.append(f"{display(path)}: broken link -> {target}")
     return checked
+
+
+def dotted_references(text: str) -> list[str]:
+    """Backticked ``repro.…`` names in prose, in order of appearance.
+
+    Fenced blocks are skipped, and so is the :data:`REMOVED_SECTION`
+    section up to the next heading of the same or a higher level.
+    """
+    references: list[str] = []
+    exempt_level = 0
+    for line in FENCED_BLOCK.sub("", text).splitlines():
+        heading = HEADING.match(line)
+        if heading:
+            level = len(heading.group(1))
+            if exempt_level and level <= exempt_level:
+                exempt_level = 0
+            if heading.group(2) == REMOVED_SECTION:
+                exempt_level = level
+        elif not exempt_level:
+            references.extend(DOTTED_REF.findall(line))
+    return references
+
+
+def resolves(name: str) -> bool:
+    """Whether ``name`` is an importable module, or an attribute chain
+    under the longest importable module prefix of it."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:split])
+        try:
+            target = importlib.import_module(module_name)
+        except ModuleNotFoundError as exc:
+            if exc.name != module_name:
+                return False  # the module exists but its imports fail
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_references(path: Path, failures: list[str]) -> int:
+    """Every dotted ``repro.…`` reference must resolve.
+
+    Requires ``src/`` on ``sys.path`` (``main`` arranges this).
+    """
+    references = dotted_references(path.read_text())
+    for name in references:
+        if not resolves(name):
+            failures.append(
+                f"{display(path)}: `{name}` does not resolve (moved or "
+                f"removed? list it under \"{REMOVED_SECTION}\")"
+            )
+    return len(references)
 
 
 def check_config_coverage(failures: list[str]) -> int:
@@ -231,17 +305,18 @@ def main() -> int:
     """Run every check; print a summary; 0 iff clean."""
     sys.path.insert(0, str(REPO / "src"))
     failures: list[str] = []
-    blocks = links = 0
+    blocks = links = references = 0
     documents = iter_documents()
     for path in documents:
         blocks += check_code_blocks(path, failures)
         links += check_links(path, failures)
+        references += check_references(path, failures)
     fields = check_config_coverage(failures)
     metrics = check_metric_coverage(failures)
     print(
         f"checked {len(documents)} documents: {blocks} code blocks, "
-        f"{links} intra-repo links, {fields} config fields, "
-        f"{metrics} metric names"
+        f"{links} intra-repo links, {references} dotted references, "
+        f"{fields} config fields, {metrics} metric names"
     )
     for failure in failures:
         print(f"FAIL: {failure}")

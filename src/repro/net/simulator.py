@@ -413,7 +413,7 @@ class NetworkSimulator:
     def active_transfers(self) -> list[Transfer]:
         """The WAN transfers currently in flight (LAN excluded).
 
-        Each carries its ``tag`` (the runtime executor tags transfers
+        Each carries its ``tag`` (a :class:`~repro.gda.engine.engine.JobRun` tags transfers
         ``"<job>:<stage>"``), pair, and instantaneous ``rate_mbps`` —
         the control plane's bandwidth governor reads this to attribute
         per-pair WAN share to jobs before shifting it.

@@ -24,10 +24,11 @@ service on the deterministic :mod:`repro.sim` kernel:
   re-ordering over submission batches;
 * :mod:`repro.runtime.control` — the control plane: registered
   preemption policies (``none`` / ``urgent-slo`` / ``cost-aware``)
-  pausing/resuming jobs via executor checkpoints, the deadline-aware
+  pausing/resuming jobs via :class:`JobRun` checkpoints, the deadline-aware
   :class:`BandwidthGovernor` shifting WAN share between running jobs,
   and the :class:`ConcurrencyAutoscaler` driving ``max_concurrent``;
-* :mod:`repro.runtime.executor` — the event-driven (non-blocking) job
+* :class:`JobRun` / :class:`JobCheckpoint` — re-exported from
+  :mod:`repro.gda.engine.engine`: the event-driven (non-blocking) job
   runner the scheduler uses to interleave jobs on one simulator, with
   pause/resume checkpointing for preemption;
 * :mod:`repro.runtime.observability` — the telemetry warehouse
@@ -75,7 +76,7 @@ from repro.runtime.control import (
     SlackEstimator,
 )
 from repro.runtime.drift import DriftDetector, ReplanEvent
-from repro.runtime.executor import JobCheckpoint, JobRun
+from repro.gda.engine.engine import JobCheckpoint, JobRun
 from repro.runtime.observability import (
     EventTrace,
     KpiReport,

@@ -1,7 +1,7 @@
 """The control plane: one periodic loop driving preempt/throttle/scale.
 
 :class:`ControlPlane` is the piece that closes the loop the scheduler
-opened.  The data plane (executor + network) runs jobs; the scheduling
+opened.  The data plane (``JobRun`` + network) runs jobs; the scheduling
 plane (admission policies) orders the queue; the control plane watches
 *running* state each ``control_interval_s`` tick and intervenes:
 

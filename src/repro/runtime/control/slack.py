@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.gda.engine.dag import JobSpec
 from repro.net.matrix import BandwidthMatrix
-from repro.runtime.executor import wan_mb_ahead
+from repro.gda.engine.engine import wan_mb_ahead
 
 if TYPE_CHECKING:
     from repro.runtime.scheduler import JobTicket
@@ -40,8 +40,8 @@ MIN_OBSERVED_S = 5.0
 def job_wan_mb(job: JobSpec, shuffle_overhead: float) -> float:
     """Projected lifetime WAN volume of an un-started job (MB).
 
-    :func:`~repro.runtime.executor.wan_mb_ahead` from stage 0 — the
-    same projection :meth:`~repro.runtime.executor.JobRun
+    :func:`~repro.gda.engine.engine.wan_mb_ahead` from stage 0 — the
+    same projection :meth:`~repro.gda.engine.engine.JobRun
     .remaining_wan_mb` uses mid-run.
     """
     return wan_mb_ahead(job.stages, job.total_input_mb, shuffle_overhead)
@@ -52,7 +52,7 @@ class SlackEstimator:
 
     ``predicted_bw`` is a zero-arg callable returning the service's
     current decision matrix (or ``None`` before the first plan) — the
-    same provider the executor reads, so control decisions and
+    same provider each ``JobRun`` reads, so control decisions and
     placement decisions share one belief about the network.
     """
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from repro.runtime.observability.trace import TraceEvent, render_timeline
 from repro.runtime.observability.warehouse import (
@@ -132,30 +132,69 @@ class RecordedRun:
         return render_timeline(self.events)
 
 
+#: JSON type names, for recorded-run error messages.
+_JSON_KIND = {
+    dict: "object", list: "array", str: "string", bool: "boolean",
+    int: "number", float: "number", type(None): "null",
+}
+
+
 def load_run(path: Union[str, Path]) -> RecordedRun:
-    """Parse a recorded-run file written by :func:`write_run`."""
+    """Parse a recorded-run file written by :func:`write_run`.
+
+    A file that is not a recorded run — not a JSON object, a section of
+    the wrong JSON type, a row missing a field — raises
+    :class:`ValueError` naming the bad section.
+    """
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"expected a JSON object, got a JSON {_JSON_KIND[type(data)]}"
+        )
     version = data.get("format_version")
     if version != RUN_FORMAT_VERSION:
         raise ValueError(
             f"unsupported recorded-run format {version!r} in {path} "
             f"(expected {RUN_FORMAT_VERSION})"
         )
+
+    def section(name: str, default: Any, parse: Callable[[Any], Any]) -> Any:
+        raw = data.get(name, default)
+        try:
+            if type(raw) is not type(default):
+                raise TypeError(
+                    f"expected a JSON {_JSON_KIND[type(default)]}, "
+                    f"got a JSON {_JSON_KIND[type(raw)]}"
+                )
+            if isinstance(raw, list):
+                for row in raw:
+                    if not isinstance(row, dict):
+                        raise TypeError(
+                            f"expected rows of JSON objects, "
+                            f"got a JSON {_JSON_KIND[type(row)]}"
+                        )
+            return parse(raw)
+        except KeyError as exc:
+            raise ValueError(
+                f"section {name!r}: a row lacks field {exc}"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"section {name!r}: {exc}") from None
+
+    def rollups(rows: list) -> list[RollupRow]:
+        return [RollupRow.from_json(row) for row in rows]
+
     return RecordedRun(
-        meta=dict(data.get("meta", {})),
-        summary=dict(data.get("summary", {})),
-        jobs=list(data.get("jobs", [])),
-        link_rollups=[
-            RollupRow.from_json(row) for row in data.get("link_rollups", [])
-        ],
-        region_rollups=[
-            RollupRow.from_json(row)
-            for row in data.get("region_rollups", [])
-        ],
-        events=[
-            TraceEvent.from_json(event) for event in data.get("events", [])
-        ],
-        events_dropped=int(data.get("events_dropped", 0)),
+        meta=section("meta", {}, dict),
+        summary=section("summary", {}, dict),
+        jobs=section("jobs", [], list),
+        link_rollups=section("link_rollups", [], rollups),
+        region_rollups=section("region_rollups", [], rollups),
+        events=section(
+            "events", [],
+            lambda rows: [TraceEvent.from_json(row) for row in rows],
+        ),
+        events_dropped=section("events_dropped", 0, int),
     )
 
 

@@ -2,7 +2,7 @@
 
 The scheduler keeps an admission queue and at most ``max_concurrent``
 jobs in flight; each admitted job becomes a
-:class:`~repro.runtime.executor.JobRun` interleaving with every other
+:class:`~repro.gda.engine.engine.JobRun` interleaving with every other
 run on the cluster's single simulator.  Because all jobs shuffle over
 the same :class:`~repro.net.simulator.NetworkSimulator`, they contend
 for WAN capacity exactly like co-located production queries — which is
@@ -44,7 +44,7 @@ from repro.gda.engine.dag import JobSpec
 from repro.gda.engine.engine import SHUFFLE_OVERHEAD, JobResult
 from repro.gda.systems.base import PlacementPolicy
 from repro.pipeline.registry import admission_policy, placement_policy
-from repro.runtime.executor import DecisionBw, JobCheckpoint, JobRun
+from repro.gda.engine.engine import DecisionBw, JobCheckpoint, JobRun
 from repro.runtime.scheduling.policies import AdmissionPolicy, SchedulerView
 from repro.runtime.scheduling.reallocator import DEFAULT_BATCH, BatchedReallocator
 from repro.runtime.scheduling.slo import SLO, deadline_met, deadline_tally, jain_index, tenant_of
@@ -176,7 +176,7 @@ class JobTicket:
     """One submission's lifecycle: queued → running → done.
 
     A preempted ticket loops back: running → queued (carrying a
-    :class:`~repro.runtime.executor.JobCheckpoint`) → running again
+    :class:`~repro.gda.engine.engine.JobCheckpoint`) → running again
     when re-admitted.
 
     Tickets compare by *identity* (``eq=False``): two submissions of

@@ -64,7 +64,7 @@ class SchedulerView:
 
         Completed tickets contribute their measured WAN volume; running
         tickets contribute what their transfers have carried *so far*
-        (:attr:`~repro.runtime.executor.JobRun.wan_mb`), so a tenant
+        (:attr:`~repro.gda.engine.engine.JobRun.wan_mb`), so a tenant
         with a large job in flight is already "ahead" while it runs.
         """
         service: dict[str, float] = {}

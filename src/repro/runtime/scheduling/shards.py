@@ -36,7 +36,7 @@ from typing import Callable, Optional
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec
 from repro.gda.engine.engine import SHUFFLE_OVERHEAD
-from repro.runtime.executor import DecisionBw, JobCheckpoint
+from repro.gda.engine.engine import DecisionBw, JobCheckpoint
 from repro.runtime.scheduler import (
     AdmissionSpec,
     JobScheduler,

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.core.globalopt import uniform_plan
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec, StageSpec
 from repro.gda.engine.engine import GdaEngine, validate_placement
 from repro.gda.systems.vanilla import LocalityPolicy
 from repro.net.dynamics import StaticModel
+from repro.net.matrix import BandwidthMatrix
+from repro.pipeline.deploy import Deployment
 
 TRIAD = ("us-east-1", "us-west-1", "ap-southeast-1")
 
@@ -97,6 +100,27 @@ class TestExecution:
         second = engine.run(simple_job(), LocalityPolicy())
         assert second.jct_s == pytest.approx(first.jct_s, rel=0.05)
         assert second.wan_gb == pytest.approx(first.wan_gb, rel=0.01)
+
+
+class TestDeploymentLifecycle:
+    def test_failed_run_tears_down_its_deployment(self):
+        """A run that raises after install leaves no agent running to
+        perturb the cluster's later runs."""
+        engine = make_engine()
+        plan = uniform_plan(BandwidthMatrix.full(TRIAD, 100.0), 4)
+        deployment = Deployment(
+            "wanify-tc", plan, agents=True, throttling=True
+        )
+        bad = JobSpec(
+            "bad", [StageSpec("map", 0.1, 1.0)], {"nowhere-1": 100.0}
+        )
+        with pytest.raises(KeyError):
+            engine.run(bad, LocalityPolicy(), deployment=deployment)
+        assert deployment.agents_running == []
+        assert len(deployment.retired_agents) == len(TRIAD)
+        after = engine.run(simple_job(), LocalityPolicy())
+        fresh = make_engine().run(simple_job(), LocalityPolicy())
+        assert after == fresh
 
 
 class TestMigration:

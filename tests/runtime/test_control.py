@@ -26,7 +26,7 @@ from repro.runtime.control import (
     PreemptionDecision,
     UrgentSloPreemption,
 )
-from repro.runtime.executor import JobRun
+from repro.gda.engine.engine import JobRun
 from repro.runtime.scheduler import JobScheduler
 from repro.runtime.scheduling import SLO
 

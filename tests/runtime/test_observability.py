@@ -632,6 +632,39 @@ class TestReportCli:
         assert main(["report", "--run", str(bad)], stream) == 2
         assert "bad recorded run" in stream.text()
 
+    @pytest.mark.parametrize(
+        "body,names",
+        [
+            ("[1, 2]", "JSON object"),
+            ('{"format_version": 1, "events": [5]}', "'events'"),
+            ('{"format_version": 1, "meta": [1, 2]}', "'meta'"),
+            ('{"format_version": 1, "summary": 3}', "'summary'"),
+            ('{"format_version": 1, "jobs": [1]}', "'jobs'"),
+            ('{"format_version": 1, "events": [{"kind": "x"}]}', "'events'"),
+            ('{"format_version": 1, "events_dropped": "x"}', "'events_dropped'"),
+            ("{not json", "bad recorded run"),
+            (None, "No such file"),
+        ],
+        ids=[
+            "top-level-list", "events-number", "meta-list", "summary-number",
+            "jobs-number", "event-missing-field", "dropped-string",
+            "invalid-json", "missing-file",
+        ],
+    )
+    def test_corrupt_run_file_exits_2_with_one_line(
+        self, tmp_path, body, names
+    ):
+        path = tmp_path / "run.json"
+        if body is not None:
+            path.write_text(body)
+        stream = _Stream()
+        assert main(["report", "--run", str(path)], stream) == 2
+        text = stream.text()
+        assert text.startswith("bad recorded run")
+        assert names in text
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert "Traceback" not in text
+
     def test_trace_without_run_is_an_error(self):
         stream = _Stream()
         assert main(["report", "--trace"], stream) == 2

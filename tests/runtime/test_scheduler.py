@@ -1,14 +1,16 @@
-"""Tests for the multi-job scheduler and the event-driven executor."""
+"""Tests for the multi-job scheduler and the event-driven job runner."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from repro.gda.engine.cluster import GeoCluster
-from repro.gda.engine.engine import GdaEngine
 from repro.gda.systems.tetrium import TetriumPolicy
 from repro.gda.systems.vanilla import LocalityPolicy
 from repro.gda.workloads.terasort import terasort_job
 from repro.gda.workloads.wordcount import wordcount_job
-from repro.runtime.executor import JobRun
+from repro.gda.engine.engine import JobRun
 from repro.runtime.scheduler import JobScheduler, jain_index
 
 TRIAD = ("us-east-1", "us-west-1", "ap-southeast-1")
@@ -35,27 +37,35 @@ class TestJainIndex:
         assert jain_index([]) == 1.0
 
 
+def _oracle_engine():
+    """The blocking engine ``GdaEngine.run`` replaced (tests/gda)."""
+    path = Path(__file__).resolve().parents[1] / "gda" / "oracle_engine.py"
+    spec = importlib.util.spec_from_file_location("oracle_engine", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GdaEngine
+
+
 class TestJobRun:
     def test_matches_blocking_engine_for_single_job(self, calm):
-        """The event-driven executor reproduces GdaEngine's result."""
+        """The event-driven run reproduces the blocking engine's result.
+
+        Timings, stages and the observed floor are bit-equal; WAN volume
+        is summed per transfer here and read off the network's counter
+        there, so it only agrees to float rounding.
+        """
         job = _job()
-        blocking = GdaEngine(_cluster(calm)).run(
+        blocking = _oracle_engine()(_cluster(calm)).run(
             job, LocalityPolicy()
         )
         cluster = _cluster(calm)
         run = JobRun(cluster, job, LocalityPolicy()).start()
         cluster.network.sim.run()
         assert run.done
-        assert run.result.jct_s == pytest.approx(blocking.jct_s, rel=1e-6)
-        assert run.result.wan_gb == pytest.approx(blocking.wan_gb, rel=1e-3)
-        assert len(run.result.stages) == len(blocking.stages)
-        for ours, theirs in zip(run.result.stages, blocking.stages):
-            assert ours.network_s == pytest.approx(
-                theirs.network_s, rel=1e-6
-            )
-            assert ours.compute_s == pytest.approx(
-                theirs.compute_s, rel=1e-6
-            )
+        assert run.result.jct_s == blocking.jct_s
+        assert run.result.stages == blocking.stages
+        assert run.result.min_bw_mbps == blocking.min_bw_mbps
+        assert run.result.wan_gb == pytest.approx(blocking.wan_gb, rel=1e-12)
 
     def test_decision_bw_callable_reread_per_stage(self, calm):
         cluster = _cluster(calm)

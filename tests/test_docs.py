@@ -64,6 +64,47 @@ class TestDocsHealth:
         check_docs.check_code_blocks(page, failures)
         assert failures and "does not compile" in failures[0]
 
+    def test_checker_catches_stale_dotted_reference(
+        self, check_docs, tmp_path
+    ):
+        """A table row naming a deleted module fails the job."""
+        page = tmp_path / "page.md"
+        page.write_text(
+            "## Control\n\n"
+            "| `repro.runtime.executor.JobCheckpoint` / `JobRun.pause()` "
+            "| pause/resume |\n"
+            "| `repro.gda.engine.engine.JobCheckpoint` | its home |\n"
+            "| `repro.runtime.JobRun` | re-export |\n"
+        )
+        failures: list[str] = []
+        sys.path.insert(0, str(REPO / "src"))
+        try:
+            assert check_docs.check_references(page, failures) == 3
+        finally:
+            sys.path.remove(str(REPO / "src"))
+        assert len(failures) == 1
+        assert "`repro.runtime.executor.JobCheckpoint`" in failures[0]
+
+    def test_removed_spellings_section_is_exempt(self, check_docs, tmp_path):
+        """Names listed as removed are gone on purpose; the exemption
+        ends at the next heading."""
+        page = tmp_path / "page.md"
+        page.write_text(
+            "## Removed legacy spellings\n\n"
+            "| `repro.runtime.executor` (module) | `repro.gda.engine` |\n"
+            "\n## Later\n\n"
+            "`repro.core.interface` is gone.\n"
+            "```python\n# not a heading\nimport repro\n```\n"
+        )
+        failures: list[str] = []
+        sys.path.insert(0, str(REPO / "src"))
+        try:
+            assert check_docs.check_references(page, failures) == 1
+        finally:
+            sys.path.remove(str(REPO / "src"))
+        assert len(failures) == 1
+        assert "`repro.core.interface`" in failures[0]
+
     def test_config_coverage_passes_on_shipped_operations_doc(
         self, check_docs
     ):
