@@ -110,8 +110,7 @@ class WanMonitor:
         Feeds the §3.2.2 rule that pairs moving < 1 MB skip AIMD mode
         toggles.
         """
-        stats = self.network.pair_statistics().get((self.dc, dst))
-        total_mb = (stats.mbits / 8.0) if stats else 0.0
+        total_mb = self.network.pair_mbits(self.dc, dst) / 8.0
         anchor = self._volume_anchor.get(dst, 0.0)
         self._volume_anchor[dst] = total_mb
         return max(0.0, total_mb - anchor)

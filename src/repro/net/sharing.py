@@ -16,6 +16,14 @@ The result is the classic weighted max-min allocation: feasible, Pareto
 efficient, and biased toward short-RTT (heavy-weight) flows — which is
 precisely why uniform parallelism fails to lift the weak links in
 Fig. 2(b) while heterogeneous connection counts succeed in Fig. 2(c).
+
+:func:`allocate` runs on every deferred solve of the WAN simulator, so
+it works on flat per-flow lists and an active index list that shrinks
+only when flows freeze.  Its float operations and their order are part
+of its contract — per-resource weight sums and NIC subtractions in
+active-index order, a running ``if v < delta`` minimum — because finish
+times follow the rates to the last bit; ``tests/net/oracle_sharing.py``
+keeps the earlier implementation it must match exactly.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 _EPS = 1e-9
+_INF = float("inf")
 
 
 @dataclass
@@ -39,10 +48,14 @@ class PairFlow:
     cap: float
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"flow weight must be positive: {self.weight}")
-        if self.cap < 0:
-            raise ValueError(f"negative cap: {self.cap}")
+        # Written so NaN fails both tests: an infinite or NaN weight, or
+        # a NaN cap, would make the filling hand out garbage rates.
+        if not 0.0 < self.weight < _INF:
+            raise ValueError(
+                f"flow weight must be positive and finite: {self.weight}"
+            )
+        if not self.cap >= 0.0:
+            raise ValueError(f"flow cap must be ≥ 0 (inf allowed): {self.cap}")
 
 
 def allocate(
@@ -56,75 +69,76 @@ def allocate(
     >>> allocate(flows, [50.0, 50.0], [50.0, 50.0])
     [50.0]
     """
-    n_flows = len(flows)
-    if n_flows == 0:
+    if not flows:
         return []
-    rates = [0.0] * n_flows
-    frozen = [False] * n_flows
+    src = [flow.src for flow in flows]
+    dst = [flow.dst for flow in flows]
+    weight = [flow.weight for flow in flows]
+    cap = [flow.cap for flow in flows]
+    # A flow freezes at its cap once its rate reaches ``cap - _EPS``.
+    cap_floor = [c - _EPS for c in cap]
+    rates = [0.0] * len(flows)
     remaining_egress = list(egress_caps)
     remaining_ingress = list(ingress_caps)
+    n_egress = len(remaining_egress)
+    n_ingress = len(remaining_ingress)
 
-    # Flows with zero cap are frozen immediately.
-    for idx, flow in enumerate(flows):
-        if flow.cap <= _EPS:
-            frozen[idx] = True
-
-    while True:
-        active = [i for i in range(n_flows) if not frozen[i]]
-        if not active:
-            break
-
-        # Aggregate unfrozen weight per resource.
-        egress_weight: dict[int, float] = {}
-        ingress_weight: dict[int, float] = {}
+    # Unfrozen flows in index order; flows with zero cap start frozen.
+    active = [i for i, c in enumerate(cap) if not c <= _EPS]
+    while active:
+        # Aggregate unfrozen weight per resource, and the largest
+        # permissible water-level increment: each flow's headroom
+        # first, then each used resource's (weights are positive, so a
+        # resource is used exactly when its sum is).  ``if v < delta``
+        # is exactly ``delta = min(delta, v)``.
+        egress_weight = [0.0] * n_egress
+        ingress_weight = [0.0] * n_ingress
+        delta = _INF
         for i in active:
-            flow = flows[i]
-            egress_weight[flow.src] = (
-                egress_weight.get(flow.src, 0.0) + flow.weight
-            )
-            ingress_weight[flow.dst] = (
-                ingress_weight.get(flow.dst, 0.0) + flow.weight
-            )
+            w = weight[i]
+            egress_weight[src[i]] += w
+            ingress_weight[dst[i]] += w
+            v = (cap[i] - rates[i]) / w
+            if v < delta:
+                delta = v
+        for resource, w in enumerate(egress_weight):
+            if w > 0.0:
+                v = remaining_egress[resource] / w
+                if v < delta:
+                    delta = v
+        for resource, w in enumerate(ingress_weight):
+            if w > 0.0:
+                v = remaining_ingress[resource] / w
+                if v < delta:
+                    delta = v
 
-        # Largest permissible water-level increment.
-        delta = float("inf")
-        for i in active:
-            flow = flows[i]
-            delta = min(delta, (flow.cap - rates[i]) / flow.weight)
-        for src, weight in egress_weight.items():
-            delta = min(delta, remaining_egress[src] / weight)
-        for dst, weight in ingress_weight.items():
-            delta = min(delta, remaining_ingress[dst] / weight)
-
-        if delta == float("inf"):
+        if delta == _INF:
             break
         delta = max(delta, 0.0)
 
-        # Advance the water level.
+        # Advance the water level; freeze flows at their caps.
+        below_cap = []
         for i in active:
-            flow = flows[i]
-            gain = flow.weight * delta
-            rates[i] += gain
-            remaining_egress[flow.src] -= gain
-            remaining_ingress[flow.dst] -= gain
+            gain = weight[i] * delta
+            rate = rates[i] + gain
+            rates[i] = rate
+            remaining_egress[src[i]] -= gain
+            remaining_ingress[dst[i]] -= gain
+            if not rate >= cap_floor[i]:
+                below_cap.append(i)
 
-        # Freeze flows at their caps and flows through saturated resources.
-        progressed = False
-        for i in active:
-            flow = flows[i]
-            if rates[i] >= flow.cap - _EPS:
-                frozen[i] = True
-                progressed = True
-        for i in [i for i in range(n_flows) if not frozen[i]]:
-            flow = flows[i]
-            if (
-                remaining_egress[flow.src] <= _EPS
-                or remaining_ingress[flow.dst] <= _EPS
-            ):
-                frozen[i] = True
-                progressed = True
-        if not progressed:
+        # Freeze flows through saturated resources.
+        unfrozen = [
+            i
+            for i in below_cap
+            if not (
+                remaining_egress[src[i]] <= _EPS
+                or remaining_ingress[dst[i]] <= _EPS
+            )
+        ]
+        if len(unfrozen) == len(active):
             # Numerical guard: nothing froze despite a finite delta.
             break
+        active = unfrozen
 
-    return [max(0.0, min(r, flows[i].cap)) for i, r in enumerate(rates)]
+    return [max(0.0, min(r, c)) for r, c in zip(rates, cap)]

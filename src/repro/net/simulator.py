@@ -16,7 +16,9 @@ starts, cancels and completions costs one solve.  Observers that read
 rates (:meth:`~NetworkSimulator.current_rate`,
 :meth:`~NetworkSimulator.rate_matrix`,
 :meth:`~NetworkSimulator.active_transfers`) flush a pending solve
-first.
+first.  A solve reads each active pair's indices, connection count and
+RTT once, and prices the pair (:meth:`~NetworkSimulator.pair_capacity`,
+the weather now) once.
 
 Model summary (see DESIGN.md §5):
 
@@ -327,39 +329,44 @@ class NetworkSimulator:
         self.solves += 1
         buckets = self._inflight.pairs
         pairs = sorted(buckets)
-        flows = []
-        caps_by_src: dict[str, float] = {}
+        topology = self.topology
+        index = topology.index
+        connections = self._connections
+        dcs = topology.dcs
+        # One pass reads each pair's static data (indices, connection
+        # count, RTT) and its capacity now.  Per-VM congestion: a DC
+        # juggling many active streams loses effective NIC throughput
+        # (see tcp.vm_efficiency), so connections are tallied per DC.
+        caps_by_src = [0.0] * topology.n
+        out_conns = [0] * topology.n
+        in_conns = [0] * topology.n
         specs = []
         for src, dst in pairs:
-            k = int(self._connections.get(src, dst))
-            rtt = self.topology.rtt_ms(src, dst)
+            i, j = index(src), index(dst)
+            k = int(connections.get(src, dst))
+            rtt = topology.rtt_ms(src, dst)
             cap = self.pair_capacity(src, dst, k)
-            specs.append((src, dst, k, rtt, cap))
-            caps_by_src[src] = caps_by_src.get(src, 0.0) + cap
-        for src, dst, k, rtt, cap in specs:
-            i, j = self.topology.index(src), self.topology.index(dst)
-            weight = self.topology.tcp.rtt_weight(rtt, k, self.knee)
+            specs.append((i, j, k, rtt, cap))
+            caps_by_src[i] += cap
+            out_conns[i] += k
+            in_conns[j] += k
+        rtt_weight = topology.tcp.rtt_weight
+        flows = []
+        for i, j, k, rtt, cap in specs:
+            weight = rtt_weight(rtt, k, self.knee)
             # Congestion RTT bias: overloaded senders squeeze their
             # long-RTT flows harder than fair weighting would.
-            egress = self.topology.dcs[i].egress_cap_mbps
-            overload = max(0.0, caps_by_src[src] / max(egress, _EPS) - 1.0)
+            egress_cap = dcs[i].egress_cap_mbps
+            overload = max(0.0, caps_by_src[i] / max(egress_cap, _EPS) - 1.0)
             if overload > 0:
                 weight /= 1.0 + (
                     CONGESTION_RTT_BIAS * overload * rtt / _RTT_NORM_MS
                 )
             flows.append(PairFlow(i, j, weight=weight, cap=cap))
-        # Per-VM congestion: a DC juggling many active streams loses
-        # effective NIC throughput (see tcp.vm_efficiency).  Counted per
-        # VM so association (more VMs per DC) raises the knee.
-        out_conns = {i: 0 for i in range(self.topology.n)}
-        in_conns = {j: 0 for j in range(self.topology.n)}
-        for src, dst in pairs:
-            k = int(self._connections.get(src, dst))
-            out_conns[self.topology.index(src)] += k
-            in_conns[self.topology.index(dst)] += k
+        # Counted per VM so association (more VMs per DC) raises the knee.
         egress = []
         ingress = []
-        for i, dc in enumerate(self.topology.dcs):
+        for i, dc in enumerate(dcs):
             egress.append(
                 dc.egress_cap_mbps
                 * tcp.vm_efficiency(out_conns[i] // max(1, dc.num_vms))
@@ -442,6 +449,12 @@ class NetworkSimulator:
         """Accumulated per-pair stats (bytes, active time, min rate)."""
         self._progress()
         return {pair: stats for pair, stats in self._stats.items()}
+
+    def pair_mbits(self, src: str, dst: str) -> float:
+        """Payload delivered so far on one ordered pair (Mbit)."""
+        self._progress()
+        stats = self._stats.get((src, dst))
+        return stats.mbits if stats is not None else 0.0
 
     def reset_statistics(self) -> None:
         """Zero the accumulated per-pair statistics."""

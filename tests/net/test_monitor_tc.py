@@ -1,5 +1,7 @@
 """Tests for WanMonitor and TrafficController."""
 
+import struct
+
 import pytest
 
 from repro.net.monitor import WanMonitor
@@ -84,6 +86,27 @@ class TestWanMonitor:
         assert monitor.window_volume_mb("ap-southeast-1") == pytest.approx(
             0.0, abs=1e-6
         )
+
+    def test_window_volume_is_the_pair_statistics_delta(self, triad, weather):
+        """Each read is the pair's accumulated Mbit / 8 minus the last
+        read, to the bit, mid-transfer and for a pair that never ran."""
+        net = NetworkSimulator(triad, fluctuation=weather)
+        monitor = WanMonitor(net, "us-east-1", interval_s=1.0)
+        net.start_transfer("us-east-1", "us-west-1", 5000.0)
+        net.start_transfer("us-east-1", "ap-southeast-1", 900.0)
+        anchors = {}
+        reads = 0
+        for until in (3.0, 7.5, 20.0, 60.0):
+            net.sim.run(until=until)
+            for dst in triad.keys:
+                stats = net.pair_statistics().get(("us-east-1", dst))
+                total_mb = (stats.mbits / 8.0) if stats else 0.0
+                expected = max(0.0, total_mb - anchors.get(dst, 0.0))
+                anchors[dst] = total_mb
+                got = monitor.window_volume_mb(dst)
+                assert struct.pack("<d", got) == struct.pack("<d", expected)
+                reads += got > 0.0
+        assert reads >= 4
 
     def test_rate_percentile_empty_history(self, triad, calm):
         net = NetworkSimulator(triad, fluctuation=calm)

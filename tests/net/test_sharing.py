@@ -1,10 +1,13 @@
 """Tests for the weighted max-min allocator, including hypothesis
 properties on feasibility and bottleneck tightness."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.batch import allocate_batch
 from repro.net.sharing import PairFlow, allocate
 
 EPS = 1e-6
@@ -64,6 +67,22 @@ class TestBasics:
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
             PairFlow(0, 1, weight=1.0, cap=-1.0)
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan, -math.inf, -1.0])
+    def test_non_finite_or_negative_weight_rejected(self, weight):
+        # An infinite weight left a 50 Mbps NIC idle and a NaN one
+        # handed out more than the NIC carries; both now fail at once.
+        with pytest.raises(ValueError, match="positive and finite"):
+            PairFlow(0, 1, weight=weight, cap=100.0)
+
+    def test_nan_cap_rejected(self):
+        with pytest.raises(ValueError, match="cap"):
+            PairFlow(0, 1, weight=1.0, cap=math.nan)
+
+    def test_infinite_cap_allowed(self):
+        flows = [PairFlow(0, 1, weight=1.0, cap=math.inf)]
+        assert allocate(flows, [50.0, 50.0], [50.0, 50.0]) == [50.0]
+        assert allocate_batch(flows, [50.0, 50.0], [50.0, 50.0]) == [50.0]
 
     def test_cross_traffic_uses_distinct_resources(self):
         flows = [

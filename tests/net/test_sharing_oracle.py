@@ -1,0 +1,177 @@
+"""Differential tests: the max-min solve against the copy kept before
+its flat-list rewrite.
+
+:func:`repro.net.sharing.allocate` runs the progressive filling on flat
+per-flow lists with an active list rebuilt only when flows freeze, and
+``NetworkSimulator._flush`` reads each pair's static data once.
+``oracle_sharing.py`` keeps both as they were.  Rates, finish times
+and per-pair statistics must match bit for bit (compared as packed
+doubles, so ``-0.0``/``0.0`` and NaN count too) on:
+
+* every solve of a short service drain under ``link-failure``;
+* the flow lists a vectorized drain hands its array solver;
+* seeded random instances: 1–8 DCs, 0–60 flows, zero, tiny and
+  infinite caps, zero, NaN, infinite and huge NIC caps, tied weights
+  and saturated NICs;
+* the deferred-solve scripts of ``test_deferred_solve.py`` replayed
+  through the old ``_flush``.
+"""
+
+import math
+import random
+import struct
+
+import pytest
+from oracle_sharing import OracleNetworkSimulator
+from oracle_sharing import allocate as oracle_allocate
+from test_deferred_solve import _run
+
+import repro.net.simulator as simulator_module
+from repro.net.sharing import PairFlow, allocate
+from repro.runtime.scenarios import scenario
+from repro.runtime.service import PipelineService, ServiceConfig, default_job_mix
+
+REGIONS = ("us-east-1", "us-west-1", "eu-west-1", "ap-southeast-1", "sa-east-1")
+RANDOM_INSTANCES = 10_000
+
+
+def _bits(value):
+    """``value`` with every float replaced by its packed IEEE bytes."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_bits(item) for item in value)
+    return value
+
+
+def _assert_same_rates(flows, egress, ingress):
+    expected = oracle_allocate(flows, egress, ingress)
+    assert _bits(allocate(flows, egress, ingress)) == _bits(expected), (
+        [(f.src, f.dst, f.weight, f.cap) for f in flows],
+        egress,
+        ingress,
+    )
+
+
+def _recorded_solves(monkeypatch, kernel: str) -> list[tuple]:
+    """Every solve a short service drain runs on ``kernel``."""
+    solver = "allocate" if kernel == "scalar" else "allocate_batch"
+    solve = getattr(simulator_module, solver)
+    calls = []
+
+    def record(flows, egress, ingress):
+        calls.append((list(flows), list(egress), list(ingress)))
+        return solve(flows, egress, ingress)
+
+    monkeypatch.setattr(simulator_module, solver, record)
+    config = ServiceConfig(
+        regions=REGIONS,
+        seed=31,
+        online=True,
+        max_concurrent=4,
+        kernel=kernel,
+        n_training_datasets=4,
+        n_estimators=4,
+    )
+    service = PipelineService.build(
+        config, weather=scenario("link-failure", seed=13)
+    )
+    for delay, job in default_job_mix(REGIONS, count=5, seed=7, scale_mb=1500.0):
+        service.submit_at(delay * 0.3, job)
+    service.run()
+    service.stop()
+    return calls
+
+
+@pytest.mark.parametrize("kernel", ("scalar", "vectorized"))
+def test_recorded_drain_solves_match(monkeypatch, kernel):
+    calls = _recorded_solves(monkeypatch, kernel)
+    assert len(calls) > 50
+    assert max(len(flows) for flows, _, _ in calls) >= 10
+    for flows, egress, ingress in calls:
+        _assert_same_rates(flows, egress, ingress)
+
+
+def _random_instance(rng: random.Random) -> tuple[list[PairFlow], list, list]:
+    n_dcs = rng.randint(1, 8)
+    weights = [rng.lognormvariate(0.0, 1.0) for _ in range(3)]
+    caps = [rng.uniform(1.0, 500.0) for _ in range(3)]
+    flows = []
+    for _ in range(rng.randint(0, 60)):
+        roll = rng.random()
+        if roll < 0.1:
+            cap = 0.0
+        elif roll < 0.15:
+            cap = 1e-10
+        elif roll < 0.3:
+            cap = math.inf
+        elif roll < 0.5:
+            cap = rng.choice(caps)  # tied caps
+        else:
+            cap = rng.uniform(0.0, 1000.0)
+        weight = (
+            rng.choice(weights) if rng.random() < 0.5 else rng.uniform(1e-3, 10.0)
+        )
+        flows.append(
+            PairFlow(rng.randrange(n_dcs), rng.randrange(n_dcs), weight, cap)
+        )
+
+    def nic() -> float:
+        roll = rng.random()
+        if roll < 0.08:
+            return 0.0
+        if roll < 0.12:
+            return math.nan
+        if roll < 0.2:
+            return math.inf
+        if roll < 0.45:
+            return rng.uniform(0.0, 20.0)  # saturates early
+        if roll < 0.55:
+            # Rounding leaves a residue above the saturation epsilon,
+            # so nothing freezes: the no-progress guard ends the fill.
+            return rng.uniform(1e11, 1e13)
+        return rng.uniform(20.0, 2000.0)
+
+    return flows, [nic() for _ in range(n_dcs)], [nic() for _ in range(n_dcs)]
+
+
+def test_random_instances_match():
+    rng = random.Random(2025)
+    for _ in range(RANDOM_INSTANCES):
+        _assert_same_rates(*_random_instance(rng))
+
+
+@pytest.mark.parametrize(
+    ("flows", "egress", "ingress"),
+    [
+        ([], [1.0], [1.0]),
+        ([PairFlow(0, 1, 1.0, math.inf)], [math.inf] * 2, [math.inf] * 2),
+        ([PairFlow(0, 1, 1.0, 5.0)] * 3, [math.nan] * 2, [10.0] * 2),
+        ([PairFlow(0, 0, 2.0, 9.0), PairFlow(0, 0, 2.0, 9.0)], [4.0], [-0.0]),
+        ([PairFlow(0, 1, 1e-300, 1e300)], [1e300] * 2, [1e300] * 2),
+        ([PairFlow(0, 1, 1.0, 5.0), PairFlow(1, 0, 1.0, 5.0)], [-3.0, 8.0], [8.0] * 2),
+    ],
+    ids=[
+        "empty",
+        "unbounded",
+        "nan-nic",
+        "negative-zero-nic",
+        "extremes",
+        "negative-nic",
+    ],
+)
+def test_edge_instances_match(flows, egress, ingress):
+    _assert_same_rates(flows, egress, ingress)
+
+
+@pytest.mark.parametrize("kernel", ("scalar", "vectorized"))
+@pytest.mark.parametrize("seed", range(4))
+def test_flush_replays_match(seed, kernel):
+    """The deferred-solve scripts finish every transfer at the same
+    instant, with the same per-pair statistics, through either flush."""
+    expected = _run(OracleNetworkSimulator, seed, kernel)
+    assert _bits(_run(simulator_module.NetworkSimulator, seed, kernel)) == _bits(
+        expected
+    )

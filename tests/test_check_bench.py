@@ -95,7 +95,7 @@ class TestCheck:
         found = complaints(check_bench, current, baseline)
         assert len(found) == 1
         assert "brand_new_rate_per_s" in found[0]
-        assert "neither" in found[0]
+        assert "classify" in found[0]
 
     def test_log_overhead_ceiling(self, check_bench):
         # No baseline row at all: the absolute ceiling still applies.
@@ -107,9 +107,42 @@ class TestCheck:
         found = complaints(check_bench, at, {})
         assert len(found) == 1 and "ceiling" in found[0]
 
+    def test_faster_service_with_same_logging_cost_passes(
+        self, check_bench, baseline
+    ):
+        # The overhead row is entries × ns/sample ÷ service wall, so a
+        # 4× faster service quadruples it with logging unchanged.
+        baseline = dict(
+            baseline, metrics_log_entries=2328.0, metrics_log_ns_per_sample=400.0
+        )
+        faster = dict(
+            baseline,
+            jobs_per_wall_s=40.0,
+            service_wall_s=0.25,
+            metrics_log_overhead_pct=2.0,
+        )
+        assert complaints(check_bench, faster, baseline) == []
+
+    def test_slower_logging_fails(self, check_bench, baseline):
+        baseline = dict(baseline, metrics_log_ns_per_sample=400.0)
+        slower = dict(baseline, metrics_log_ns_per_sample=400.0 * 2.51)
+        found = complaints(check_bench, slower, baseline)
+        assert len(found) == 1 and "metrics_log_ns_per_sample" in found[0]
+        within = dict(baseline, metrics_log_ns_per_sample=400.0 * 2.49)
+        assert complaints(check_bench, within, baseline) == []
+
+    def test_log_overhead_ceiling_with_a_baseline(self, check_bench, baseline):
+        under = dict(baseline, metrics_log_overhead_pct=4.99)
+        assert complaints(check_bench, under, baseline) == []
+        at = dict(baseline, metrics_log_overhead_pct=5.0)
+        found = complaints(check_bench, at, baseline)
+        assert len(found) == 1 and "ceiling" in found[0]
+
     def test_committed_reports_are_fully_classified(self, check_bench):
-        classified = set(check_bench.DETERMINISTIC) | set(
-            check_bench.WALL_CLOCK
+        classified = (
+            set(check_bench.DETERMINISTIC)
+            | set(check_bench.WALL_CLOCK)
+            | set(check_bench.CEILINGS)
         )
         for name in ("BENCH_runtime.json", "BENCH_parallel.json"):
             rows = json.loads((REPO / name).read_text())
