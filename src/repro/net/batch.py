@@ -14,13 +14,12 @@ share·dt)``, the next completion is ``min(size - transferred) /
 share``, and finished transfers fall out of one boolean mask.  At or
 below the threshold it keeps plain per-object arithmetic — the same
 operations in the same order — and the transfer objects stay
-authoritative.  The simulator's ``kernel`` knob picks the threshold
-(:data:`SMALL_BUCKET` for ``"vectorized"``, infinite for ``"scalar"``,
-so a scalar bucket never leaves per-object arithmetic) and the
-allocator (:func:`allocate_batch`, the array-wise twin of
-:func:`repro.net.sharing.allocate`, for ``"vectorized"``).  A
-vectorized run reproduces scalar per-transfer completion times — the
-parity contract ``tests/net/test_batch_parity.py`` enforces at 1e-6.
+authoritative.  The simulator's ``kernel`` knob picks only the
+threshold: :data:`SMALL_BUCKET` for ``"vectorized"``, infinite for
+``"scalar"``, so a scalar bucket never leaves per-object arithmetic.
+Both kernels solve rates with :func:`repro.net.sharing.allocate`, so
+a vectorized run is bit-identical to a scalar one — the parity
+contract ``tests/net/test_batch_parity.py`` enforces.
 
 While a bucket is array-backed its transfer objects' ``rate_mbps`` /
 ``transferred_mbits`` fields go stale by design; the simulator calls
@@ -36,13 +35,11 @@ from typing import TYPE_CHECKING, Hashable
 import numpy as np
 
 if TYPE_CHECKING:
-    from repro.net.sharing import PairFlow
     from repro.net.simulator import Transfer
 
 __all__ = [
     "SMALL_BUCKET",
     "VectorKernel",
-    "allocate_batch",
 ]
 
 #: The vectorized kernel's threshold: buckets at or below this many
@@ -53,89 +50,6 @@ SMALL_BUCKET = 2
 #: Remaining-payload slop below which a transfer counts as finished
 #: (mirrors the simulator's completion scan).
 FINISH_EPS = 1e-6
-
-_EPS = 1e-9
-
-
-def allocate_batch(
-    flows: list["PairFlow"],
-    egress_caps: list[float],
-    ingress_caps: list[float],
-) -> list[float]:
-    """Array-wise weighted progressive filling.
-
-    Same fixed point as :func:`repro.net.sharing.allocate` — raise a
-    water level, freeze flows at their caps or behind saturated NICs —
-    with the per-iteration bookkeeping done on numpy arrays
-    (``bincount`` aggregates the per-resource weights and gains).
-    """
-    n_flows = len(flows)
-    if n_flows == 0:
-        return []
-    src = np.array([flow.src for flow in flows], dtype=np.intp)
-    dst = np.array([flow.dst for flow in flows], dtype=np.intp)
-    weight = np.array([flow.weight for flow in flows], dtype=float)
-    cap = np.array([flow.cap for flow in flows], dtype=float)
-    rates = np.zeros(n_flows)
-    frozen = cap <= _EPS
-    remaining_egress = np.array(egress_caps, dtype=float)
-    remaining_ingress = np.array(ingress_caps, dtype=float)
-    n_egress = len(egress_caps)
-    n_ingress = len(ingress_caps)
-
-    while True:
-        active = ~frozen
-        if not active.any():
-            break
-        active_weight = np.where(active, weight, 0.0)
-        egress_weight = np.bincount(
-            src, weights=active_weight, minlength=n_egress
-        )
-        ingress_weight = np.bincount(
-            dst, weights=active_weight, minlength=n_ingress
-        )
-
-        # Largest permissible water-level increment.
-        delta = float(((cap - rates)[active] / weight[active]).min())
-        used = egress_weight > 0
-        if used.any():
-            delta = min(
-                delta,
-                float((remaining_egress[used] / egress_weight[used]).min()),
-            )
-        used = ingress_weight > 0
-        if used.any():
-            delta = min(
-                delta,
-                float(
-                    (remaining_ingress[used] / ingress_weight[used]).min()
-                ),
-            )
-        if delta == float("inf"):
-            break
-        delta = max(delta, 0.0)
-
-        gain = np.where(active, weight * delta, 0.0)
-        rates += gain
-        remaining_egress -= np.bincount(src, weights=gain, minlength=n_egress)
-        remaining_ingress -= np.bincount(
-            dst, weights=gain, minlength=n_ingress
-        )
-
-        # Freeze flows at their caps and flows through saturated NICs.
-        at_cap = active & (rates >= cap - _EPS)
-        frozen |= at_cap
-        still_active = ~frozen
-        saturated = still_active & (
-            (remaining_egress[src] <= _EPS)
-            | (remaining_ingress[dst] <= _EPS)
-        )
-        frozen |= saturated
-        if not (at_cap.any() or saturated.any()):
-            # Numerical guard: nothing froze despite a finite delta.
-            break
-
-    return [float(rate) for rate in np.clip(rates, 0.0, cap)]
 
 
 class _Bucket:

@@ -36,7 +36,9 @@ Model summary (see DESIGN.md §5):
 
 In-flight transfers live in one store, a
 :class:`~repro.net.batch.VectorKernel`; the ``kernel`` knob picks only
-its array threshold and the max-min solver (``_KERNEL_SPECS``).
+its array threshold (``_THRESHOLDS``).  Both kernels solve with
+:func:`~repro.net.sharing.allocate`, so they finish every transfer at
+the same instant, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.net import tcp
-from repro.net.batch import SMALL_BUCKET, VectorKernel, allocate_batch
+from repro.net.batch import SMALL_BUCKET, VectorKernel
 from repro.net.dynamics import FluctuationModel, StaticModel
 from repro.net.matrix import BandwidthMatrix
 from repro.net.sharing import PairFlow, allocate
@@ -55,16 +57,15 @@ from repro.net.traffic_control import TrafficController
 from repro.sim.kernel import Event, Simulator
 
 #: What the ``kernel`` constructor knob picks: the bucket population
-#: above which progress runs on numpy arrays, and the max-min solver.
-#: The solvers call through the module globals, so a patched
-#: ``allocate`` or ``allocate_batch`` applies to live simulators too.
-_KERNEL_SPECS = {
-    "scalar": (math.inf, lambda *args: allocate(*args)),
-    "vectorized": (SMALL_BUCKET, lambda *args: allocate_batch(*args)),
-}
+#: above which progress runs on numpy arrays.
+_THRESHOLDS = {"scalar": math.inf, "vectorized": SMALL_BUCKET}
 
 #: Valid values for the ``kernel`` constructor knob.
-KERNELS = tuple(_KERNEL_SPECS)
+KERNELS = tuple(_THRESHOLDS)
+
+#: Never called: ``perfbench/tracer.py`` patches this name.  The line
+#: goes with the ``kernel`` knob.
+allocate_batch = allocate
 
 #: Intra-DC (LAN) rate per transfer, Mbps.  High enough that it never
 #: bottlenecks a geo-analytics stage.
@@ -161,9 +162,8 @@ class NetworkSimulator:
             )
         #: Transfer advancement kernel, one of :data:`KERNELS`.
         self.kernel = kernel
-        threshold, self._solve = _KERNEL_SPECS[kernel]
         #: Every in-flight transfer, bucketed by pair.
-        self._inflight = VectorKernel(threshold)
+        self._inflight = VectorKernel(_THRESHOLDS[kernel])
         #: Offset added to simulator time when evaluating network
         #: weather — lets measurement replays probe "the same network at
         #: a different hour" without restarting the clock.
@@ -255,9 +255,11 @@ class NetworkSimulator:
     def _finish(self, transfer: Transfer) -> None:
         if transfer.cancelled:
             return
+        # Removal first: an array bucket writes its progress back to
+        # the object, which can sit up to FINISH_EPS short of the size.
+        self._remove(transfer)
         transfer.transferred_mbits = transfer.size_mbits
         transfer.finish_time = self.sim.now
-        self._remove(transfer)
         if transfer.on_complete is not None:
             transfer.on_complete(transfer)
 
@@ -375,7 +377,9 @@ class NetworkSimulator:
                 dc.ingress_cap_mbps
                 * tcp.vm_efficiency(in_conns[i] // max(1, dc.num_vms))
             )
-        rates = self._solve(flows, egress, ingress)
+        # Through the module global, so a patched ``allocate`` applies
+        # to live simulators too.
+        rates = allocate(flows, egress, ingress)
         for pair, rate in zip(pairs, rates):
             bucket = buckets[pair]
             bucket.set_share(rate / len(bucket.transfers))

@@ -131,8 +131,8 @@ class ServiceConfig(PipelineConfig):
     #: Transfer-advancement kernel for the WAN simulator: ``scalar``
     #: advances each transfer from Python (the reference path);
     #: ``vectorized`` advances a link's concurrent transfers as one
-    #: numpy vector once it carries more than two, and solves the
-    #: max-min allocation array-wise.
+    #: numpy vector once it carries more than two.  Both are
+    #: bit-identical; only the wall-clock differs.
     kernel: str = config_field("scalar", help="transfer kernel: scalar or vectorized")
     #: Default per-job SLO deadline, seconds from submission.  Unset
     #: means jobs carry no deadline (and SLO attainment reads 100%).

@@ -6,7 +6,7 @@ the oracle for ``repro.net.sharing.allocate`` and the simulator's
 per iteration and aggregated per-resource weights in dicts.
 :class:`OracleNetworkSimulator` re-solves with the ``_flush`` that
 looked each pair's indices, RTT and connection count up once per pass,
-and with this ``allocate`` on the scalar kernel.  Both are copied
+and with this ``allocate`` on either kernel.  Both are copied
 unchanged; ``test_sharing_oracle.py`` requires the current code to
 match them bit for bit.  Do not edit them to follow ``repro.net``.
 """
@@ -110,13 +110,11 @@ def allocate(
 
 
 class OracleNetworkSimulator(NetworkSimulator):
-    """The simulator with the old ``_flush`` (and, on the scalar kernel,
-    the old ``allocate``)."""
+    """The simulator with the old ``_flush`` and the old ``allocate``."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if self.kernel == "scalar":
-            self._solve = allocate
+        self._solve = allocate
 
     def _flush(self) -> None:
         """Run the pending solve, if any: re-solve rates and re-schedule

@@ -8,8 +8,8 @@ per-flow lists with an active list rebuilt only when flows freeze, and
 and per-pair statistics must match bit for bit (compared as packed
 doubles, so ``-0.0``/``0.0`` and NaN count too) on:
 
-* every solve of a short service drain under ``link-failure``;
-* the flow lists a vectorized drain hands its array solver;
+* every solve of a short service drain under ``link-failure``, on
+  either kernel (both solve with ``allocate``);
 * seeded random instances: 1–8 DCs, 0–60 flows, zero, tiny and
   infinite caps, zero, NaN, infinite and huge NIC caps, tied weights
   and saturated NICs;
@@ -57,15 +57,13 @@ def _assert_same_rates(flows, egress, ingress):
 
 def _recorded_solves(monkeypatch, kernel: str) -> list[tuple]:
     """Every solve a short service drain runs on ``kernel``."""
-    solver = "allocate" if kernel == "scalar" else "allocate_batch"
-    solve = getattr(simulator_module, solver)
     calls = []
 
     def record(flows, egress, ingress):
         calls.append((list(flows), list(egress), list(ingress)))
-        return solve(flows, egress, ingress)
+        return allocate(flows, egress, ingress)
 
-    monkeypatch.setattr(simulator_module, solver, record)
+    monkeypatch.setattr(simulator_module, "allocate", record)
     config = ServiceConfig(
         regions=REGIONS,
         seed=31,
