@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.net.simulator import NetworkSimulator
+from repro.net.stats import percentile
 from repro.sim.kernel import Process
 
 #: Signature monitors publish with: ``(dc, time, rates_mbps)``.  A
@@ -102,7 +101,7 @@ class WanMonitor:
         ]
         if not rates:
             return 0.0
-        return float(np.percentile(rates, p))
+        return percentile(rates, p)
 
     def window_volume_mb(self, dst: str) -> float:
         """Megabytes sent to ``dst`` since the last call for that pair.

@@ -216,7 +216,7 @@ class ObservabilityHub:
 
     @property
     def rollup_rows(self) -> int:
-        """Link-level rollup rows across every grain (computed lazily)."""
+        """Link-level rollup rows across every grain (counted, not built)."""
         return self.log.rollup_rows()
 
     @property
@@ -232,7 +232,7 @@ class ObservabilityHub:
         A fresh registry is built per call, so the text always reflects
         the moment of the scrape.  Families declared on a
         :class:`~repro.runtime.summary.ServiceSummary` field are read
-        off one ``service.live_summary()`` (no rollup rebuild) rather
+        off one ``service.live_summary()`` (no pass over the log) rather
         than double-counted through hooks; the rest come from the hub's own counters and
         the live scheduler, telemetry and recalibrator state.
         """

@@ -26,10 +26,13 @@ every run (the runtime benchmark pins the overhead below 5 %).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 import numpy as np
+
+from repro.net.stats import percentile
 
 #: Rollup grain name → bucket width in seconds.
 GRAINS: dict[str, float] = {"1m": 60.0, "10m": 600.0, "1h": 3600.0}
@@ -123,6 +126,16 @@ class RollupRow:
 def link_key(src: str, dst: str) -> str:
     """The canonical ``src→dst`` spelling of a directed link."""
     return f"{src}→{dst}"
+
+
+def bucket_start(time: float, width: float) -> float:
+    """Start of the ``width``-second rollup bucket holding ``time``.
+
+    The one bucketing rule: rollups group by it and
+    :meth:`MetricsLog.rollup_rows` counts by it.  Equals
+    ``np.floor(time / width) * width`` for every finite sample time.
+    """
+    return math.floor(time / width) * width
 
 
 class _LinkBucketStats:
@@ -240,8 +253,19 @@ class MetricsLog:
         return rows
 
     def rollup_rows(self) -> int:
-        """Total link-level rollup rows across every grain."""
-        return sum(len(self.rollup(grain)) for grain in GRAINS)
+        """Total link-level rollup rows across every grain.
+
+        A link-level rollup has one row per distinct ``(bucket, src,
+        dst)`` key, so this counts the keys of every grain in one pass
+        over the log instead of building the rows.
+        """
+        widths = tuple(GRAINS.values())
+        keys = {
+            (width, bucket_start(time, width), src, dst)
+            for time, src, dst, _ in self.entries
+            for width in widths
+        }
+        return len(keys)
 
     def _compute(self, grain: str, by: str) -> list[RollupRow]:
         width = GRAINS[grain]
@@ -251,7 +275,7 @@ class MetricsLog:
         stats: dict[tuple[float, str, str], _LinkBucketStats] = {}
         last_seen: dict[tuple[str, str], tuple[float, float]] = {}
         for time, src, dst, rate in self.entries:
-            bucket = float(np.floor(time / width) * width)
+            bucket = bucket_start(time, width)
             key = (bucket, src, dst)
             group = stats.get(key)
             if group is None:
@@ -321,7 +345,7 @@ class MetricsLog:
         grain: str, bucket: float, group: str, acc: _LinkBucketStats
     ) -> RollupRow:
         rates = np.asarray(acc.rates)
-        p50, p95 = np.percentile(rates, (50, 95))
+        p50, p95 = percentile(acc.rates, (50, 95))
         return RollupRow(
             grain=grain,
             bucket_start=bucket,
@@ -329,8 +353,8 @@ class MetricsLog:
             samples=len(acc.rates),
             min_mbps=float(rates.min()),
             mean_mbps=float(rates.mean()),
-            p50_mbps=float(p50),
-            p95_mbps=float(p95),
+            p50_mbps=p50,
+            p95_mbps=p95,
             max_mbps=float(rates.max()),
             above_s=dict(acc.above),
             continuous_s=dict(acc.continuous),

@@ -565,9 +565,9 @@ class PipelineService:
         return summary
 
     def live_summary(self) -> ServiceSummary:
-        """:meth:`summary` without ``rollup_rows``, which rebuilds the
-        hub's rollups over the whole metrics log; what a ``/metrics``
-        scrape reads, so a scrape never aggregates the log."""
+        """:meth:`summary` without ``rollup_rows``, which counts the
+        hub's rollup keys in one pass over the whole metrics log; what
+        a ``/metrics`` scrape reads, so a scrape never walks the log."""
         stats = self.scheduler.stats()
         if self.parallel_stats is not None:
             # A parallel drain ran outside the in-process scheduler;

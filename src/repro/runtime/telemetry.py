@@ -29,9 +29,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.net.matrix import BandwidthMatrix
+from repro.net.stats import percentile
 
 #: Default sliding window for percentile estimators (seconds).  Matches
 #: the fluctuation grid (~5 min): capacity estimates should span one
@@ -149,15 +148,16 @@ class LinkSeries:
             rates = [r for r in rates if r > 0.0]
         if not rates:
             return 0.0
-        return float(np.percentile(rates, p))
+        return percentile(rates, p)
 
     def estimate(self, window_s: float | None = None) -> LinkEstimate:
         """The full estimator bundle for this link."""
         rates = self.window(window_s)
         active = [r for r in rates if r > 0.0]
+        p50, p95 = percentile(active, (50, 95)) if active else (0.0, 0.0)
         return LinkEstimate(
-            p50=float(np.percentile(active, 50)) if active else 0.0,
-            p95=float(np.percentile(active, 95)) if active else 0.0,
+            p50=p50,
+            p95=p95,
             ewma=self.ewma,
             samples=len(active),
             last_time=self.last_time,
