@@ -9,9 +9,11 @@ committed ``benchmarks/BENCH_parallel_baseline.json``.
 
 Why the drain tier looks the way it does: the speedup a partitioned
 drain shows even on one core comes from WAN-state locality, not just
-from multiprocessing.  Every event in a shared simulation re-prices
-the *whole* fleet's active pairs (``_reallocate`` → ``pair_capacity``
-→ ``FluctuationModel.factor`` per distinct active pair), while a
+from multiprocessing.  Every solve in a shared simulation re-prices
+the *whole* fleet's active pairs (``_reallocate`` defers one
+``_flush`` per instant, which calls ``pair_capacity`` →
+``FluctuationModel.factor`` per distinct active pair; the route table
+caches only a pair's static inputs, not its weather), while a
 partitioned shard re-prices only its own slice of the WAN.  The tier
 models geographically *homed* tenants: each tenant's inputs live in
 its home region pair, and because shard routing hashes the tenant,

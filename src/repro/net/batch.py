@@ -169,10 +169,13 @@ class _Bucket:
         if self.size is None:
             eta = float("inf")
             for transfer in self.transfers:
-                if transfer.rate_mbps > 0:
-                    eta = min(
-                        eta, transfer.remaining_mbits / transfer.rate_mbps
+                rate = transfer.rate_mbps
+                if rate > 0:
+                    # ``Transfer.remaining_mbits``, inline.
+                    remaining = max(
+                        0.0, transfer.size_mbits - transfer.transferred_mbits
                     )
+                    eta = min(eta, remaining / rate)
             return eta
         limit = len(self.transfers) - self.fresh
         if self.share <= 0 or limit <= 0:
@@ -194,7 +197,7 @@ class _Bucket:
         return [
             t
             for t in self.transfers
-            if t.remaining_mbits <= FINISH_EPS
+            if max(0.0, t.size_mbits - t.transferred_mbits) <= FINISH_EPS
         ]
 
     def sync_objects(self) -> None:

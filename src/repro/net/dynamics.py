@@ -95,7 +95,7 @@ class FluctuationModel:
         return _link_normal(self.seed, i, j, bucket, self.sigma)
 
     def _phase(self, i: int, j: int) -> float:
-        return _link_uniform(self.seed, i, j, -1, 0.0, 2.0 * np.pi)
+        return _link_uniform(self.seed, i, j, -1, 0.0, 2.0 * math.pi)
 
     def factor(self, i: int, j: int, t: float) -> float:
         """Multiplicative capacity factor for link ``i → j`` at time ``t``.
@@ -113,8 +113,8 @@ class FluctuationModel:
         n0 = self._noise_at_bucket(i, j, bucket)
         n1 = self._noise_at_bucket(i, j, bucket + 1)
         noise = n0 * (1.0 - frac) + n1 * frac
-        diurnal = self.diurnal_amplitude * np.sin(
-            2.0 * np.pi * t / DAY_S + self._phase(i, j)
+        diurnal = self.diurnal_amplitude * math.sin(
+            2.0 * math.pi * t / DAY_S + self._phase(i, j)
         )
         return float(min(max(1.0 + noise + diurnal, self.floor), self.ceiling))
 

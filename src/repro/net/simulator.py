@@ -16,9 +16,18 @@ starts, cancels and completions costs one solve.  Observers that read
 rates (:meth:`~NetworkSimulator.current_rate`,
 :meth:`~NetworkSimulator.rate_matrix`,
 :meth:`~NetworkSimulator.active_transfers`) flush a pending solve
-first.  A solve reads each active pair's indices, connection count and
-RTT once, and prices the pair (:meth:`~NetworkSimulator.pair_capacity`,
-the weather now) once.
+first.
+
+A solve pays only for what can change between solves.  Each active
+pair's connection count comes from an integer table that
+:meth:`~NetworkSimulator.set_connections` updates and
+:meth:`~NetworkSimulator.set_connection_plan` rebuilds; its indices,
+RTT, aggregate cap and contention weight come from a route table keyed
+by ``(src, dst, count)`` and filled on first use; the DC NIC
+capacities are read once, at construction.  Per solve remain the
+weather factor and the traffic-control limit (one
+:meth:`~NetworkSimulator.pair_capacity` call per pair), the congestion
+overload and the max-min solve itself.
 
 Model summary (see DESIGN.md §5):
 
@@ -46,6 +55,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from repro.net import tcp
 from repro.net.batch import SMALL_BUCKET, VectorKernel
@@ -91,6 +102,49 @@ _EPS = 1e-9
 def _bucket_key(src: str, dst: str) -> object:
     """A transfer's bucket in the in-flight store."""
     return VectorKernel.LAN if src == dst else (src, dst)
+
+
+def _off_diagonal_counts(plan: BandwidthMatrix) -> dict[tuple[str, str], int]:
+    """``int`` of every off-diagonal count, keyed by ordered pair."""
+    keys = plan.keys
+    return {
+        (src, dst): int(count)
+        for src, row in zip(keys, plan.values.tolist())
+        for dst, count in zip(keys, row)
+        if src != dst
+    }
+
+
+class _RouteTable(dict):
+    """Each pair's static pricing inputs, per connection count.
+
+    Maps ``(src, dst, k)`` to ``(i, j, rtt, aggregate cap, rtt
+    weight)``: the DC indices, the RTT, and the TCP model's
+    ``aggregate_cap_mbps`` and ``rtt_weight`` at ``k`` streams.  An
+    entry is computed on first use and kept: the topology, its TCP
+    model and the knee are fixed for the simulator's life, and ``k``
+    is part of the key, so a new connection plan only adds entries.
+    """
+
+    def __init__(self, topology: Topology, knee: int) -> None:
+        super().__init__()
+        self.topology = topology
+        self.knee = knee
+
+    def __missing__(self, key: tuple[str, str, int]) -> tuple:
+        src, dst, k = key
+        topology = self.topology
+        i, j = topology.index(src), topology.index(dst)
+        rtt = topology.rtt_ms(src, dst)
+        route = (
+            i,
+            j,
+            rtt,
+            topology.tcp.aggregate_cap_mbps(rtt, k, self.knee),
+            topology.tcp.rtt_weight(rtt, k, self.knee),
+        )
+        self[key] = route
+        return route
 
 
 @dataclass
@@ -171,6 +225,16 @@ class NetworkSimulator:
         self.tc = TrafficController()
         self.tc.bind(self._reallocate)
         self._connections = BandwidthMatrix.full(topology.keys, 1.0)
+        #: ``int`` of each off-diagonal count in ``_connections``, what
+        #: a solve reads; kept in step by the two setters.
+        self._counts = _off_diagonal_counts(self._connections)
+        #: ``(src, dst, k)`` → ``(i, j, rtt, aggregate cap, rtt weight)``.
+        self._routes = _RouteTable(topology, knee)
+        #: Per DC: ``(egress cap, ingress cap, max(1, num_vms))``.
+        self._nics = [
+            (dc.egress_cap_mbps, dc.ingress_cap_mbps, max(1, dc.num_vms))
+            for dc in topology.dcs
+        ]
         self._stats: dict[tuple[str, str], PairStats] = {}
         self._last_progress_time = self.sim.now
         self._completion_event: Optional[Event] = None
@@ -187,19 +251,41 @@ class NetworkSimulator:
     # ------------------------------------------------------------------
 
     def set_connections(self, src: str, dst: str, count: int) -> None:
-        """Set the parallel-connection count for one ordered pair."""
+        """Set the parallel-connection count for one ordered pair.
+
+        A fractional count is truncated (2.5 streams are 2); a count
+        below 1 or not finite is a :class:`ValueError`.
+        """
+        if not math.isfinite(count):
+            raise ValueError(
+                f"connection count for {src}→{dst} must be finite: {count}"
+            )
         if count < 1:
             raise ValueError(f"connection count must be ≥ 1: {count}")
         self._connections.set(src, dst, float(count))
+        self._counts[src, dst] = int(float(count))
         self._reallocate()
 
     def set_connection_plan(self, plan: BandwidthMatrix) -> None:
-        """Install a whole connection-count matrix at once."""
+        """Install a whole connection-count matrix at once.
+
+        Off-diagonal counts are truncated like :meth:`set_connections`'s;
+        one below 1 or not finite is a :class:`ValueError`.  The
+        diagonal (intra-DC) is not read.
+        """
         if plan.keys != self.topology.keys:
             plan = plan.subset(self.topology.keys)
+        bad = ~np.isfinite(plan.values) & ~np.eye(plan.n, dtype=bool)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(
+                f"connection plan has a non-finite count for "
+                f"{plan.keys[i]}→{plan.keys[j]}: {plan.values[i, j]}"
+            )
         if (plan.off_diagonal() < 1).any():
             raise ValueError("connection plan has counts < 1")
         self._connections = plan.copy()
+        self._counts = _off_diagonal_counts(self._connections)
         self._reallocate()
 
     def connections(self, src: str, dst: str) -> int:
@@ -273,9 +359,7 @@ class NetworkSimulator:
     def pair_capacity(self, src: str, dst: str, connections: int) -> float:
         """Aggregate ceiling for a pair with ``connections`` streams now
         (weather and traffic control included, contention excluded)."""
-        i, j = self.topology.index(src), self.topology.index(dst)
-        rtt = self.topology.rtt_ms(src, dst)
-        cap = self.topology.tcp.aggregate_cap_mbps(rtt, connections, self.knee)
+        i, j, _rtt, cap, _weight = self._routes[src, dst, connections]
         cap *= self.fluctuation.factor(i, j, self._weather_time())
         return min(cap, self.tc.limit(src, dst))
 
@@ -297,9 +381,12 @@ class NetworkSimulator:
         elif dt > 0:
             self._inflight.progress(dt)
         if dt > 0:
+            all_stats = self._stats
             for pair, bucket in self._inflight.pairs.items():
                 rate = bucket.rate_total()
-                stats = self._stats.setdefault(pair, PairStats())
+                stats = all_stats.get(pair)
+                if stats is None:
+                    stats = all_stats[pair] = PairStats()
                 stats.mbits += rate * dt
                 stats.active_seconds += dt
                 if rate > 0:
@@ -331,34 +418,33 @@ class NetworkSimulator:
         self.solves += 1
         buckets = self._inflight.pairs
         pairs = sorted(buckets)
-        topology = self.topology
-        index = topology.index
-        connections = self._connections
-        dcs = topology.dcs
-        # One pass reads each pair's static data (indices, connection
-        # count, RTT) and its capacity now.  Per-VM congestion: a DC
-        # juggling many active streams loses effective NIC throughput
-        # (see tcp.vm_efficiency), so connections are tallied per DC.
-        caps_by_src = [0.0] * topology.n
-        out_conns = [0] * topology.n
-        in_conns = [0] * topology.n
+        counts = self._counts
+        routes = self._routes
+        nics = self._nics
+        n = len(nics)
+        # One pass reads each pair's route (indices, RTT, weight) for
+        # its connection count and prices it now.  Per-VM congestion:
+        # a DC juggling many active streams loses effective NIC
+        # throughput (see tcp.vm_efficiency), so connections are
+        # tallied per DC.
+        caps_by_src = [0.0] * n
+        out_conns = [0] * n
+        in_conns = [0] * n
         specs = []
         for src, dst in pairs:
-            i, j = index(src), index(dst)
-            k = int(connections.get(src, dst))
-            rtt = topology.rtt_ms(src, dst)
+            k = counts[src, dst]
+            route = routes[src, dst, k]
             cap = self.pair_capacity(src, dst, k)
-            specs.append((i, j, k, rtt, cap))
+            specs.append((route, cap))
+            i = route[0]
             caps_by_src[i] += cap
             out_conns[i] += k
-            in_conns[j] += k
-        rtt_weight = topology.tcp.rtt_weight
+            in_conns[route[1]] += k
         flows = []
-        for i, j, k, rtt, cap in specs:
-            weight = rtt_weight(rtt, k, self.knee)
+        for (i, j, rtt, _agg, weight), cap in specs:
             # Congestion RTT bias: overloaded senders squeeze their
             # long-RTT flows harder than fair weighting would.
-            egress_cap = dcs[i].egress_cap_mbps
+            egress_cap = nics[i][0]
             overload = max(0.0, caps_by_src[i] / max(egress_cap, _EPS) - 1.0)
             if overload > 0:
                 weight /= 1.0 + (
@@ -368,15 +454,9 @@ class NetworkSimulator:
         # Counted per VM so association (more VMs per DC) raises the knee.
         egress = []
         ingress = []
-        for i, dc in enumerate(dcs):
-            egress.append(
-                dc.egress_cap_mbps
-                * tcp.vm_efficiency(out_conns[i] // max(1, dc.num_vms))
-            )
-            ingress.append(
-                dc.ingress_cap_mbps
-                * tcp.vm_efficiency(in_conns[i] // max(1, dc.num_vms))
-            )
+        for i, (egress_cap, ingress_cap, vms) in enumerate(nics):
+            egress.append(egress_cap * tcp.vm_efficiency(out_conns[i] // vms))
+            ingress.append(ingress_cap * tcp.vm_efficiency(in_conns[i] // vms))
         # Through the module global, so a patched ``allocate`` applies
         # to live simulators too.
         rates = allocate(flows, egress, ingress)

@@ -41,9 +41,8 @@ module for the failover/flap/path-policy semantics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.net.circuits import CircuitPair, flap_quality, select_path
 from repro.net.dynamics import (
@@ -137,7 +136,7 @@ class DiurnalSwing(ScenarioModel):
             self.seed ^ _SELECT_SALT, i, j, -4, -self.phase_spread, self.phase_spread
         )
         return 1.0 - self.amplitude * (
-            0.5 + 0.5 * np.sin(2.0 * np.pi * t / self.period_s + phase)
+            0.5 + 0.5 * math.sin(2.0 * math.pi * t / self.period_s + phase)
         )
 
 

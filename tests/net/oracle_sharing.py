@@ -6,9 +6,12 @@ the oracle for ``repro.net.sharing.allocate`` and the simulator's
 per iteration and aggregated per-resource weights in dicts.
 :class:`OracleNetworkSimulator` re-solves with the ``_flush`` that
 looked each pair's indices, RTT and connection count up once per pass,
-and with this ``allocate`` on either kernel.  Both are copied
-unchanged; ``test_sharing_oracle.py`` requires the current code to
-match them bit for bit.  Do not edit them to follow ``repro.net``.
+with this ``allocate`` on either kernel, and prices each pair with the
+``pair_capacity`` that derived the indices, RTT and aggregate cap from
+the topology on every call (before the route table), so a pricing bug
+in ``repro.net`` cannot hide behind a shared method.  All three are
+copied unchanged; ``test_sharing_oracle.py`` requires the current code
+to match them bit for bit.  Do not edit them to follow ``repro.net``.
 """
 
 from __future__ import annotations
@@ -110,11 +113,21 @@ def allocate(
 
 
 class OracleNetworkSimulator(NetworkSimulator):
-    """The simulator with the old ``_flush`` and the old ``allocate``."""
+    """The simulator with the old ``_flush``, ``pair_capacity`` and
+    ``allocate``."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._solve = allocate
+
+    def pair_capacity(self, src: str, dst: str, connections: int) -> float:
+        """Aggregate ceiling for a pair with ``connections`` streams now
+        (weather and traffic control included, contention excluded)."""
+        i, j = self.topology.index(src), self.topology.index(dst)
+        rtt = self.topology.rtt_ms(src, dst)
+        cap = self.topology.tcp.aggregate_cap_mbps(rtt, connections, self.knee)
+        cap *= self.fluctuation.factor(i, j, self._weather_time())
+        return min(cap, self.tc.limit(src, dst))
 
     def _flush(self) -> None:
         """Run the pending solve, if any: re-solve rates and re-schedule

@@ -5,11 +5,13 @@ re-solve to the end of each simulated instant.  The test-only
 :class:`EagerNetworkSimulator` solves on every change instead, which is
 how the simulator behaved before deferral.  Over seeded random scripts
 mixing same-instant bursts, cancels, zero-size transfers, traffic
-control, connection changes, follow-up transfers and mid-instant
-observers, with a daemon poller ticking on the script's grid, under
+control, connection changes, whole connection plans (some landing in
+the same instant as a count change, a traffic-control limit and a
+start on one pair), follow-up transfers and mid-instant observers,
+with a daemon poller ticking on the script's grid, under
 ``FluctuationModel`` weather and both kernels, the two must agree bit
-for bit: every transfer's finish time, the per-pair
-statistics and the kernel's event count.
+for bit: every transfer's finish time, the per-pair statistics and the
+kernel's event count.
 """
 
 import random
@@ -17,6 +19,7 @@ import random
 import pytest
 
 from repro.net.dynamics import FluctuationModel
+from repro.net.matrix import BandwidthMatrix
 from repro.net.simulator import WEATHER_REFRESH_S, NetworkSimulator
 from repro.net.topology import Topology
 from repro.sim.kernel import Process
@@ -37,6 +40,18 @@ class EagerNetworkSimulator(NetworkSimulator):
 
 def _topology(regions=REGIONS):
     return Topology.build(regions, "t2.medium")
+
+
+def _plan(rng: random.Random) -> list[list[float]]:
+    """A connection-count matrix over ``REGIONS``: counts up to 12, past
+    the knee, some fractional (installed truncated)."""
+    return [
+        [
+            1.0 if src == dst else rng.randint(1, 12) + rng.choice((0.0, 0.0, 0.5))
+            for dst in REGIONS
+        ]
+        for src in REGIONS
+    ]
 
 
 def _script(seed: int) -> list[tuple]:
@@ -72,15 +87,33 @@ def _script(seed: int) -> list[tuple]:
         elif roll < 0.85:
             src, dst = rng.sample(REGIONS, 2)
             actions.append((time, "connections", (src, dst, rng.randint(1, 12))))
+        elif roll < 0.92:
+            actions.append((time, "plan", _plan(rng)))
         else:
             actions.append((time, "observe", None))
+    # A new plan sharing its instant with a count change (before or
+    # after it), a traffic-control limit and a start on one pair.
+    for plan_first in (False, True, True):
+        time = rng.choice(grid)
+        src, dst = rng.sample(REGIONS, 2)
+        change = (time, "connections", (src, dst, rng.randint(1, 12)))
+        plan = (time, "plan", _plan(rng))
+        actions.extend((plan, change) if plan_first else (change, plan))
+        actions.append((time, "tc-set", (src, dst, rng.uniform(30.0, 400.0))))
+        actions.append((time, "start", [(src, dst, rng.uniform(20.0, 3000.0), None, 0.0)]))
     return actions
 
 
-def _run(cls, seed: int, kernel: str):
-    """Play the script; return everything the comparison reads."""
+def _run(cls, seed: int, kernel: str, weather=None, time_offset: float = 0.0):
+    """Play the script; return everything the comparison reads.
+
+    The weather is ``FluctuationModel(seed=seed + 1)`` unless given.
+    """
     net = cls(
-        _topology(), fluctuation=FluctuationModel(seed=seed + 1), kernel=kernel
+        _topology(),
+        fluctuation=weather if weather is not None else FluctuationModel(seed=seed + 1),
+        kernel=kernel,
+        time_offset=time_offset,
     )
     sim = net.sim
     transfers = []
@@ -112,6 +145,8 @@ def _run(cls, seed: int, kernel: str):
             net.tc.clear_limit(*args)
         elif action == "connections":
             net.set_connections(*args)
+        elif action == "plan":
+            net.set_connection_plan(BandwidthMatrix(REGIONS, args))
         else:
             observed.append(
                 (sim.now, net.rate_matrix().values.tobytes(), len(net.active_transfers()))

@@ -14,7 +14,8 @@ doubles, so ``-0.0``/``0.0`` and NaN count too) on:
   infinite caps, zero, NaN, infinite and huge NIC caps, tied weights
   and saturated NICs;
 * the deferred-solve scripts of ``test_deferred_solve.py`` replayed
-  through the old ``_flush``.
+  through the old ``_flush`` and ``pair_capacity``, under
+  ``FluctuationModel`` weather and once under ``link-failure``.
 """
 
 import math
@@ -33,6 +34,11 @@ from repro.runtime.service import PipelineService, ServiceConfig, default_job_mi
 
 REGIONS = ("us-east-1", "us-west-1", "eu-west-1", "ap-southeast-1", "sa-east-1")
 RANDOM_INSTANCES = 10_000
+
+#: Weather clock at the start of the link-failure replay: its hit
+#: links are halfway down the scenario's 60 s ramp from t = 600 s, and
+#: have collapsed before the script's run (about 40 s) ends.
+LINK_FAILURE_OFFSET = 625.0
 
 
 def _bits(value):
@@ -173,3 +179,23 @@ def test_flush_replays_match(seed, kernel):
     assert _bits(_run(simulator_module.NetworkSimulator, seed, kernel)) == _bits(
         expected
     )
+
+
+@pytest.mark.parametrize("kernel", ("scalar", "vectorized"))
+def test_flush_replay_under_link_failure_matches(kernel):
+    """A replay whose links collapse mid-script, through either flush."""
+    weather = scenario("link-failure", seed=13)
+    expected = _run(
+        OracleNetworkSimulator, 0, kernel, weather=weather, time_offset=LINK_FAILURE_OFFSET
+    )
+    # Some links of the script's mesh have failed by the end.
+    end = LINK_FAILURE_OFFSET + expected["now"]
+    assert min(weather.shape(i, j, end) for i in range(4) for j in range(4) if i != j) < 0.1
+    actual = _run(
+        simulator_module.NetworkSimulator,
+        0,
+        kernel,
+        weather=weather,
+        time_offset=LINK_FAILURE_OFFSET,
+    )
+    assert _bits(actual) == _bits(expected)

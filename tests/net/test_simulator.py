@@ -1,5 +1,7 @@
 """Tests for the flow-level network simulator."""
 
+import math
+
 import pytest
 
 from repro.net.simulator import LAN_MBPS, NetworkSimulator, Transfer
@@ -137,6 +139,59 @@ class TestConnections:
         net.set_connection_plan(plan)
         assert net.connections("us-east-1", "ap-southeast-1") == 6
         assert net.connections("us-east-1", "us-west-1") == 1
+
+    @pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf])
+    def test_non_finite_count_rejected_at_the_call(self, triad, calm, count):
+        net = make_sim(triad, calm)
+        with pytest.raises(ValueError, match="us-east-1→us-west-1") as info:
+            net.set_connections("us-east-1", "us-west-1", count)
+        assert "\n" not in str(info.value)
+        assert net.connections("us-east-1", "us-west-1") == 1
+        # Nothing was installed, so the event loop still solves.
+        done = []
+        net.start_transfer("us-east-1", "us-west-1", 100.0, on_complete=done.append)
+        net.sim.run()
+        assert len(done) == 1
+
+    @pytest.mark.parametrize("count", [math.nan, math.inf])
+    def test_non_finite_plan_rejected_at_the_call(self, triad, calm, count):
+        net = make_sim(triad, calm)
+        plan = net.connection_plan()
+        plan.set("us-west-1", "ap-southeast-1", 4)
+        plan.set("ap-southeast-1", "us-east-1", count)
+        with pytest.raises(ValueError, match="ap-southeast-1→us-east-1") as info:
+            net.set_connection_plan(plan)
+        assert "\n" not in str(info.value)
+        assert net.connections("us-west-1", "ap-southeast-1") == 1
+        done = []
+        net.start_transfer("ap-southeast-1", "us-east-1", 100.0, on_complete=done.append)
+        net.sim.run()
+        assert len(done) == 1
+
+    def test_non_finite_diagonal_is_not_read(self, triad):
+        net = make_sim(triad)
+        plan = net.connection_plan()
+        plan.set("us-east-1", "us-east-1", math.nan)
+        plan.set("us-east-1", "us-west-1", 3)
+        net.set_connection_plan(plan)
+        assert net.connections("us-east-1", "us-west-1") == 3
+
+    def test_fractional_counts_truncate(self, triad, calm):
+        net = make_sim(triad, calm)
+        twin = make_sim(triad, calm)
+        net.set_connections("us-east-1", "ap-southeast-1", 2.5)
+        twin.set_connections("us-east-1", "ap-southeast-1", 2)
+        plan = net.connection_plan()
+        plan.set("us-west-1", "ap-southeast-1", 3.9)
+        net.set_connection_plan(plan)
+        twin.set_connections("us-west-1", "ap-southeast-1", 3)
+        assert net.connections("us-east-1", "ap-southeast-1") == 2
+        assert net.connections("us-west-1", "ap-southeast-1") == 3
+        for subject in (net, twin):
+            subject.start_transfer("us-east-1", "ap-southeast-1", 1e9)
+            subject.start_transfer("us-west-1", "ap-southeast-1", 1e9)
+            subject.sim.run(until=1.0)
+        assert net.rate_matrix().values.tobytes() == twin.rate_matrix().values.tobytes()
 
 
 class TestThrottling:
