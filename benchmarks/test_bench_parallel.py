@@ -32,6 +32,7 @@ import pytest
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec, StageSpec
 from repro.net.dynamics import FluctuationModel
+from repro.pipeline.config import ServiceConfig
 from repro.runtime.scheduling.parallel import (
     ShardExecutor,
     build_tasks,
@@ -137,20 +138,15 @@ def _in_process_drain(entries) -> tuple[dict, float]:
 
 
 def _tier_tasks(entries):
-    return build_tasks(
-        entries,
-        TIER_SHARDS,
+    config = ServiceConfig(
         regions=TIER_REGIONS,
-        vm="t2.medium",
-        profile="vpc-peering",
-        scenario=None,
         seed=3,
         kernel="vectorized",
-        admission="deadline-edf",
-        default_policy="tetrium",
+        scheduler="deadline-edf",
+        scheduler_shards=TIER_SHARDS,
         max_concurrent=TIER_CONCURRENT,
-        admit_batch=16,
     )
+    return build_tasks(entries, config)
 
 
 @pytest.mark.slow

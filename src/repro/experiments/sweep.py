@@ -49,7 +49,7 @@ import json
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.net.profiles import network_profile
 from repro.net.topology import Topology
@@ -522,42 +522,41 @@ def _run_cell_in_worker(spec: SweepSpec, cell: dict[str, Any]) -> CellResult:
     return run_cell(spec, cell, _WORKER_TRAINED)
 
 
-def run_sweep(spec: SweepSpec, progress=None, workers: int = 1) -> SweepResult:
-    """Run every cell of the matrix.
+def run_cells(
+    spec: SweepSpec,
+    cells: Sequence[Mapping[str, Any]],
+    trained: dict[tuple, ForestPredictor],
+    workers: int,
+    progress=None,
+) -> list[CellResult]:
+    """Run ``cells`` under ``spec``; rows come back in submission order.
 
-    Cells are independent simulations, so ``workers > 1`` fans them
-    out over a :class:`concurrent.futures.ProcessPoolExecutor`
-    (``wanify sweep --jobs N``).  The report is identical either way:
-    rows always appear in matrix order, and each cell's simulation is
-    a pure function of its config, so parallel and sequential runs
-    produce the same numbers.
+    Sequentially (``workers == 1`` or at most one cell) the cells share
+    ``trained`` as a lazily-filled forest cache.  Otherwise a
+    :class:`concurrent.futures.ProcessPoolExecutor` runs them, each
+    worker starting from ``trained`` (pre-train with
+    :func:`_pretrain`), and rows are collected in submission order so
+    the result does not depend on which worker finishes first.
 
-    ``progress`` is an optional ``callable(index, total, label)`` the
-    CLI uses for per-cell status lines.
+    ``progress`` is an optional ``callable(index, total, label)``,
+    called as each cell starts (sequential) or finishes (parallel).
     """
-    if workers < 1:
-        raise SweepError(f"workers must be ≥ 1: {workers}")
-    result = SweepResult(spec)
-    cells = spec.cells
-    if workers == 1:
-        trained: dict[tuple, ForestPredictor] = {}
+    if workers == 1 or len(cells) <= 1:
+        rows = []
         for index, cell in enumerate(cells):
             if progress is not None:
                 progress(index, len(cells), spec.label(cell))
-            result.rows.append(run_cell(spec, cell, trained))
-        return result
-    trained = _pretrain(spec)
+            rows.append(run_cell(spec, cell, trained))
+        return rows
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(workers, len(cells)) or 1,
+        max_workers=min(workers, len(cells)),
         initializer=_init_worker,
         initargs=(trained,),
     ) as pool:
         futures = [
-            pool.submit(_run_cell_in_worker, spec, cell) for cell in cells
+            pool.submit(_run_cell_in_worker, spec, dict(cell)) for cell in cells
         ]
         if progress is not None:
-            # Report cells as they *finish* (real progress, possibly
-            # out of matrix order), not as they are submitted.
             labels = {
                 future: spec.label(cell)
                 for future, cell in zip(futures, cells)
@@ -566,9 +565,27 @@ def run_sweep(spec: SweepSpec, progress=None, workers: int = 1) -> SweepResult:
                 concurrent.futures.as_completed(futures)
             ):
                 progress(done, len(cells), labels[future])
-        # Collection in submission order keeps the report deterministic
-        # regardless of which worker finishes first.
-        result.rows.extend(future.result() for future in futures)
+        return [future.result() for future in futures]
+
+
+def run_sweep(spec: SweepSpec, progress=None, workers: int = 1) -> SweepResult:
+    """Run every cell of the matrix.
+
+    Cells are independent simulations, so ``workers > 1`` fans them
+    out over a process pool (``wanify sweep --jobs N``, see
+    :func:`run_cells`).  The report is identical either way: rows
+    always appear in matrix order, and each cell's simulation is a
+    pure function of its config, so parallel and sequential runs
+    produce the same numbers.
+
+    ``progress`` is an optional ``callable(index, total, label)`` the
+    CLI uses for per-cell status lines.
+    """
+    if workers < 1:
+        raise SweepError(f"workers must be ≥ 1: {workers}")
+    trained = _pretrain(spec) if workers > 1 else {}
+    result = SweepResult(spec)
+    result.rows = run_cells(spec, spec.cells, trained, workers, progress)
     return result
 
 

@@ -117,7 +117,8 @@ class ServiceConfig(PipelineConfig):
     #: Scheduler shard count.  ``1`` keeps the single shared-queue
     #: ``JobScheduler`` (byte-identical to the pre-sharding service);
     #: ``>1`` builds a ``ShardedScheduler`` hashing tenants across N
-    #: independent shards with work-stealing between them on idle.
+    #: independent shards with work-stealing between them on idle;
+    #: below 1 the service refuses to start.
     scheduler_shards: int = config_field(1, help="scheduler shards (1 = single shared queue)")
     #: Worker processes for the partitioned shard executor (the
     #: ``drain_parallel`` scale-out path).  ``0`` — the default — never

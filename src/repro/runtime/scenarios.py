@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.gda.engine.cluster import GeoCluster
 from repro.net.circuits import CircuitPair, flap_quality, select_path
 from repro.net.dynamics import (
     DAY_S,
@@ -51,6 +52,8 @@ from repro.net.dynamics import (
     StaticModel,
     _link_uniform,
 )
+from repro.net.profiles import network_profile
+from repro.pipeline.config import ServiceConfig
 from repro.pipeline.registry import register_scenario, scenario_registry
 
 #: Hard floor for the combined capacity factor — links never reach
@@ -448,3 +451,31 @@ def scenario(
         return ComposedScenario(shared, seed, name=name, parts=parts)
     factory = scenario_registry.get(name)
     return factory(base, seed)
+
+
+def service_cluster(
+    config: ServiceConfig, weather: object = None
+) -> tuple[GeoCluster, FluctuationModel]:
+    """The cluster a service config describes, and its base weather.
+
+    The base weather is the profile's fluctuation seeded from
+    ``config.seed`` (what the service's prediction model trains on);
+    the cluster runs the configured scenario on top of it, or
+    ``weather`` (any ``factor``/``snapshot_jitter`` model) when given.
+    """
+    profile = network_profile(config.profile)
+    base = profile.fluctuation(seed=config.seed)
+    if weather is None:
+        weather = (
+            scenario(config.scenario, seed=config.seed, base=base)
+            if config.scenario is not None
+            else base
+        )
+    cluster = GeoCluster.build(
+        config.regions,
+        config.vm,
+        fluctuation=weather,
+        profile=profile,
+        kernel=config.kernel,
+    )
+    return cluster, base

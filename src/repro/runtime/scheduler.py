@@ -37,12 +37,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec
 from repro.gda.engine.engine import SHUFFLE_OVERHEAD, JobResult
 from repro.gda.systems.base import PlacementPolicy
+from repro.pipeline.config import ServiceConfig
 from repro.pipeline.registry import admission_policy, placement_policy
 from repro.gda.engine.engine import DecisionBw, JobCheckpoint, JobRun
 from repro.runtime.scheduling.policies import AdmissionPolicy, SchedulerView
@@ -60,6 +61,7 @@ __all__ = [
     "aggregate_stats",
     "jain_index",
     "job_record",
+    "scheduler_args",
 ]
 
 #: A policy spec: an instance, a registered name, a class, or ``None``
@@ -254,6 +256,25 @@ class JobTicket:
         if self.slo is None:
             return None
         return self.slo.deadline_at(self.submitted_s)
+
+
+def scheduler_args(config: ServiceConfig) -> dict[str, Any]:
+    """The :class:`JobScheduler` keyword arguments a service config sets.
+
+    The service adds its ``decision_bw`` callable; a partitioned shard
+    worker passes these alone.
+    """
+    return dict(
+        max_concurrent=config.max_concurrent,
+        default_policy=config.policy,
+        admission=config.scheduler,
+        default_slo=(
+            SLO(deadline_s=config.slo_deadline_s)
+            if config.slo_deadline_s is not None
+            else None
+        ),
+        admit_batch=config.admit_batch,
+    )
 
 
 class JobScheduler:

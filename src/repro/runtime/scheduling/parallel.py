@@ -11,13 +11,18 @@ CPU core cannot help.  This module is the scale-out answer:
   using the *same* tenant hash as the in-process sharded scheduler
   (:func:`~repro.runtime.scheduling.shards.shard_for_tenant`), so a
   tenant lands on the same shard either way;
-* :class:`ShardTask` packages one shard's world — regions, profile,
-  scenario, seed, kernel, scheduler knobs, and its job slice — as a
-  picklable value;
+* :class:`ShardTask` packages one shard as a picklable value: its
+  index, the service's frozen
+  :class:`~repro.pipeline.config.ServiceConfig` with
+  ``max_concurrent`` cut to the shard's slice of the budget, and its
+  job slice;
 * :func:`run_shard` (a module-level function, so it pickles by
-  reference) builds that world from scratch inside a worker process,
-  drains it, and returns a :class:`ShardResult` of per-job
-  :class:`JobRecord` summaries;
+  reference) builds that shard's world from the config inside a worker
+  process — through the same
+  :func:`~repro.runtime.scenarios.service_cluster` and
+  :func:`~repro.runtime.scheduler.scheduler_args` the service builds
+  its own cluster and scheduler with — drains it, and returns a
+  :class:`ShardResult` of per-job :class:`JobRecord` summaries;
 * :class:`ShardExecutor` fans the tasks out over a ``multiprocessing``
   pool (``workers`` processes) or runs them serially in-process
   (``workers`` ≤ 1) — the results are **byte-identical** either way,
@@ -35,6 +40,13 @@ service exposes all of this behind ``ServiceConfig.shard_workers``
 (default 0 = the executor never runs; the in-process scheduler is
 byte-identical to yesterday's service).
 
+A worker reads only the config fields that build its cluster
+(``regions``, ``vm``, ``profile``, ``seed``, ``scenario``, ``kernel``)
+and its scheduler (``max_concurrent``, ``policy``, ``scheduler``,
+``slo_deadline_s``, ``admit_batch``).  The service-loop fields (drift,
+recalibration, control plane, observability, variant, gauger) travel
+along unread.
+
 What partitioning gives up: shards no longer contend for one WAN (each
 worker simulates its own copy of the network), and there is no
 cross-shard work-stealing.  That is the price of linear scaling — and
@@ -46,18 +58,18 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec
-from repro.gda.engine.engine import SHUFFLE_OVERHEAD
-from repro.net.profiles import network_profile
+from repro.pipeline.config import ServiceConfig
+from repro.runtime.scenarios import service_cluster
 from repro.runtime.scheduler import (
     JobRecord,
     JobScheduler,
     aggregate_records,
     job_record,
+    scheduler_args,
 )
 from repro.runtime.scheduling.shards import (
     shard_for_tenant,
@@ -87,28 +99,19 @@ Entry = tuple[float, JobSpec, Optional[str], Optional[SLO]]
 class ShardTask:
     """Everything one worker needs to rebuild and drain a shard.
 
-    Frozen and built from plain values (strings, numbers, the frozen
+    ``config`` is the service's frozen config with ``max_concurrent``
+    replaced by this shard's share of the budget.  The task is built
+    from plain values (the config, the frozen
     :class:`~repro.runtime.scheduling.slo.SLO`, and
     :class:`~repro.gda.engine.dag.JobSpec` dataclasses) so it pickles
-    across the process boundary.  Two tasks with equal fields produce
+    across the process boundary.  Two equal tasks produce
     byte-identical :class:`ShardResult`\\ s — the whole parallel path
     rests on that.
     """
 
     index: int
-    regions: tuple[str, ...]
-    vm: str
-    profile: str
-    scenario: Optional[str]
-    seed: int
-    kernel: str
-    admission: str
-    default_policy: str
-    max_concurrent: int
-    admit_batch: int
-    shuffle_overhead: float = SHUFFLE_OVERHEAD
-    default_slo: Optional[SLO] = None
-    jobs: tuple[Entry, ...] = ()
+    config: ServiceConfig
+    jobs: tuple[Entry, ...]
 
 
 @dataclass
@@ -155,35 +158,14 @@ def run_shard(task: ShardTask) -> ShardResult:
     """Build, submit, and drain one shard's world; return its records.
 
     Deterministic in the task alone: the profile's fluctuation and the
-    scenario weather are seeded from ``task.seed``, the kernel's event
-    order is total, and nothing reads process-global state — which is
-    what makes running this in a pool worker equivalent to running it
-    inline.
+    scenario weather are seeded from the config's ``seed``, the
+    kernel's event order is total, and nothing reads process-global
+    state — which is what makes running this in a pool worker
+    equivalent to running it inline.
     """
     start = time.perf_counter()
-    profile = network_profile(task.profile)
-    base = profile.fluctuation(seed=task.seed)
-    weather = base
-    if task.scenario is not None:
-        from repro.runtime.scenarios import scenario
-
-        weather = scenario(task.scenario, seed=task.seed, base=base)
-    cluster = GeoCluster.build(
-        task.regions,
-        task.vm,
-        fluctuation=weather,
-        profile=profile,
-        kernel=task.kernel,
-    )
-    scheduler = JobScheduler(
-        cluster,
-        max_concurrent=task.max_concurrent,
-        shuffle_overhead=task.shuffle_overhead,
-        default_policy=task.default_policy,
-        admission=task.admission,
-        default_slo=task.default_slo,
-        admit_batch=task.admit_batch,
-    )
+    cluster, _ = service_cluster(task.config)
+    scheduler = JobScheduler(cluster, **scheduler_args(task.config))
     scheduler.submit_many(list(task.jobs))
     sim = cluster.network.sim
     sim.run()
@@ -295,50 +277,20 @@ class ShardExecutor:
             return [run_shard(task) for task in tasks]
 
 
-def build_tasks(
-    entries: list[Entry],
-    shards: int,
-    *,
-    regions: tuple[str, ...],
-    vm: str,
-    profile: str,
-    scenario: Optional[str],
-    seed: int,
-    kernel: str,
-    admission: str,
-    default_policy: str,
-    max_concurrent: int,
-    admit_batch: int,
-    shuffle_overhead: float = SHUFFLE_OVERHEAD,
-    default_slo: Optional[SLO] = None,
-) -> list[ShardTask]:
-    """Partition a mix and package each slice as a :class:`ShardTask`.
+def build_tasks(entries: list[Entry], config: ServiceConfig) -> list[ShardTask]:
+    """Partition a mix into ``config.scheduler_shards`` tasks.
 
     The concurrency budget splits across shards exactly like the
     in-process sharded scheduler
     (:func:`~repro.runtime.scheduling.shards.split_concurrency` — every
     shard gets at least one slot).
     """
+    shards = config.scheduler_shards
     if shards < 1:
         raise ValueError(f"shard count must be ≥ 1: {shards}")
-    slices = partition_mix(entries, shards, default_slo)
-    bounds = split_concurrency(max_concurrent, shards)
+    slices = partition_mix(entries, shards, scheduler_args(config)["default_slo"])
+    bounds = split_concurrency(config.max_concurrent, shards)
     return [
-        ShardTask(
-            index=index,
-            regions=tuple(regions),
-            vm=vm,
-            profile=profile,
-            scenario=scenario,
-            seed=seed,
-            kernel=kernel,
-            admission=admission,
-            default_policy=default_policy,
-            max_concurrent=bounds[index],
-            admit_batch=admit_batch,
-            shuffle_overhead=shuffle_overhead,
-            default_slo=default_slo,
-            jobs=tuple(slices[index]),
-        )
-        for index in range(shards)
+        ShardTask(index, replace(config, max_concurrent=bound), tuple(chunk))
+        for index, (bound, chunk) in enumerate(zip(bounds, slices))
     ]

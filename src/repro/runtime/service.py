@@ -41,12 +41,11 @@ layered config system from code, files, env vars, or the CLI.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec
 from repro.net.matrix import BandwidthMatrix
-from repro.net.profiles import network_profile
 from repro.pipeline.config import ServiceConfig
 from repro.pipeline.core import Pipeline
 from repro.pipeline.deploy import Deployment
@@ -54,8 +53,8 @@ from repro.runtime.control.plane import ControlPlane
 from repro.runtime.drift import DriftDetector, ReplanEvent
 from repro.runtime.observability.hub import ObservabilityHub
 from repro.runtime.recalibrator import CapacityRecalibrator
-from repro.runtime.scenarios import scenario
-from repro.runtime.scheduler import JobScheduler, JobTicket, PolicySpec
+from repro.runtime.scenarios import service_cluster
+from repro.runtime.scheduler import JobScheduler, JobTicket, PolicySpec, scheduler_args
 from repro.runtime.scheduling import SLO, spread_slos
 from repro.runtime.scheduling.shards import ShardedScheduler
 from repro.runtime.summary import ServiceSummary
@@ -64,6 +63,9 @@ from repro.sim.kernel import Process
 from repro.core.agent import LocalAgent
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.runtime.scheduling.parallel import Entry
 
 __all__ = [
     "PipelineService",
@@ -100,21 +102,13 @@ class PipelineService:
         if callable(binder):
             binder(self.telemetry)
         scheduler_kwargs = dict(
-            max_concurrent=self.config.max_concurrent,
-            decision_bw=lambda: self.predicted,
-            default_policy=self.config.policy,
-            admission=self.config.scheduler,
-            default_slo=(
-                SLO(deadline_s=self.config.slo_deadline_s)
-                if self.config.slo_deadline_s is not None
-                else None
-            ),
-            admit_batch=self.config.admit_batch,
+            scheduler_args(self.config), decision_bw=lambda: self.predicted
         )
         # scheduler_shards == 1 constructs the plain JobScheduler, not
         # a one-shard ShardedScheduler: the default must stay
-        # byte-identical to the pre-sharding service.
-        if self.config.scheduler_shards > 1:
+        # byte-identical to the pre-sharding service.  Any other count
+        # goes to ShardedScheduler, which rejects counts below 1.
+        if self.config.scheduler_shards != 1:
             self.scheduler = ShardedScheduler(
                 cluster,
                 shards=self.config.scheduler_shards,
@@ -163,21 +157,7 @@ class PipelineService:
         across matrix cells this way.
         """
         config = config if config is not None else ServiceConfig()
-        profile = network_profile(config.profile)
-        base = profile.fluctuation(seed=config.seed)
-        if weather is None:
-            weather = (
-                scenario(config.scenario, seed=config.seed, base=base)
-                if config.scenario is not None
-                else base
-            )
-        cluster = GeoCluster.build(
-            config.regions,
-            config.vm,
-            fluctuation=weather,
-            profile=profile,
-            kernel=config.kernel,
-        )
+        cluster, base = service_cluster(config, weather)
         if pipeline is None:
             pipeline = Pipeline(cluster.topology, base, config)
         if not pipeline.is_trained:
@@ -472,16 +452,22 @@ class PipelineService:
         bulk insert (one kernel heapify) rather than a per-job
         ``submit_at`` sift; event order is identical either way.
         """
-        if self.config.slo_deadline_s is not None and spread_deadlines:
-            entries = [
-                (delay, job, None, slo)
-                for delay, job, slo in spread_slos(
-                    mix, self.config.slo_deadline_s, seed=self.config.seed
-                )
-            ]
-        else:
-            entries = [(delay, job, None, None) for delay, job in mix]
-        self.scheduler.submit_many(entries)
+        self.scheduler.submit_many(self._entries(mix, spread_deadlines))
+
+    def _entries(
+        self, mix: list[tuple[float, JobSpec]], spread_deadlines: bool
+    ) -> list[Entry]:
+        """``(delay, job, policy, slo)`` submissions for a mix, with
+        spread SLO deadlines when configured (see :meth:`submit_mix`)."""
+        config = self.config
+        if config.slo_deadline_s is None or not spread_deadlines:
+            return [(delay, job, None, None) for delay, job in mix]
+        return [
+            (delay, job, None, slo)
+            for delay, job, slo in spread_slos(
+                mix, config.slo_deadline_s, seed=config.seed
+            )
+        ]
 
     def run(self, until: Optional[float] = None) -> None:
         """Drive the shared simulator (open-ended: until jobs drain)."""
@@ -511,42 +497,16 @@ class PipelineService:
         is the throughput path for big batch mixes, not the online
         re-planning path.
         """
+        # Imported here: multiprocessing stays out of services that
+        # never drain in parallel.
         from repro.runtime.scheduling.parallel import (
             ShardExecutor,
             build_tasks,
             merge_stats,
         )
 
-        config = self.config
-        if config.slo_deadline_s is not None and spread_deadlines:
-            entries = [
-                (delay, job, None, slo)
-                for delay, job, slo in spread_slos(
-                    mix, config.slo_deadline_s, seed=config.seed
-                )
-            ]
-        else:
-            entries = [(delay, job, None, None) for delay, job in mix]
-        tasks = build_tasks(
-            entries,
-            max(1, config.scheduler_shards),
-            regions=config.regions,
-            vm=config.vm,
-            profile=config.profile,
-            scenario=config.scenario,
-            seed=config.seed,
-            kernel=config.kernel,
-            admission=config.scheduler,
-            default_policy=config.policy,
-            max_concurrent=config.max_concurrent,
-            admit_batch=config.admit_batch,
-            default_slo=(
-                SLO(deadline_s=config.slo_deadline_s)
-                if config.slo_deadline_s is not None
-                else None
-            ),
-        )
-        executor = ShardExecutor(config.shard_workers)
+        tasks = build_tasks(self._entries(mix, spread_deadlines), self.config)
+        executor = ShardExecutor(self.config.shard_workers)
         results = executor.run(tasks)
         self.parallel_records = [r for result in results for r in result.records]
         self.parallel_stats = merge_stats(results)

@@ -45,18 +45,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Union
 
 from repro.pipeline.config import ServiceConfig, load_config_file
 from repro.experiments.sweep import (
     CellResult,
     SweepError,
     SweepSpec,
-    _init_worker,
     _pretrain,
-    _run_cell_in_worker,
     load_sweep,
-    run_cell,
+    run_cells,
 )
 
 #: Objective metrics every ranking reads (subset of METRIC_COLUMNS).
@@ -199,36 +197,6 @@ class TuneResult:
         }
 
 
-def _run_cells(
-    rung_spec: SweepSpec,
-    cells: Sequence[Mapping[str, Any]],
-    trained: dict,
-    workers: int,
-) -> list[CellResult]:
-    """Run ``cells`` under ``rung_spec``, rows in submission order.
-
-    The same two paths as :func:`repro.experiments.sweep.run_sweep`:
-    sequential shares the parent's trained-forest cache; parallel ships
-    the pre-trained forests to a pool and collects results in
-    submission order so reports stay deterministic however the workers
-    interleave.
-    """
-    if workers == 1 or len(cells) <= 1:
-        return [run_cell(rung_spec, cell, trained) for cell in cells]
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(workers, len(cells)),
-        initializer=_init_worker,
-        initargs=(trained,),
-    ) as pool:
-        futures = [
-            pool.submit(_run_cell_in_worker, rung_spec, dict(cell))
-            for cell in cells
-        ]
-        return [future.result() for future in futures]
-
-
 def run_tune(spec: TuneSpec, progress=None, workers: int = 1) -> TuneResult:
     """Successive halving over the matrix; returns the cheapest feasible cell.
 
@@ -271,7 +239,7 @@ def run_tune(spec: TuneSpec, progress=None, workers: int = 1) -> TuneResult:
                     f"(jobs={jobs_r}): {sweep.label(cells[i])}",
                 )
                 done += 1
-        rows = _run_cells(
+        rows = run_cells(
             rung_spec, [cells[i] for i in to_run], trained, workers
         )
         for i, row in zip(to_run, rows):

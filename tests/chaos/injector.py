@@ -166,4 +166,4 @@ class FaultInjector:
     @staticmethod
     def poison_shard_task(task: ShardTask) -> ShardTask:
         """A clone of ``task`` whose worker crashes on arrival."""
-        return replace(task, admission=POISON_ADMISSION)
+        return replace(task, config=replace(task.config, scheduler=POISON_ADMISSION))

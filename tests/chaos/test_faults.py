@@ -226,20 +226,14 @@ class TestCrashedShardWorker:
             (delay, job, None, slo)
             for delay, job, slo in spread_slos(mix, 1800.0, seed=SEED)
         ]
-        return build_tasks(
-            entries,
-            2,
+        config = ServiceConfig(
             regions=REGIONS,
-            vm="t2.medium",
-            profile="vpc-peering",
-            scenario=None,
             seed=SEED,
-            kernel="scalar",
-            admission="deadline-edf",
-            default_policy="tetrium",
+            scheduler="deadline-edf",
+            scheduler_shards=2,
             max_concurrent=4,
-            admit_batch=16,
         )
+        return build_tasks(entries, config)
 
     def test_crash_surfaces_cleanly_from_pool_and_serial(self):
         tasks = self._tasks()

@@ -14,6 +14,7 @@ import pytest
 
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.systems.vanilla import LocalityPolicy
+from repro.pipeline.config import ServiceConfig
 from repro.runtime.scheduler import JobTicket, aggregate_stats, job_record
 from repro.runtime.scheduling import parallel as parallel_mod
 from repro.runtime.scheduling.parallel import (
@@ -42,21 +43,18 @@ def _entries(count=12, seed=7, deadline_s=1800.0):
     ]
 
 
-def _tasks(entries, shards=4, max_concurrent=8):
-    return build_tasks(
-        entries,
-        shards,
+def _config(shards=4, max_concurrent=8, **changes):
+    return ServiceConfig(
         regions=KEYS,
-        vm="t2.medium",
-        profile="vpc-peering",
-        scenario=None,
-        seed=42,
-        kernel="scalar",
-        admission="deadline-edf",
-        default_policy="tetrium",
+        scheduler="deadline-edf",
+        scheduler_shards=shards,
         max_concurrent=max_concurrent,
-        admit_batch=16,
+        **changes,
     )
+
+
+def _tasks(entries, shards=4, max_concurrent=8):
+    return build_tasks(entries, _config(shards, max_concurrent))
 
 
 def _finish_times(results):
@@ -87,7 +85,7 @@ class TestPartitioning:
 
     def test_build_tasks_splits_concurrency_like_shards(self):
         tasks = _tasks(_entries(), shards=3, max_concurrent=8)
-        assert [t.max_concurrent for t in tasks] == [3, 3, 2]
+        assert [t.config.max_concurrent for t in tasks] == [3, 3, 2]
 
     def test_build_tasks_rejects_zero_shards(self):
         with pytest.raises(ValueError, match="shard count"):
@@ -128,6 +126,37 @@ class TestDeterminism:
         executor.run(_tasks(_entries(count=4), shards=2))
         assert executor.workers_used == 0
         assert not executor.fell_back
+
+    @pytest.mark.parametrize(
+        "field, value, same",
+        [
+            # Service-loop fields: nothing in a shard worker reads them.
+            ("recalibrate", True, True),
+            ("governor", True, True),
+            ("preemption", "urgent-slo", True),
+            ("autoscale", True, True),
+            ("tuner", "epsilon-greedy", True),
+            ("observability", False, True),
+            ("drift_threshold", 0.1, True),
+            ("variant", "wanify-dynamic", True),
+            ("gauger", "passive-telemetry", True),
+            # The shard's weather.
+            ("seed", 7, False),
+            ("scenario", "link-failure", False),
+        ],
+    )
+    def test_records_read_only_shard_fields(self, field, value, same):
+        """A worker receives the whole service config; only the fields
+        that build its cluster and scheduler reach its records."""
+        entries = _entries(count=6)
+
+        def records(config):
+            results = ShardExecutor(0).run(build_tasks(entries, config))
+            return [r for result in results for r in result.records]
+
+        reference = records(_config(shards=2))
+        changed = records(_config(shards=2, **{field: value}))
+        assert (changed == reference) is same
 
 
 class TestMerge:
@@ -257,7 +286,10 @@ class TestCrashedWorkerDrain:
         is registered nowhere."""
         from dataclasses import replace
 
-        return replace(task, admission="no-such-admission-policy")
+        return replace(
+            task,
+            config=replace(task.config, scheduler="no-such-admission-policy"),
+        )
 
     def test_serial_path_raises_the_real_error(self):
         tasks = _tasks(_entries(count=4), shards=2)
@@ -308,7 +340,6 @@ class TestTaskPickling:
 class TestServiceIntegration:
     @pytest.fixture(scope="class")
     def service(self):
-        from repro.pipeline.config import ServiceConfig
         from repro.runtime.service import PipelineService
 
         config = ServiceConfig(

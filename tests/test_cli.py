@@ -424,6 +424,19 @@ class TestBadKnobValues:
             ("predict", ("--datasets", "0"), "n_datasets must be ≥ 1"),
             ("predict", ("--max-connections", "0"), "max_connections must be ≥ 1"),
             ("predict", ("--estimators", "0"), "n_estimators must be ≥ 1"),
+            # Shard counts below 1, in-process and partitioned drain.
+            ("serve", ("--scheduler-shards=0",), "shard count must be ≥ 1: 0"),
+            ("serve", ("--scheduler-shards=-3",), "shard count must be ≥ 1: -3"),
+            (
+                "serve",
+                ("--scheduler-shards=0", "--shard-workers", "1"),
+                "shard count must be ≥ 1: 0",
+            ),
+            (
+                "serve",
+                ("--scheduler-shards=-3", "--shard-workers", "1"),
+                "shard count must be ≥ 1: -3",
+            ),
         ],
     )
     def test_out_of_range_value_exits_2(self, command, flags, message):

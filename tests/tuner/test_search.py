@@ -187,7 +187,7 @@ target = 0.5
     def test_unchanged_fidelity_reuses_measured_rows(self, spec, monkeypatch):
         executed = []
         monkeypatch.setattr(
-            "repro.tuner.search.run_cell",
+            "repro.experiments.sweep.run_cell",
             synthetic_runner(
                 executed,
                 {"snapshot": 0.9, "passive-telemetry": 0.2},
@@ -225,7 +225,7 @@ target = 0.5
         assert rung_plan(spec) == [(1, 1), (2, 1), (4, 1)]
         executed = []
         monkeypatch.setattr(
-            "repro.tuner.search.run_cell",
+            "repro.experiments.sweep.run_cell",
             synthetic_runner(
                 executed,
                 {"snapshot": 0.9, "passive-telemetry": 0.2},
@@ -248,7 +248,7 @@ target = 0.5
     def test_infeasible_matrix_flags_least_bad_winner(self, spec, monkeypatch):
         executed = []
         monkeypatch.setattr(
-            "repro.tuner.search.run_cell",
+            "repro.experiments.sweep.run_cell",
             synthetic_runner(
                 executed,
                 {"snapshot": 0.4, "passive-telemetry": 0.3},
@@ -264,7 +264,7 @@ target = 0.5
     def test_progress_reports_rung_labels(self, spec, monkeypatch):
         executed, seen = [], []
         monkeypatch.setattr(
-            "repro.tuner.search.run_cell",
+            "repro.experiments.sweep.run_cell",
             synthetic_runner(
                 executed,
                 {"snapshot": 0.9, "passive-telemetry": 0.2},
