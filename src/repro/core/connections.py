@@ -9,7 +9,7 @@ against it and reports churn (tests assert adds/removes are minimal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.simulator import NetworkSimulator
 
@@ -30,7 +30,6 @@ class ConnectionsManager:
     src: str
     total_added: int = 0
     total_removed: int = 0
-    _log: list[tuple[float, str, int, int]] = field(default_factory=list)
 
     def apply(self, desired: dict[str, int]) -> PoolDelta:
         """Set per-destination counts; returns the aggregate churn."""
@@ -50,14 +49,6 @@ class ConnectionsManager:
             else:
                 delta.removed += current - count
             self.network.set_connections(self.src, dst, count)
-            self._log.append(
-                (self.network.sim.now, dst, current, count)
-            )
         self.total_added += delta.added
         self.total_removed += delta.removed
         return delta
-
-    @property
-    def churn_log(self) -> list[tuple[float, str, int, int]]:
-        """(time, dst, old, new) for every pool change."""
-        return list(self._log)

@@ -65,12 +65,3 @@ def apply_throttles(
         else:
             tc.clear_limit(src, dst)
     return applied
-
-
-def clear_throttles(
-    plan: GlobalPlan, tc: TrafficController, src: str
-) -> None:
-    """Remove any caps previously applied for ``src``."""
-    for dst in plan.keys:
-        if dst != src:
-            tc.clear_limit(src, dst)

@@ -73,8 +73,3 @@ def ratio(new: float, old: float) -> float:
     if old <= 0:
         return float("inf") if new > 0 else 1.0
     return new / old
-
-
-def fmt_row(cells: list[str], widths: list[int]) -> str:
-    """Fixed-width table row."""
-    return "  ".join(c.rjust(w) for c, w in zip(cells, widths))

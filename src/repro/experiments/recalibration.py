@@ -10,8 +10,8 @@ cycle) —
   whole run, exactly as the pre-recalibration service behaved;
 * **recalibrated** — the :class:`~repro.runtime.recalibrator
   .CapacityRecalibrator` re-derives each link's usable capacity every
-  ``recal_interval_s`` from the p95 of observed throughput and
-  republishes it to the scheduler's decision matrix and the governor.
+  60 s from the p95 of observed throughput and republishes it to the
+  scheduler's decision matrix and the governor.
 
 The static run keeps placing work as if the failed-over links still
 carried their pre-failure capacity; the recalibrated run learns the

@@ -9,7 +9,6 @@ weighted (skewed) placement, and block moves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -132,15 +131,3 @@ class HdfsStore:
                 moved = self.move(donor, target, min(need, surplus))
                 need -= moved
         return self.data_by_dc()
-
-    def block_count(self) -> int:
-        """Number of blocks (tasks in a map stage ≈ blocks)."""
-        return len(self.blocks)
-
-    def tasks_for(self, dc: str) -> int:
-        """Map tasks colocated with ``dc``'s blocks."""
-        return sum(1 for b in self.blocks if b.dc == dc)
-
-    def ceil_blocks(self, mb: float) -> int:
-        """Blocks needed for ``mb`` at the configured block size."""
-        return int(math.ceil(mb / self.block_size_mb))

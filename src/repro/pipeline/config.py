@@ -165,20 +165,6 @@ class ServiceConfig(PipelineConfig):
     autoscale: bool = config_field(
         False, help="autoscale max_concurrent from queue depth/attainment"
     )
-    #: Control-plane tick period.  Deliberately off the 30 s drift
-    #: grid so control and drift interventions interleave rather than
-    #: stack on one simulator instant.
-    control_interval_s: float = config_field(
-        45.0, help="control-plane tick period (s)"
-    )
-    #: Slack above which a running job may donate WAN share.
-    governor_slack_s: float = config_field(
-        120.0, help="slack making a job throttle-eligible (s)"
-    )
-    #: Fraction of a rich pair's current rate its cap allows through.
-    governor_throttle_factor: float = config_field(
-        0.5, help="governor cap as a fraction of current pair rate"
-    )
     #: Autoscaler concurrency ceiling (``max_concurrent`` is the floor).
     autoscale_max: int = config_field(
         6, help="autoscaler max_concurrent ceiling"
@@ -192,11 +178,6 @@ class ServiceConfig(PipelineConfig):
     #: Mirrors ``repro.runtime.drift.DEFAULT_COOLDOWN_S``.
     cooldown_s: float = config_field(240.0, help="minimum gap between re-plans (s)")
     max_replans: Optional[int] = config_field(None, help="re-plan budget (unlimited when unset)")
-    #: Sliding window for the shared store.  Shorter than the 300 s
-    #: weather grid on purpose: the drift detector's median over this
-    #: window is the re-plan trigger, and detection latency is about
-    #: half the window for a persistent drop.
-    telemetry_window_s: float = config_field(120.0, help="telemetry sliding window (s)")
     #: Continuous capacity recalibration: a background gauger that
     #: re-derives each link's usable capacity from the p95 of observed
     #: throughput on an interval, keeping plans honest between drift
@@ -204,44 +185,6 @@ class ServiceConfig(PipelineConfig):
     #: byte-identical.
     recalibrate: bool = config_field(
         False, help="continuous capacity recalibration loop"
-    )
-    #: Recalibrator tick period.  Off the 30 s drift grid and the 45 s
-    #: control grid so the three loops interleave on the simulator
-    #: rather than stacking on one instant.
-    recal_interval_s: float = config_field(
-        60.0, help="capacity recalibration tick period (s)"
-    )
-    #: Trailing telemetry window the recalibrator derives capacity
-    #: from.  Longer than the drift window: recalibration tracks the
-    #: sustained level, drift detection the fresh break.
-    recal_window_s: float = config_field(
-        240.0, help="recalibration trailing window (s)"
-    )
-    #: Percentile of observed throughput read as usable capacity
-    #: (p95 = "capacity when the link was pushed"; lower it toward 50
-    #: for chronically flapping circuits).
-    recal_percentile: float = config_field(
-        95.0, help="throughput percentile read as capacity"
-    )
-    #: Floor guard: recalibrated capacity never drops below this
-    #: fraction of the planned baseline.
-    recal_floor_fraction: float = config_field(
-        0.2, help="recalibration floor (fraction of baseline)"
-    )
-    #: Ceiling guard: recalibrated capacity never exceeds this fraction
-    #: of the planned baseline (and never the topology link ceiling).
-    recal_ceiling_fraction: float = config_field(
-        1.2, help="recalibration ceiling (fraction of baseline)"
-    )
-    #: Maximum move per tick, as a fraction of the baseline — one
-    #: corrupt window cannot teleport a link's capacity.
-    recal_max_step_fraction: float = config_field(
-        0.25, help="max capacity step per tick (fraction of baseline)"
-    )
-    #: Active samples required in the window before a link is
-    #: recalibrated at all (idle links are left at their baseline).
-    recal_min_samples: int = config_field(
-        3, help="active samples required to recalibrate a link"
     )
     #: The observability hub: metrics warehouse, event trace, and the
     #: Prometheus rendering surface.  On by default — every hook is
@@ -251,9 +194,6 @@ class ServiceConfig(PipelineConfig):
     observability: bool = config_field(
         True, help="telemetry warehouse + event trace + metrics surface"
     )
-    #: Ring-buffer bound on the event trace; oldest events are evicted
-    #: past it (``EventTrace.dropped`` counts how many).
-    trace_capacity: int = config_field(4096, help="event-trace ring capacity")
     #: Port for the Prometheus ``/metrics`` endpoint during ``serve``
     #: (0 binds an ephemeral port and prints it; unset serves nothing).
     metrics_port: Optional[int] = config_field(
@@ -276,10 +216,6 @@ class ServiceConfig(PipelineConfig):
     #: settle on the same timescale.
     switch_cooldown_s: float = config_field(
         240.0, help="cooldown between policy-switch decisions (s)"
-    )
-    #: Exploration rate for the ``epsilon-greedy`` switcher.
-    tuner_epsilon: float = config_field(
-        0.2, help="epsilon-greedy exploration rate"
     )
     #: Training-campaign size (small defaults keep service start cheap;
     #: raise toward the paper's 120/100 for fidelity studies).

@@ -3,7 +3,7 @@
 :class:`ControlPlane` is the piece that closes the loop the scheduler
 opened.  The data plane (``JobRun`` + network) runs jobs; the scheduling
 plane (admission policies) orders the queue; the control plane watches
-*running* state each ``control_interval_s`` tick and intervenes:
+*running* state each ``CONTROL_INTERVAL_S`` tick and intervenes:
 
 1. **autoscale** — widen/narrow the scheduler's ``max_concurrent``
    from queue depth and attainment pressure
@@ -49,6 +49,11 @@ if TYPE_CHECKING:
     from repro.pipeline.config import ServiceConfig
     from repro.runtime.scheduler import JobScheduler, JobTicket
 
+#: Control-plane tick period (s).  Deliberately off the 30 s drift
+#: grid so control and drift interventions interleave rather than
+#: stack on one simulator instant.
+CONTROL_INTERVAL_S = 45.0
+
 
 class ControlPlane:
     """Periodic preemption + governing + autoscaling over one scheduler."""
@@ -73,8 +78,6 @@ class ControlPlane:
         self.governor: Optional[BandwidthGovernor] = (
             BandwidthGovernor(
                 scheduler.cluster.network,
-                rich_slack_s=config.governor_slack_s,
-                throttle_factor=config.governor_throttle_factor,
                 # Under continuous recalibration the governor's caps
                 # are clamped to the recalibrated per-pair capacity —
                 # ``predicted_bw`` returns the service's live decision
@@ -117,9 +120,9 @@ class ControlPlane:
         scheduler.on_job_finished = self._job_finished
         self._process = Process(
             scheduler.sim,
-            config.control_interval_s,
+            CONTROL_INTERVAL_S,
             self._tick,
-            start_delay=config.control_interval_s,
+            start_delay=CONTROL_INTERVAL_S,
             priority=6,
         )
 

@@ -120,6 +120,12 @@ class DriftDetector:
     events: list[ReplanEvent] = field(default_factory=list)
     _last_fire: float = field(default=float("-inf"), init=False)
 
+    def __post_init__(self) -> None:
+        # A non-positive threshold fires on every assessable link (an
+        # error is never below 0), so every check would re-plan.
+        if self.threshold <= 0.0:
+            raise ValueError(f"threshold must be positive: {self.threshold}")
+
     def link_error(self, src: str, dst: str, now: float) -> float | None:
         """Relative degradation of one link, ``None`` if not assessable."""
         estimate = self.store.estimate(src, dst)

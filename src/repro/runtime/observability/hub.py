@@ -94,7 +94,7 @@ class ObservabilityHub:
 
         self.log = MetricsLog(capacity_of)
         service.telemetry.attach(self.log.record)
-        self.trace = EventTrace(capacity=service.config.trace_capacity)
+        self.trace = EventTrace()
         self.counters: dict[str, int] = {
             "submitted": 0,
             "admitted": 0,

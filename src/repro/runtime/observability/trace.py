@@ -9,7 +9,7 @@ of any recorded run ("the flash crowd hit, drift fired at t=612, the
 re-plan cost $0.003, the governor capped two pairs, job tpcds-4 still
 missed by 40 s").
 
-The ring is deliberately bounded (``ServiceConfig.trace_capacity``):
+The ring is deliberately bounded (4096 events by default):
 tracing must never become the memory leak it exists to diagnose.  The
 ``recorded`` counter keeps counting past evictions, so
 ``dropped = recorded - len(events())`` is always honest.

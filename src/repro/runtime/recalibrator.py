@@ -4,25 +4,26 @@ Between drift re-plans the service trusts whatever bandwidth matrix
 the predictor produced at plan time.  Production WAN tooling does not:
 the CloudGenix controller re-derives each circuit's usable capacity
 from the p95 of *observed* throughput over a trailing window, on an
-interval, clamped by configured ceilings.  This module is that loop
+interval, clamped by fixed ceilings.  This module is that loop
 for the WANify runtime.
 
 :class:`CapacityRecalibrator` sits between the shared
 :class:`~repro.runtime.telemetry.TelemetryStore` and the service's
 published capacity matrix.  Each tick it:
 
-1. reads, for every link of the baseline matrix, the configured
-   percentile of observed throughput over the trailing window — with
-   idle/outage zero samples **counted** (``active_only=False``), so a
-   window dominated by outage ticks drags the estimate down instead of
-   replaying the stale pre-outage capacity;
-2. skips links with fewer than ``min_samples`` *active* samples in the
-   window (a link that carried nothing says nothing — idle links stay
-   at baseline rather than being crushed toward the floor);
-3. clamps the move to ``±max_step_fraction`` of the baseline per tick
-   (one corrupt window cannot teleport a link), then clamps the result
-   into ``[floor_fraction, ceiling_fraction] × baseline`` and below the
-   topology link ceiling when one is known;
+1. reads, for every link of the baseline matrix, the
+   ``RECAL_PERCENTILE`` of observed throughput over the trailing
+   ``RECAL_WINDOW_S`` — with idle/outage zero samples **counted**
+   (``active_only=False``), so a window dominated by outage ticks
+   drags the estimate down instead of replaying the stale pre-outage
+   capacity;
+2. skips links with fewer than ``RECAL_MIN_SAMPLES`` *active* samples
+   in the window (a link that carried nothing says nothing — idle
+   links stay at baseline rather than being crushed toward the floor);
+3. clamps the move to ``±RECAL_MAX_STEP_FRACTION`` of the baseline per
+   tick (one corrupt window cannot teleport a link), then clamps the
+   result into ``[RECAL_FLOOR_FRACTION, RECAL_CEILING_FRACTION] ×
+   baseline`` and below the topology link ceiling when one is known;
 4. publishes the updated matrix through ``on_publish`` — the service
    installs it as its decision matrix, which is what the scheduler's
    placement scoring, the control plane's slack estimator, and the
@@ -54,6 +55,36 @@ __all__ = ["CapacityRecalibrator"]
 #: percentile jitter on a healthy link is not a recalibration.
 ADJUST_EPSILON_MBPS = 1e-6
 
+#: Tick period (s).  Off the 30 s drift grid and the 45 s control
+#: grid so the three loops interleave on the simulator rather than
+#: stacking on one instant.
+RECAL_INTERVAL_S = 60.0
+
+#: Trailing telemetry window (s) each tick derives capacity from.
+#: Longer than the drift window: recalibration tracks the sustained
+#: level, drift detection the fresh break.
+RECAL_WINDOW_S = 240.0
+
+#: Percentile of observed throughput read as usable capacity
+#: (p95 = "capacity when the link was pushed").
+RECAL_PERCENTILE = 95.0
+
+#: Floor guard: capacity never drops below this fraction of the
+#: planned baseline.
+RECAL_FLOOR_FRACTION = 0.2
+
+#: Ceiling guard: capacity never exceeds this fraction of the planned
+#: baseline (and never the topology link ceiling).
+RECAL_CEILING_FRACTION = 1.2
+
+#: Maximum move per tick, as a fraction of the baseline — one corrupt
+#: window cannot teleport a link's capacity.
+RECAL_MAX_STEP_FRACTION = 0.25
+
+#: Active samples required in the window before a link is
+#: recalibrated at all (idle links are left at their baseline).
+RECAL_MIN_SAMPLES = 3
+
 
 class CapacityRecalibrator:
     """Periodically re-derive per-link usable capacity from telemetry.
@@ -62,8 +93,8 @@ class CapacityRecalibrator:
     ceilings, and step sizes are all fractions of it, so the guards are
     stable even as the published matrix wanders.  ``link_ceiling``
     (when given) maps ``(src, dst)`` to the topology's hard capacity —
-    the recalibrated value never exceeds it regardless of the
-    configured ceiling fraction.
+    the recalibrated value never exceeds it regardless of
+    ``RECAL_CEILING_FRACTION``.
     """
 
     def __init__(
@@ -71,37 +102,10 @@ class CapacityRecalibrator:
         store: TelemetryStore,
         baseline: BandwidthMatrix,
         *,
-        percentile: float = 95.0,
-        window_s: float = 240.0,
-        floor_fraction: float = 0.2,
-        ceiling_fraction: float = 1.2,
-        max_step_fraction: float = 0.25,
-        min_samples: int = 3,
         link_ceiling: Optional[Callable[[str, str], float]] = None,
         on_publish: Optional[Callable[[BandwidthMatrix], None]] = None,
     ) -> None:
-        if not 0.0 <= percentile <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100]: {percentile}")
-        if window_s <= 0.0:
-            raise ValueError(f"window_s must be positive: {window_s}")
-        if not 0.0 < floor_fraction <= ceiling_fraction:
-            raise ValueError(
-                "need 0 < floor_fraction <= ceiling_fraction: "
-                f"{floor_fraction} / {ceiling_fraction}"
-            )
-        if max_step_fraction <= 0.0:
-            raise ValueError(
-                f"max_step_fraction must be positive: {max_step_fraction}"
-            )
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1: {min_samples}")
         self.store = store
-        self.percentile = percentile
-        self.window_s = window_s
-        self.floor_fraction = floor_fraction
-        self.ceiling_fraction = ceiling_fraction
-        self.max_step_fraction = max_step_fraction
-        self.min_samples = min_samples
         self.link_ceiling = link_ceiling
         self.on_publish = on_publish
         self.baseline = baseline.copy()
@@ -123,11 +127,11 @@ class CapacityRecalibrator:
 
     def floor_mbps(self, src: str, dst: str) -> float:
         """Lower guard for one link."""
-        return self.floor_fraction * self.baseline.get(src, dst)
+        return RECAL_FLOOR_FRACTION * self.baseline.get(src, dst)
 
     def ceiling_mbps(self, src: str, dst: str) -> float:
         """Upper guard for one link (never above the topology)."""
-        ceiling = self.ceiling_fraction * self.baseline.get(src, dst)
+        ceiling = RECAL_CEILING_FRACTION * self.baseline.get(src, dst)
         if self.link_ceiling is not None:
             hard = self.link_ceiling(src, dst)
             if hard > 0.0:
@@ -189,18 +193,18 @@ class CapacityRecalibrator:
         self.last_tick_s = now
         moved = 0
         for src, dst in self.current.pairs():
-            estimate = self.store.estimate(src, dst, window_s=self.window_s)
-            if estimate.samples < self.min_samples:
+            estimate = self.store.estimate(src, dst, window_s=RECAL_WINDOW_S)
+            if estimate.samples < RECAL_MIN_SAMPLES:
                 continue
             observed = self.store.capacity_mbps(
                 src,
                 dst,
-                self.percentile,
-                window_s=self.window_s,
+                RECAL_PERCENTILE,
+                window_s=RECAL_WINDOW_S,
                 active_only=False,
             )
             previous = self.current.get(src, dst)
-            step = self.max_step_fraction * self.baseline.get(src, dst)
+            step = RECAL_MAX_STEP_FRACTION * self.baseline.get(src, dst)
             target = min(max(observed, previous - step), previous + step)
             target = min(
                 max(target, self.floor_mbps(src, dst)),

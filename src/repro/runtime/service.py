@@ -52,7 +52,7 @@ from repro.pipeline.deploy import Deployment
 from repro.runtime.control.plane import ControlPlane
 from repro.runtime.drift import DriftDetector, ReplanEvent
 from repro.runtime.observability.hub import ObservabilityHub
-from repro.runtime.recalibrator import CapacityRecalibrator
+from repro.runtime.recalibrator import RECAL_INTERVAL_S, CapacityRecalibrator
 from repro.runtime.scenarios import service_cluster
 from repro.runtime.scheduler import JobScheduler, JobTicket, PolicySpec, scheduler_args
 from repro.runtime.scheduling import SLO, spread_slos
@@ -74,6 +74,12 @@ __all__ = [
     "default_job_mix",
 ]
 
+#: Sliding window (s) of the shared telemetry store.  Shorter than the
+#: 300 s weather grid on purpose: the drift detector's median over this
+#: window is the re-plan trigger, and detection latency is about half
+#: the window for a persistent drop.
+TELEMETRY_WINDOW_S = 120.0
+
 
 class PipelineService:
     """Long-running multi-job WANify over one shared cluster.
@@ -93,9 +99,7 @@ class PipelineService:
         self.cluster = cluster
         self.pipeline = pipeline
         self.config = config if config is not None else ServiceConfig()
-        self.telemetry = TelemetryStore(
-            window_s=self.config.telemetry_window_s
-        )
+        self.telemetry = TelemetryStore(window_s=TELEMETRY_WINDOW_S)
         # Telemetry handoff: a gauger that can consume the shared store
         # (the passive-telemetry alternate) gets it before first gauge.
         binder = getattr(self.pipeline.gauger, "bind_telemetry", None)
@@ -160,9 +164,11 @@ class PipelineService:
         cluster, base = service_cluster(config, weather)
         if pipeline is None:
             pipeline = Pipeline(cluster.topology, base, config)
+        # Construct before training: a config the scheduler rejects
+        # fails here, without paying for a forest it would never use.
+        service = cls(cluster, pipeline, config)
         if not pipeline.is_trained:
             pipeline.train()
-        service = cls(cluster, pipeline, config)
         service.start()
         return service
 
@@ -222,20 +228,14 @@ class PipelineService:
             self.recalibrator = CapacityRecalibrator(
                 self.telemetry,
                 self.predicted,
-                percentile=self.config.recal_percentile,
-                window_s=self.config.recal_window_s,
-                floor_fraction=self.config.recal_floor_fraction,
-                ceiling_fraction=self.config.recal_ceiling_fraction,
-                max_step_fraction=self.config.recal_max_step_fraction,
-                min_samples=self.config.recal_min_samples,
                 link_ceiling=self._topology_ceiling,
                 on_publish=self._recal_publish,
             )
             self._recal_process = Process(
                 self.sim,
-                self.config.recal_interval_s,
+                RECAL_INTERVAL_S,
                 self.recalibrator.tick,
-                start_delay=self.config.recal_interval_s,
+                start_delay=RECAL_INTERVAL_S,
                 priority=4,
             )
         # The control plane only exists when asked for: a default

@@ -138,11 +138,9 @@ class EpsilonGreedy:
     def __init__(
         self,
         config: Optional["ServiceConfig"] = None,
-        epsilon: Optional[float] = None,
+        epsilon: float = 0.2,
         seed: Optional[int] = None,
     ) -> None:
-        if epsilon is None:
-            epsilon = config.tuner_epsilon if config is not None else 0.2
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1]: {epsilon}")
         self.epsilon = epsilon

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from repro.pipeline.core import Pipeline
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -404,23 +405,11 @@ class TestBadKnobValues:
         "command, flags, message",
         [
             ("serve", ("--slo-deadline-s", "-5"), "deadline_s must be positive"),
-            (
-                "serve",
-                ("--preemption", "urgent-slo", "--control-interval-s", "0"),
-                "interval must be positive",
-            ),
+            ("serve", ("--drift-threshold=-1",), "threshold must be positive: -1.0"),
             ("serve", ("--epoch-s", "0"), "interval must be positive"),
             ("serve", ("--check-interval-s", "-1"), "interval must be positive"),
-            (
-                "serve",
-                ("--recalibrate", "--recal-percentile", "150"),
-                "percentile must be in [0, 100]",
-            ),
-            (
-                "serve",
-                ("--tuner", "epsilon-greedy", "--tuner-epsilon", "2"),
-                "epsilon must be in [0, 1]",
-            ),
+            ("serve", ("--drift-threshold=0",), "threshold must be positive: 0.0"),
+            ("serve", ("--admit-batch", "0"), "batch must be ≥ 1: 0"),
             ("predict", ("--datasets", "0"), "n_datasets must be ≥ 1"),
             ("predict", ("--max-connections", "0"), "max_connections must be ≥ 1"),
             ("predict", ("--estimators", "0"), "n_estimators must be ≥ 1"),
@@ -445,6 +434,15 @@ class TestBadKnobValues:
         assert code == 2
         assert text.startswith(f"bad configuration: {message}")
         assert text.count("\n") == 1
+
+    def test_bad_shard_count_exits_before_training(self, monkeypatch):
+        def train(pipeline):
+            raise AssertionError("trained a forest for a rejected config")
+
+        monkeypatch.setattr(Pipeline, "train", train)
+        code, text = run_cli(*self.SERVE, *self.FAST, "--scheduler-shards=0")
+        assert code == 2
+        assert text == "bad configuration: shard count must be ≥ 1: 0\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
     def test_duration_must_be_positive_and_finite(self, value):
