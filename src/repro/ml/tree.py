@@ -16,11 +16,13 @@ to it node for node:
 * each feature's order is a stable sort, like ``argsort(kind="stable")``;
 * the best position is the first maximum of the gains, like
   ``np.argmax`` (a NaN gain wins, as it does there);
-* the features examined per split come from the same ``rng.choice``
-  draw.
+* the features examined per split are the ``Generator.choice`` draw
+  without replacement, replayed by :func:`sample_without_replacement`
+  from the same PCG64 words.
 
-:func:`pairwise_sum` mirrors a numpy-internal rule; the differential
-tests against the numpy formulation pin it per numpy version.  A fitted
+:func:`pairwise_sum` and :func:`sample_without_replacement` mirror
+numpy-internal rules; the differential tests against the numpy
+formulation pin them per numpy version.  A fitted
 tree keeps no copy of its training data.  It is stored as flat per-field
 node arrays in preorder (root first, each left subtree before its
 right), and :meth:`RegressionTree.predict` walks all rows down them one
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +45,11 @@ _LEAF = -1
 #: numpy's pairwise-summation block: up to this many elements are
 #: summed by eight interleaved accumulators, larger runs are halved.
 _PW_BLOCK = 128
+
+#: PCG64 words fetched from the bit generator at a time.
+_RAW_BLOCK = 64
+
+_U32 = 0xFFFFFFFF
 
 
 def pairwise_sum(values: Sequence[float]) -> float:
@@ -68,6 +75,60 @@ def pairwise_sum(values: Sequence[float]) -> float:
     half = n // 2
     half -= half % 8
     return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+def uint32_stream(bit_generator: np.random.BitGenerator) -> Iterator[int]:
+    """The generator's ``next_uint32`` values: each 64-bit word, low half first.
+
+    Words are fetched in blocks, so the bit generator runs ahead of what
+    is consumed; it must not be shared with other draws.
+    """
+    while True:
+        for word in bit_generator.random_raw(_RAW_BLOCK).tolist():
+            yield word & _U32
+            yield word >> 32
+
+
+def _bounded(next_u32: Callable[[], int], r: int) -> int:
+    """Uniform in ``[0, r]`` by numpy's 32-bit Lemire rule (``r < 2**32 - 1``)."""
+    if r == 0:
+        return 0
+    span = r + 1
+    m = next_u32() * span
+    if m & _U32 < span:
+        threshold = (_U32 - r) % span
+        while m & _U32 < threshold:
+            m = next_u32() * span
+    return m >> 32
+
+
+def sample_without_replacement(next_u32: Callable[[], int], d: int, k: int) -> list[int]:
+    """``Generator.choice(np.arange(d), size=k, replace=False)``, bit for bit.
+
+    ``next_u32`` is the generator's :func:`uint32_stream`.  numpy
+    shuffles the tail of ``range(d)`` when ``d > 10000`` and
+    ``k > d // 50``.  Otherwise it runs Floyd's algorithm, taking ``j``
+    in place of a repeated draw for ``j`` in ``d-k .. d-1``, and then
+    shuffles the ``k`` picks.  Every index comes from :func:`_bounded`.
+    """
+    if d > 10000 and k > d // 50:
+        pool = list(range(d))
+        for i in range(d - 1, max(d - k, 1) - 1, -1):
+            j = _bounded(next_u32, i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[d - k:]
+    picks: list[int] = []
+    taken: set[int] = set()
+    for j in range(d - k, d):
+        v = _bounded(next_u32, j)
+        if v in taken:
+            v = j
+        taken.add(v)
+        picks.append(v)
+    for i in range(k - 1, 0, -1):
+        j = _bounded(next_u32, i)
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
 
 
 @dataclass(eq=False)
@@ -102,12 +163,13 @@ class RegressionTree:
         # Plain lists for the grow; locals, so the fitted tree keeps none.
         columns = X.T.tolist()
         targets = y.tolist()
-        all_features = np.arange(self._n_features)
-        feature_list = all_features.tolist()
+        feature_list = list(range(self._n_features))
         subsample = (
             self.max_features is not None and self.max_features < self._n_features
         )
-        rng = np.random.default_rng(self.random_state)
+        next_u32 = uint32_stream(
+            np.random.default_rng(self.random_state).bit_generator
+        ).__next__
         # Split positions run over 0..n-2 whatever the setting.
         min_leaf = max(self.min_samples_leaf, 1)
 
@@ -120,7 +182,7 @@ class RegressionTree:
         n_samples: list[int] = []
 
         # Depth-first, left child first: the preorder numbering and the
-        # order of the rng draws of a recursive grow.  ``idx`` stays
+        # order of the feature draws of a recursive grow.  ``idx`` stays
         # ascending, so stable sorts of it break ties by row.
         stack: list[tuple[list[int], int, list[int], int]] = [
             (list(range(n)), 0, left, -1)
@@ -150,7 +212,7 @@ class RegressionTree:
 
             sse_parent = pairwise_sum([(v - mean) * (v - mean) for v in y_node])
             features = (
-                rng.choice(all_features, size=self.max_features, replace=False).tolist()
+                sample_without_replacement(next_u32, self._n_features, self.max_features)
                 if subsample
                 else feature_list
             )

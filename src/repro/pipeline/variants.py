@@ -43,6 +43,10 @@ class VariantStrategy:
 
     #: Registered name; subclasses set their own.
     name = "variant"
+    #: Whether the deployment runs AIMD agents, which tick every
+    #: ``epoch_s``.  The service checks ``epoch_s`` before training
+    #: when this is true; otherwise the agents' own check catches it.
+    agents = False
 
     def build(
         self,
@@ -101,7 +105,7 @@ class SingleConnection(VariantStrategy):
         telemetry: Optional[object] = None,
     ) -> Deployment:
         """An empty deployment (deliberately skips prediction)."""
-        deployment = Deployment(self.name, None, agents=False, throttling=False)
+        deployment = Deployment(self.name, None, agents=self.agents, throttling=False)
         return self.configure(deployment, epoch_s, telemetry)
 
 
@@ -114,7 +118,7 @@ class UniformParallel(VariantStrategy):
     def deployment(self, pipeline, bw, skew_weights, rvec) -> Deployment:
         """A flat max-connections plan, no agents or throttles."""
         plan = uniform_plan(bw, pipeline.config.max_connections)
-        return Deployment(self.name, plan, agents=False, throttling=False)
+        return Deployment(self.name, plan, agents=self.agents, throttling=False)
 
 
 @register_variant()
@@ -122,11 +126,12 @@ class LocalOnly(VariantStrategy):
     """AIMD agents inside a static 1–max window (§5.5 ablation)."""
 
     name = "local-only"
+    agents = True
 
     def deployment(self, pipeline, bw, skew_weights, rvec) -> Deployment:
         """AIMD agents inside the full static 1–max window."""
         plan = static_range_plan(bw, 1, pipeline.config.max_connections)
-        return Deployment(self.name, plan, agents=True, throttling=True)
+        return Deployment(self.name, plan, agents=self.agents, throttling=True)
 
 
 @register_variant()
@@ -138,7 +143,7 @@ class GlobalOnly(VariantStrategy):
     def deployment(self, pipeline, bw, skew_weights, rvec) -> Deployment:
         """The optimizer's window, installed statically."""
         plan = pipeline.plan(bw, skew_weights, rvec)
-        return Deployment(self.name, plan, agents=False, throttling=False)
+        return Deployment(self.name, plan, agents=self.agents, throttling=False)
 
 
 @register_variant()
@@ -146,11 +151,12 @@ class DynamicNoThrottle(VariantStrategy):
     """Heterogeneous connections + AIMD, no throttling (WANify-Dynamic)."""
 
     name = "wanify-dynamic"
+    agents = True
 
     def deployment(self, pipeline, bw, skew_weights, rvec) -> Deployment:
         """Optimized windows + AIMD agents, throttling off."""
         plan = pipeline.plan(bw, skew_weights, rvec)
-        return Deployment(self.name, plan, agents=True, throttling=False)
+        return Deployment(self.name, plan, agents=self.agents, throttling=False)
 
 
 @register_variant()
@@ -158,8 +164,9 @@ class ThrottledDynamic(VariantStrategy):
     """The full system: AIMD agents + TC throttling (WANify-TC)."""
 
     name = "wanify-tc"
+    agents = True
 
     def deployment(self, pipeline, bw, skew_weights, rvec) -> Deployment:
         """Optimized windows + AIMD agents + TC throttling."""
         plan = pipeline.plan(bw, skew_weights, rvec)
-        return Deployment(self.name, plan, agents=True, throttling=True)
+        return Deployment(self.name, plan, agents=self.agents, throttling=True)

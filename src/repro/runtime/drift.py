@@ -98,6 +98,16 @@ class ReplanEvent:
         return line
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a :class:`DriftDetector` threshold that is not positive.
+
+    A non-positive threshold fires on every assessable link (an error
+    is never below 0), so every check would re-plan.
+    """
+    if threshold <= 0.0:
+        raise ValueError(f"threshold must be positive: {threshold}")
+
+
 @dataclass
 class DriftDetector:
     """Compares telemetry capacity estimates against a reference matrix."""
@@ -121,10 +131,7 @@ class DriftDetector:
     _last_fire: float = field(default=float("-inf"), init=False)
 
     def __post_init__(self) -> None:
-        # A non-positive threshold fires on every assessable link (an
-        # error is never below 0), so every check would re-plan.
-        if self.threshold <= 0.0:
-            raise ValueError(f"threshold must be positive: {self.threshold}")
+        check_threshold(self.threshold)
 
     def link_error(self, src: str, dst: str, now: float) -> float | None:
         """Relative degradation of one link, ``None`` if not assessable."""

@@ -49,8 +49,9 @@ from repro.net.matrix import BandwidthMatrix
 from repro.pipeline.config import ServiceConfig
 from repro.pipeline.core import Pipeline
 from repro.pipeline.deploy import Deployment
+from repro.pipeline.registry import variant_registry
 from repro.runtime.control.plane import ControlPlane
-from repro.runtime.drift import DriftDetector, ReplanEvent
+from repro.runtime.drift import DriftDetector, ReplanEvent, check_threshold
 from repro.runtime.observability.hub import ObservabilityHub
 from repro.runtime.recalibrator import RECAL_INTERVAL_S, CapacityRecalibrator
 from repro.runtime.scenarios import service_cluster
@@ -59,7 +60,7 @@ from repro.runtime.scheduling import SLO, spread_slos
 from repro.runtime.scheduling.shards import ShardedScheduler
 from repro.runtime.summary import ServiceSummary
 from repro.runtime.telemetry import TelemetryStore
-from repro.sim.kernel import Process
+from repro.sim.kernel import Process, check_interval
 from repro.core.agent import LocalAgent
 
 import numpy as np
@@ -79,6 +80,19 @@ __all__ = [
 #: window is the re-plan trigger, and detection latency is about half
 #: the window for a persistent drop.
 TELEMETRY_WINDOW_S = 120.0
+
+
+def _deploys_agents(variant: str) -> bool:
+    """Whether the registered ``variant`` declares AIMD agents.
+
+    An unknown name, or a strategy that declares nothing, reads false:
+    its deployment is checked when it installs.
+    """
+    try:
+        strategy = variant_registry.get(variant)
+    except KeyError:
+        return False
+    return getattr(strategy, "agents", False) is True
 
 
 class PipelineService:
@@ -167,6 +181,13 @@ class PipelineService:
         # Construct before training: a config the scheduler rejects
         # fails here, without paying for a forest it would never use.
         service = cls(cluster, pipeline, config)
+        # So does a value start() would reject, in start()'s order: the
+        # agents' epoch, the drift threshold, the drift-check period.
+        if _deploys_agents(config.variant):
+            check_interval(config.epoch_s)
+        check_threshold(config.drift_threshold)
+        if config.online:
+            check_interval(config.check_interval_s)
         if not pipeline.is_trained:
             pipeline.train()
         service.start()

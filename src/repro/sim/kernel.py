@@ -371,6 +371,12 @@ class Simulator:
         self._running = False
 
 
+def check_interval(interval: float) -> None:
+    """Reject a :class:`Process` period that is not positive."""
+    if interval <= 0:
+        raise ValueError(f"interval must be positive: {interval}")
+
+
 class Process:
     """A periodic activity: fires ``body(sim.now)`` every ``interval`` seconds.
 
@@ -390,8 +396,7 @@ class Process:
         priority: int = 0,
         daemon: bool = True,
     ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive: {interval}")
+        check_interval(interval)
         self._sim = sim
         self._interval = interval
         self._body = body

@@ -16,7 +16,13 @@ from oracle_tree import RegressionTree as OracleTree
 
 from repro.ml import forest as forest_module
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.tree import RegressionTree, pairwise_sum
+from repro.core.analyzer import BandwidthAnalyzer
+from repro.ml.tree import (
+    RegressionTree,
+    pairwise_sum,
+    sample_without_replacement,
+    uint32_stream,
+)
 
 INT_FIELDS = ("feature", "left", "right", "n_samples")
 FLOAT_FIELDS = ("threshold", "value", "impurity_gain")
@@ -181,6 +187,22 @@ class TestForest:
         assert [type(t) for t in forest.trees] == [RegressionTree] * 10
         assert bits(forest.predict(X2)) == bits(oracle.predict(X2))
 
+    def test_campaign_bit_equal(self, monkeypatch, triad, weather):
+        # A collected campaign repeats link features across rows, unlike
+        # the synthetic sets above; the default max_features="sqrt"
+        # draws 2 of its 6 features per split.
+        training = BandwidthAnalyzer(triad, weather, n_datasets=12, seed=4).collect()
+        X, y = training.X, training.y
+        assert len(np.unique(X[:, 0])) < len(X)
+        forests = []
+        for tree_class in (RegressionTree, OracleTree):
+            with monkeypatch.context() as patch:
+                patch.setattr(forest_module, "RegressionTree", tree_class)
+                forests.append(RandomForestRegressor(random_state=3).fit(X, y))
+        forest, oracle = forests
+        assert bits(forest.predict(X)) == bits(oracle.predict(X))
+        assert bits(forest.feature_importances_) == bits(oracle.feature_importances_)
+
 
 def test_pairwise_sum_follows_numpy():
     """The numpy-internal summation rule the grow replicates.
@@ -201,3 +223,30 @@ def test_pairwise_sum_follows_numpy():
     for n in (1, 7, 8, 9, 128, 129, 300):
         zeros = np.full(n, -0.0)
         assert bits([pairwise_sum(zeros.tolist())]) == bits([np.add.reduce(zeros)])
+
+
+def test_feature_draw_follows_numpy():
+    """The numpy-internal ``Generator.choice`` rule the grow replicates.
+
+    A failure here means the installed numpy draws ``choice(arange(d),
+    k, replace=False)`` from its bit stream differently than
+    :func:`sample_without_replacement` assumes, and fitted trees would
+    no longer match the numpy oracle bit for bit.
+    """
+    # Every k in 1..d for d in 1..64 (Floyd's algorithm), both sides of
+    # the tail-shuffle switch at d > 10000 and k > d // 50, and a full
+    # shuffle of a large population.
+    cases = [(d, k) for d in range(1, 65) for k in range(1, d + 1)]
+    cases += [(10000, 250), (10001, 200), (10001, 201), (10001, 250), (10001, 10001)]
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        next_u32 = uint32_stream(np.random.default_rng(seed).bit_generator).__next__
+        order = np.random.default_rng(seed + 1000).permutation(len(cases)).tolist()
+        # The trailing draw checks the stream position after the mix.
+        for d, k in [cases[i] for i in order] + [(6, 2)]:
+            expected = rng.choice(np.arange(d), size=k, replace=False).tolist()
+            assert sample_without_replacement(next_u32, d, k) == expected, (
+                f"sample_without_replacement departs from numpy {np.__version__} "
+                f"at seed={seed}, d={d}, k={k}; benchmarks/experiments_fast.sha256 "
+                "pins the numpy version the tree grow was checked against"
+            )

@@ -444,6 +444,36 @@ class TestBadKnobValues:
         assert code == 2
         assert text == "bad configuration: shard count must be ≥ 1: 0\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--drift-threshold=-1",), "threshold must be positive: -1.0"),
+            (("--epoch-s", "0"), "interval must be positive: 0.0"),
+            (("--check-interval-s", "-1"), "interval must be positive: -1.0"),
+        ],
+    )
+    def test_bad_start_value_exits_before_training(self, monkeypatch, flags, message):
+        def train(pipeline):
+            raise AssertionError("trained a forest for a rejected config")
+
+        monkeypatch.setattr(Pipeline, "train", train)
+        code, text = run_cli(*self.SERVE, *self.FAST, *flags)
+        assert code == 2
+        assert text == f"bad configuration: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # No agents, so no epoch to tick.
+            ("--variant", "global-only", "--epoch-s", "0"),
+            # No drift checks, so no check period.
+            ("--static", "--check-interval-s", "-1"),
+        ],
+    )
+    def test_unused_start_value_still_runs(self, flags):
+        code, _ = run_cli(*self.SERVE, *self.FAST, *flags)
+        assert code == 0
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
     def test_duration_must_be_positive_and_finite(self, value):
         code, text = run_cli(*self.SERVE, *self.FAST, "--duration", value)
