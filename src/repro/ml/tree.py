@@ -22,11 +22,11 @@ to it node for node:
 
 :func:`pairwise_sum` and :func:`sample_without_replacement` mirror
 numpy-internal rules; the differential tests against the numpy
-formulation pin them per numpy version.  A fitted
-tree keeps no copy of its training data.  It is stored as flat per-field
-node arrays in preorder (root first, each left subtree before its
-right), and :meth:`RegressionTree.predict` walks all rows down them one
-level at a time.
+formulation pin them per numpy version.  A fitted tree keeps no copy of
+its training data.  It is stored as flat per-field node arrays in
+preorder (root first, each left subtree before its right), and
+:meth:`RegressionTree.predict` walks all rows down them one level at a
+time.
 """
 
 from __future__ import annotations
