@@ -17,6 +17,9 @@ operations in the same order — and the transfer objects stay
 authoritative.  The simulator's ``kernel`` knob picks only the
 threshold: :data:`SMALL_BUCKET` for ``"vectorized"``, infinite for
 ``"scalar"``, so a scalar bucket never leaves per-object arithmetic.
+:data:`SMALL_BUCKET` is 32, the measured break-even between the two
+(see its comment): numpy's per-call overhead, not the arithmetic,
+dominates a bucket of a few transfers, so the arrays start at 33.
 Both kernels solve rates with :func:`repro.net.sharing.allocate`, so
 a vectorized run is bit-identical to a scalar one — the parity
 contract ``tests/net/test_batch_parity.py`` enforces.
@@ -44,8 +47,14 @@ __all__ = [
 
 #: The vectorized kernel's threshold: buckets at or below this many
 #: transfers stay on per-object arithmetic — numpy array overhead only
-#: pays off beyond it.
-SMALL_BUCKET = 2
+#: pays off beyond it.  Measured per bucket (2-vCPU Xeon, Python
+#: 3.11.7, numpy 2.4.6): a step (progress, finished scan, share, ETA)
+#: costs about 6 / 17 / 20 / 48 µs on objects against a flat 9–14 µs
+#: on arrays at 8 / 16 / 32 / 64 transfers, so arrays win from about
+#: 16; a step that also evicts and admits one transfer (``np.delete``
+#: and ``np.append``, 15–20 µs more on arrays) breaks even at about
+#: 40–48.  32 sits between the two.
+SMALL_BUCKET = 32
 
 #: Remaining-payload slop below which a transfer counts as finished
 #: (mirrors the simulator's completion scan).
@@ -165,25 +174,30 @@ class _Bucket:
                 )
 
     def min_eta(self) -> float:
-        """Seconds until the bucket's next completion (inf when idle)."""
-        if self.size is None:
-            eta = float("inf")
-            for transfer in self.transfers:
-                rate = transfer.rate_mbps
-                if rate > 0:
-                    # ``Transfer.remaining_mbits``, inline.
-                    remaining = max(
-                        0.0, transfer.size_mbits - transfer.transferred_mbits
-                    )
-                    eta = min(eta, remaining / rate)
-            return eta
+        """Seconds until the bucket's next completion (inf when idle).
+
+        ``max(0, min(size - transferred)) / share`` over the members
+        that carry the share.  Every such member moves at exactly
+        ``share`` and fresh ones at 0, and correctly rounded division
+        by one positive number is monotonic, so this equals the
+        minimum of each rate-carrying transfer's ``remaining / rate``
+        bit for bit.
+        """
         limit = len(self.transfers) - self.fresh
         if self.share <= 0 or limit <= 0:
             return float("inf")
-        remaining = float(
-            (self.size[:limit] - self.transferred[:limit]).min()
-        )
-        return remaining / self.share
+        if self.size is None:
+            remaining = min(
+                [
+                    t.size_mbits - t.transferred_mbits
+                    for t in self.transfers[:limit]
+                ]
+            )
+        else:
+            remaining = float(
+                (self.size[:limit] - self.transferred[:limit]).min()
+            )
+        return max(0.0, remaining) / self.share
 
     def finished(self) -> list["Transfer"]:
         """Members whose remaining payload is within the finish slop."""

@@ -26,12 +26,24 @@ stay a pure function of ``(seed, i, j, t)``: a draw that read any other
 state would be served stale from the cache.  Each memo holds at most
 :data:`LINK_DRAW_CACHE_SIZE` entries; the bound is fixed, not
 configurable, and evicting an entry only costs its recomputation.
+
+On top of the memos, each :class:`FluctuationModel` keeps one entry per
+link, ``(i, j) → (bucket, n0, n1, phase)``: the noise draws at the two
+grid points around the bucket the link was last priced in, and its
+diurnal phase.  A simulator reprices a link many times per noise
+bucket, and each reprice is then one dict lookup instead of three memo
+calls; a ``t`` in another bucket refills the entry from the memos.
+This keeps ``factor`` a pure function of ``(seed, i, j, t)``: the
+entry is used only when its bucket is ``t``'s, it holds exactly what
+the memos return for that bucket, and the model's fields are frozen.
+The entry is per instance and takes no part in equality, hashing or
+``repr``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -90,6 +102,11 @@ class FluctuationModel:
     noise_period_s: float = DEFAULT_NOISE_PERIOD_S
     floor: float = 0.35
     ceiling: float = 1.65
+    #: ``(i, j)`` → ``(bucket, n0, n1, phase)``: the link's draws for
+    #: the noise bucket it was last priced in.
+    _links: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def _noise_at_bucket(self, i: int, j: int, bucket: int) -> float:
         return _link_normal(self.seed, i, j, bucket, self.sigma)
@@ -110,11 +127,18 @@ class FluctuationModel:
             return 1.0
         bucket = math.floor(t / self.noise_period_s)
         frac = t / self.noise_period_s - bucket
-        n0 = self._noise_at_bucket(i, j, bucket)
-        n1 = self._noise_at_bucket(i, j, bucket + 1)
+        entry = self._links.get((i, j))
+        if entry is None or entry[0] != bucket:
+            entry = self._links[i, j] = (
+                bucket,
+                self._noise_at_bucket(i, j, bucket),
+                self._noise_at_bucket(i, j, bucket + 1),
+                self._phase(i, j),
+            )
+        _, n0, n1, phase = entry
         noise = n0 * (1.0 - frac) + n1 * frac
         diurnal = self.diurnal_amplitude * math.sin(
-            2.0 * math.pi * t / DAY_S + self._phase(i, j)
+            2.0 * math.pi * t / DAY_S + phase
         )
         return float(min(max(1.0 + noise + diurnal, self.floor), self.ceiling))
 

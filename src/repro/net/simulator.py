@@ -147,13 +147,14 @@ class _RouteTable(dict):
         return route
 
 
-@dataclass
+@dataclass(eq=False)
 class Transfer:
     """One data transfer between DCs (or within one DC).
 
     ``size_mbits`` is the payload in megabits.  ``rate_mbps`` is the
     instantaneous fluid rate, updated by the simulator's solve at the
-    end of each instant that changed it.
+    end of each instant that changed it.  Transfers compare by
+    identity: two transfers with equal fields are still two transfers.
     """
 
     src: str

@@ -5,7 +5,7 @@ import pytest
 from repro.core.globalopt import uniform_plan
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec, StageSpec
-from repro.gda.engine.engine import GdaEngine, validate_placement
+from repro.gda.engine.engine import GdaEngine, JobRun, validate_placement
 from repro.gda.systems.vanilla import LocalityPolicy
 from repro.net.dynamics import StaticModel
 from repro.net.matrix import BandwidthMatrix
@@ -100,6 +100,26 @@ class TestExecution:
         second = engine.run(simple_job(), LocalityPolicy())
         assert second.jct_s == pytest.approx(first.jct_s, rel=0.05)
         assert second.wan_gb == pytest.approx(first.wan_gb, rel=0.01)
+
+
+class TestTransferBatch:
+    def test_done_removes_its_own_transfer(self):
+        """Two transfers with equal fields in one batch: each one's
+        completion removes that object, not the first equal one."""
+        cluster = GeoCluster.build(TRIAD, "t2.medium", fluctuation=StaticModel())
+        run = JobRun(cluster, simple_job(), LocalityPolicy())
+        finished = []
+        run._launch(
+            [("us-east-1", "us-west-1", 50.0)] * 2,
+            "shuffle",
+            lambda: finished.append(cluster.network.sim.now),
+        )
+        first, second = run._inflight
+        assert first is not second
+        second.on_complete(second)
+        assert len(run._inflight) == 1 and run._inflight[0] is first
+        first.on_complete(first)
+        assert run._inflight == [] and len(finished) == 1
 
 
 class TestDeploymentLifecycle:

@@ -12,6 +12,11 @@ compare, as packed doubles:
   ``on_complete`` fires in;
 * the whole :meth:`~repro.runtime.summary.ServiceSummary.to_row` and
   every job's finish time for end-to-end service runs.
+
+The seeded mix rarely puts more than a handful of transfers on one
+pair, which stays below :data:`~repro.net.batch.SMALL_BUCKET`; the
+crowded case piles two waves of 80 onto one pair and spies on the
+bucket to show the arrays were built and dropped mid-run.
 """
 
 import random
@@ -19,6 +24,7 @@ import struct
 
 import pytest
 
+from repro.net.batch import SMALL_BUCKET, _Bucket
 from repro.net.topology import Topology
 from repro.runtime.scenarios import scenario
 from repro.runtime.service import ServiceConfig, PipelineService, default_job_mix
@@ -149,6 +155,100 @@ class TestTransferParity:
         srates = [t.rate_mbps for t in scalar.active_transfers()]
         vrates = [t.rate_mbps for t in vector.active_transfers()]
         assert _packed(srates) == _packed(vrates)
+
+
+#: The crowded pair: every wave piles onto it.
+CROWDED = ("us-east-1", "us-west-1")
+
+#: Scenarios the crowded case runs under (calm, a capacity loss and a
+#: transient crunch).
+CROWDED_SCENARIOS = (("calm", 3), ("link-failure", 13), ("flash-crowd", 7))
+
+
+class _BucketSpy:
+    """Counts array builds and drops, and the largest bucket population."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.builds = []
+        self.drops = 0
+        self.peak = 0
+        build, drop, add = _Bucket._build_arrays, _Bucket._drop_arrays, _Bucket.add
+
+        def spy_build(bucket):
+            self.builds.append(len(bucket.transfers))
+            build(bucket)
+
+        def spy_drop(bucket):
+            self.drops += 1
+            drop(bucket)
+
+        def spy_add(bucket, transfer):
+            add(bucket, transfer)
+            self.peak = max(self.peak, len(bucket.transfers))
+
+        monkeypatch.setattr(_Bucket, "_build_arrays", spy_build)
+        monkeypatch.setattr(_Bucket, "_drop_arrays", spy_drop)
+        monkeypatch.setattr(_Bucket, "add", spy_add)
+
+
+def _run_crowded(name: str, seed: int, kernel: str):
+    """Two waves of 80 transfers on one pair, plus stragglers.
+
+    Each wave arrives within 10 s and takes about 100 s to drain, so
+    the pair's bucket climbs past ``2 × SMALL_BUCKET`` and falls back
+    below ``SMALL_BUCKET`` twice in one run.
+    """
+    net = _sim(name, seed, kernel)
+    rng = random.Random(seed * 7919)
+    transfers = []
+    completed = []
+
+    def start(src, dst, mbits):
+        index = len(transfers)
+        transfers.append(
+            net.start_transfer(
+                src, dst, mbits, on_complete=lambda t: completed.append(index)
+            )
+        )
+
+    for wave in (0.0, 400.0):
+        for _ in range(80):
+            delay = wave + rng.uniform(0.0, 10.0)
+            mbits = rng.uniform(200.0, 3000.0)
+            net.sim.schedule(delay, lambda m=mbits: start(*CROWDED, m))
+    for _ in range(10):
+        delay = rng.uniform(0.0, 600.0)
+        src, dst = rng.sample(TRIAD, 2)
+        mbits = rng.uniform(100.0, 1500.0)
+        net.sim.schedule(delay, lambda s=src, d=dst, m=mbits: start(s, d, m))
+    net.sim.run()
+    return transfers, completed
+
+
+class TestCrowdedPairParity:
+    """A bucket that crosses the array threshold both ways mid-run."""
+
+    @pytest.mark.parametrize(("name", "seed"), CROWDED_SCENARIOS)
+    def test_crowded_pair_matches_scalar(self, name, seed, monkeypatch):
+        scalar_spy = _BucketSpy(monkeypatch)
+        scalar, scalar_order = _run_crowded(name, seed, "scalar")
+        assert scalar_spy.builds == []
+        vector_spy = _BucketSpy(monkeypatch)
+        vector, vector_order = _run_crowded(name, seed, "vectorized")
+        # The arrays were really built, each time the population first
+        # passed the threshold, and dropped again on the way down.
+        assert vector_spy.peak > 2 * SMALL_BUCKET
+        assert vector_spy.builds == [SMALL_BUCKET + 1] * 2
+        assert vector_spy.drops == 2
+        assert len(scalar) == len(vector) == 170
+        assert sorted(scalar_order) == list(range(170))
+        assert vector_order == scalar_order
+        assert _packed(t.finish_time for t in scalar) == _packed(
+            t.finish_time for t in vector
+        )
+        assert _packed(t.transferred_mbits for t in scalar) == _packed(
+            t.transferred_mbits for t in vector
+        )
 
 
 def _service_config(kernel: str, **overrides) -> ServiceConfig:

@@ -114,6 +114,13 @@ class TestTransfers:
 
         assert weak_completion(True) > weak_completion(False)
 
+    def test_transfers_compare_by_identity(self):
+        first = Transfer("us-east-1", "us-west-1", 100.0, tag="job:shuffle")
+        second = Transfer("us-east-1", "us-west-1", 100.0, tag="job:shuffle")
+        assert first == first
+        assert first != second
+        assert len({first, second}) == 2
+
 
 class TestConnections:
     def test_more_connections_raise_weak_pair_rate(self, triad, calm):
