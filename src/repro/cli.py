@@ -59,17 +59,7 @@ from repro.pipeline.config import (
     ServiceConfig,
 )
 from repro.pipeline.core import Pipeline
-from repro.pipeline.registry import (
-    Registry,
-    admission_policy_registry,
-    gauger_registry,
-    planner_registry,
-    policy_registry,
-    predictor_registry,
-    preemption_policy_registry,
-    tuner_registry,
-    variant_registry,
-)
+from repro.pipeline.registry import unregistered
 
 _PROG = "python -m repro"
 
@@ -104,41 +94,6 @@ def _experiment_registry():
     from repro.experiments.report import EXPERIMENTS
 
     return EXPERIMENTS
-
-
-def _check_registered(config: object, out: IO[str]) -> bool:
-    """Validate every registry-resolved name a config carries.
-
-    On failure, prints the known alternatives — every printed name is
-    guaranteed to resolve (the registries are the source of truth).
-    """
-    checks: tuple[tuple[str, Registry], ...] = (
-        ("variant", variant_registry),
-        ("policy", policy_registry),
-        ("gauger", gauger_registry),
-        ("predictor", predictor_registry),
-        ("planner", planner_registry),
-        ("scheduler", admission_policy_registry),
-        ("preemption", preemption_policy_registry),
-        ("tuner", tuner_registry),
-    )
-    for field_name, registry in checks:
-        value = getattr(config, field_name, None)
-        if value is not None and value not in registry:
-            out.write(
-                f"unknown {registry.kind} {value!r}; "
-                f"known: {', '.join(registry.names())}\n"
-            )
-            return False
-    # Not registry-backed, but the same bad-name contract: the transfer
-    # kernel accepts exactly the simulator's KERNELS tuple.
-    from repro.net.simulator import KERNELS
-
-    kernel = getattr(config, "kernel", None)
-    if kernel is not None and kernel not in KERNELS:
-        out.write(f"unknown kernel {kernel!r}; known: {', '.join(KERNELS)}\n")
-        return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +225,8 @@ def cmd_predict(args: argparse.Namespace, out: IO[str]) -> int:
     except (OSError, ValueError) as exc:
         out.write(f"bad configuration: {exc}\n")
         return 2
-    if not _check_registered(config, out):
+    if (unknown := unregistered(config)) is not None:
+        out.write(unknown + "\n")
         return 2
     try:
         profile = network_profile(args.profile)
@@ -401,7 +357,6 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
     """Run the runtime service on a scenario; optionally compare modes."""
     import dataclasses
 
-    from repro.runtime.scenarios import scenario_known, scenario_names
     from repro.runtime.service import PipelineService, default_job_mix
 
     try:
@@ -418,16 +373,8 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
         out.write(f"bad configuration: {exc}\n")
         return 2
     keys = base_config.regions
-    if base_config.scenario is not None and not scenario_known(
-        base_config.scenario
-    ):
-        out.write(
-            f"unknown scenario {base_config.scenario!r}; "
-            f"known: {', '.join(scenario_names(include_composed=True))} "
-            f"(join with + to compose)\n"
-        )
-        return 2
-    if not _check_registered(base_config, out):
+    if (unknown := unregistered(base_config)) is not None:
+        out.write(unknown + "\n")
         return 2
     try:
         for key in keys:
@@ -442,22 +389,6 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
     if args.jobs < 1:
         out.write(f"--jobs must be ≥ 1 (got {args.jobs})\n")
         return 2
-    if base_config.max_concurrent < 1:
-        out.write(
-            f"--max-concurrent must be ≥ 1 "
-            f"(got {base_config.max_concurrent})\n"
-        )
-        return 2
-    if (
-        base_config.autoscale
-        and base_config.autoscale_max < base_config.max_concurrent
-    ):
-        out.write(
-            f"--autoscale-max ({base_config.autoscale_max}) must be ≥ "
-            f"--max-concurrent ({base_config.max_concurrent}) — the "
-            f"autoscaler scales between them\n"
-        )
-        return 2
     if not (math.isfinite(args.scale_mb) and args.scale_mb > 0):
         out.write(f"--scale-mb must be positive (got {args.scale_mb})\n")
         return 2
@@ -467,12 +398,6 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
         out.write(
             f"--duration must be a positive number of seconds "
             f"(got {args.duration})\n"
-        )
-        return 2
-    if base_config.shard_workers < 0:
-        out.write(
-            f"--shard-workers must be ≥ 0 "
-            f"(got {base_config.shard_workers})\n"
         )
         return 2
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.checks import check_datasets
 from repro.core.features import FEATURE_NAMES, report_feature_rows
 from repro.net.dynamics import FluctuationModel
 from repro.net.measurement import snapshot, stable_runtime
@@ -166,8 +167,7 @@ def build_training_set(
     a simulated week.  Snapshot features are inputs; stable runtime BWs
     are targets.
     """
-    if n_datasets < 1:
-        raise ValueError(f"n_datasets must be ≥ 1: {n_datasets}")
+    check_datasets(n_datasets)
     if cluster_sizes is None:
         cluster_sizes = tuple(range(2, topology.n + 1))
     bad = [c for c in cluster_sizes if c < 2 or c > topology.n]

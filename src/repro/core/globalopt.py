@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checks import check_connections
 from repro.core.relations import infer_dc_relations
 from repro.net.matrix import BandwidthMatrix
 from repro.net.simulator import LAN_MBPS
@@ -121,8 +122,7 @@ def optimize_connections(
     ``intra_bw`` so intra-DC lands on the top closeness level, exactly
     as in the paper's worked example.
     """
-    if max_connections < 1:
-        raise ValueError(f"max_connections must be ≥ 1: {max_connections}")
+    check_connections(max_connections)
     n = bw.n
     keys = bw.keys
     work = bw.values.copy()

@@ -28,6 +28,8 @@ import bisect
 
 import numpy as np
 
+from repro.checks import check_min_difference
+
 
 def filter_levels(values: np.ndarray, min_difference: float) -> list[float]:
     """Unique BW levels with near-duplicates merged (lines 3–8).
@@ -39,8 +41,7 @@ def filter_levels(values: np.ndarray, min_difference: float) -> list[float]:
     >>> filter_levels(np.array([110, 120, 130, 380, 400, 1000]), 30)
     [110.0, 380.0, 1000.0]
     """
-    if min_difference < 0:
-        raise ValueError(f"min_difference must be ≥ 0: {min_difference}")
+    check_min_difference(min_difference)
     unique = sorted(set(float(v) for v in np.asarray(values).ravel()))
     i = len(unique) - 1
     while i >= 1:

@@ -26,10 +26,10 @@ A sweep file is an ordinary layered-config file plus one table::
     repeats = 3          # per-cell seed range → mean ± stdev columns
 
 Every axis key maps to a :class:`~repro.pipeline.config.ServiceConfig`
-field and validates against the matching registry, so anything
-registered from user code sweeps the same way the built-ins do.  Cells
-that share training-relevant knobs share one trained predictor — an
-8-cell sweep trains once, not eight times.
+field; each cell's config is built and its names checked when the file
+loads, so user registrations sweep like the built-ins.  Cells that
+share training-relevant knobs share one trained predictor — an 8-cell
+sweep trains once, not eight times.
 
 Cells are independent simulations; ``run_sweep(spec, workers=N)``
 (``wanify sweep --jobs N``) fans them out over a process pool with
@@ -63,38 +63,24 @@ from repro.pipeline.config import (
 )
 from repro.pipeline.core import Pipeline
 from repro.pipeline.registry import (
-    Registry,
-    admission_policy_registry,
     build_stage,
     gauger_registry,
     planner_registry,
-    policy_registry,
     predictor_registry,
-    preemption_policy_registry,
-    variant_registry,
+    unregistered,
 )
 from repro.pipeline.stages import ForestPredictor
 from repro.runtime.summary import SWEEP_COLUMNS
 
-#: ``[sweep]`` axis key → (ServiceConfig field, validating registry).
-#: Scenarios validate through :func:`repro.runtime.scenarios
-#: .scenario_known` instead (composed ``+`` names are legal there);
-#: registry-less non-scenario axes (``governors`` / ``autoscales`` —
-#: booleans) coerce through the config field's annotated type, so
+#: ``[sweep]`` axis key → ServiceConfig field.  Axis values coerce
+#: through the field's annotated type like any other layer's, so
 #: ``governors = [true, false]`` sweeps the governor on and off.
-AXES: tuple[tuple[str, str, Optional[Registry]], ...] = (
-    ("variants", "variant", variant_registry),
-    ("scenarios", "scenario", None),
-    ("gaugers", "gauger", gauger_registry),
-    ("predictors", "predictor", predictor_registry),
-    ("planners", "planner", planner_registry),
-    ("policies", "policy", policy_registry),
-    ("schedulers", "scheduler", admission_policy_registry),
-    ("preemptions", "preemption", preemption_policy_registry),
-    ("governors", "governor", None),
-    ("autoscales", "autoscale", None),
-    ("recalibrates", "recalibrate", None),
-)
+AXES: Mapping[str, str] = {
+    "variants": "variant", "scenarios": "scenario", "gaugers": "gauger",
+    "predictors": "predictor", "planners": "planner", "policies": "policy",
+    "schedulers": "scheduler", "preemptions": "preemption", "governors": "governor",
+    "autoscales": "autoscale", "recalibrates": "recalibrate",
+}
 
 #: Entry-point defaults for sweep runs (beneath files/env/overrides):
 #: training sizes small enough that a matrix stays interactive.
@@ -113,9 +99,8 @@ class SweepSpec:
     """A fully validated sweep: base config, axes, and run knobs."""
 
     base: ServiceConfig
-    #: ServiceConfig field → the values that axis takes (≥ 1 each;
-    #: strings for registry/scenario axes, field-typed values — e.g.
-    #: booleans — for the rest).
+    #: ServiceConfig field → the values that axis takes (≥ 1 each,
+    #: typed like the field).
     axes: Mapping[str, tuple[Any, ...]]
     #: Axis fields explicitly listed in the ``[sweep]`` section, in
     #: file order — these become the report's leading columns.
@@ -172,10 +157,9 @@ def load_sweep(
     The top-level table resolves through the ordinary config layers
     (so ``WANIFY_*`` vars and ``overrides`` still apply); the
     ``[sweep]`` table supplies the axes and the per-cell run knobs
-    (``jobs``, ``scale_mb``, ``duration``).
+    (``jobs``, ``scale_mb``, ``duration``).  A bad value or name in
+    any cell raises :class:`ValueError` here, before anything runs.
     """
-    from repro.runtime.scenarios import scenario_known, scenario_names
-
     data = load_config_file(path)
     section = data.get("sweep", {})
     if not isinstance(section, dict):
@@ -191,11 +175,9 @@ def load_sweep(
     types = _field_types(ServiceConfig)
     axes: dict[str, tuple[Any, ...]] = {}
     swept: list[str] = []
-    for key, config_field_, registry in AXES:
+    for key, config_field_ in AXES.items():
         raw = section.get(key)
         if raw is None:
-            # Unswept axes still validate — a bad base-config name
-            # should fail here, not as a mid-run traceback.
             axes[config_field_] = (getattr(base, config_field_),)
             continue
         if isinstance(raw, (str, bool)):
@@ -205,49 +187,15 @@ def load_sweep(
                 f"sweep axis {key!r} must be a value or a list of "
                 f"values; got {raw!r}"
             )
-        if registry is not None or config_field_ == "scenario":
-            values = tuple(str(v) for v in raw)
-        else:
-            # Registry-less, non-scenario axes (the control-plane
-            # booleans): coerce through the config field's type so
-            # TOML booleans and "true"/"false" strings both work.
-            try:
-                values = tuple(
-                    _coerce(config_field_, types[config_field_], v)
-                    for v in raw
-                )
-            except ValueError as exc:
-                raise SweepError(
-                    f"bad value in sweep axis {key!r}: {exc}"
-                ) from None
+        try:
+            values = tuple(_coerce(config_field_, types[config_field_], v) for v in raw)
+        except ValueError as exc:
+            raise SweepError(f"bad value in sweep axis {key!r}: {exc}") from None
         if not values:
             raise SweepError(f"sweep axis {key!r} is empty")
         axes[config_field_] = values
         swept.append(config_field_)
-    for key, config_field_, registry in AXES:
-        for value in axes[config_field_]:
-            if value is None:  # unswept optional field (scenario)
-                continue
-            if registry is not None:
-                if value not in registry:
-                    raise SweepError(
-                        f"unknown {registry.kind} {value!r} in sweep axis "
-                        f"{key!r}; known: {', '.join(registry.names())}"
-                    )
-            elif config_field_ == "scenario" and not scenario_known(value):
-                raise SweepError(
-                    f"unknown scenario {value!r} in sweep axis {key!r}; "
-                    f"known: {', '.join(scenario_names(include_composed=True))} "
-                    f"(join with + to compose)"
-                )
-
-    if any(axes["autoscale"]) and base.autoscale_max < base.max_concurrent:
-        raise SweepError(
-            f"autoscale_max ({base.autoscale_max}) must be ≥ "
-            f"max_concurrent ({base.max_concurrent}) when autoscaling — "
-            f"the cell would fail mid-matrix otherwise"
-        )
-    known_keys = {key for key, _, _ in AXES} | {
+    known_keys = set(AXES) | {
         "jobs",
         "scale_mb",
         "duration",
@@ -276,7 +224,7 @@ def load_sweep(
     if repeats < 1:
         raise SweepError(f"[sweep] repeats must be ≥ 1: {repeats}")
     seed = section.get("seed")
-    return SweepSpec(
+    spec = SweepSpec(
         base=base,
         axes=axes,
         swept=tuple(swept),
@@ -287,6 +235,10 @@ def load_sweep(
         repeats=repeats,
         seed=int(seed) if seed is not None else None,
     )
+    for cell in spec.cells:
+        if (unknown := unregistered(dataclasses.replace(base, **cell))) is not None:
+            raise SweepError(unknown)
+    return spec
 
 
 @dataclass

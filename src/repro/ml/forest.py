@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.checks import check_estimators
 from repro.ml.tree import RegressionTree, check_training_data
 
 
@@ -59,8 +60,7 @@ class RandomForestRegressor:
     _fit_count: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n_estimators < 1:
-            raise ValueError(f"n_estimators must be ≥ 1: {self.n_estimators}")
+        check_estimators(self.n_estimators)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         """Fit (or, with warm start, extend) the forest."""

@@ -58,6 +58,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.checks import check_kernel
 from repro.net import tcp
 from repro.net.batch import SMALL_BUCKET, VectorKernel
 from repro.net.dynamics import FluctuationModel, StaticModel
@@ -67,12 +68,9 @@ from repro.net.topology import Topology
 from repro.net.traffic_control import TrafficController
 from repro.sim.kernel import Event, Simulator
 
-#: What the ``kernel`` constructor knob picks: the bucket population
-#: above which progress runs on numpy arrays.
+#: What each of :data:`~repro.checks.KERNELS` picks: the bucket
+#: population above which progress runs on numpy arrays.
 _THRESHOLDS = {"scalar": math.inf, "vectorized": SMALL_BUCKET}
-
-#: Valid values for the ``kernel`` constructor knob.
-KERNELS = tuple(_THRESHOLDS)
 
 #: Never called: ``perfbench/tracer.py`` patches this name.  The line
 #: goes with the ``kernel`` knob.
@@ -211,11 +209,8 @@ class NetworkSimulator:
         self.sim = sim or Simulator()
         self.fluctuation = fluctuation if fluctuation is not None else StaticModel()
         self.knee = knee
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-            )
-        #: Transfer advancement kernel, one of :data:`KERNELS`.
+        check_kernel(kernel)
+        #: Transfer advancement kernel, one of :data:`~repro.checks.KERNELS`.
         self.kernel = kernel
         #: Every in-flight transfer, bucketed by pair.
         self._inflight = VectorKernel(_THRESHOLDS[kernel])

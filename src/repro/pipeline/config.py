@@ -16,8 +16,12 @@ CLI arguments are *generated* from the dataclass fields by
 :class:`ConfigArguments`, so adding a field to a config class makes it
 reachable from the command line (and the environment, and config
 files) with no argparse edits.  Field metadata controls the flag
-spelling (``cli="--datasets"``), help text, and opt-outs
-(``cli=False`` for fields an entry point wires manually).
+spelling (``cli="--datasets"``), help text, opt-outs (``cli=False``
+for fields an entry point wires manually) and valid values (``check=``).
+
+Values are checked at construction (any layer, or
+:func:`dataclasses.replace`): floats finite, ranged fields in range,
+``autoscale_max`` at or above the concurrency floor when autoscaling.
 """
 
 from __future__ import annotations
@@ -30,8 +34,13 @@ import os
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
+from repro.checks import (
+    check_autoscale, check_batch, check_concurrency, check_connections, check_datasets,
+    check_deadline, check_estimators, check_kernel, check_min_difference, check_shards,
+    check_threshold, check_workers,
+)
 from repro.cloud.regions import PAPER_REGIONS
 from repro.core.globalopt import DEFAULT_MAX_CONNECTIONS
 from repro.core.localopt import EPOCH_S
@@ -44,14 +53,16 @@ def config_field(
     default: Any,
     help: str = "",  # noqa: A002 - mirrors argparse's spelling
     cli: Union[str, bool, None] = None,
+    check: Optional[Callable[[Any], None]] = None,
 ) -> Any:
     """A dataclass field carrying CLI/help metadata.
 
     ``cli`` may be a flag spelling (``"--datasets"``), ``False`` to
     keep the field off the command line, or ``None`` for the default
-    ``--field-name`` spelling.
+    ``--field-name`` spelling.  ``check`` raises :class:`ValueError`
+    for an out-of-range value (``None`` is never checked).
     """
-    return dataclasses.field(default=default, metadata={"help": help, "cli": cli})
+    return dataclasses.field(default=default, metadata={"help": help, "cli": cli, "check": check})
 
 
 @dataclass(frozen=True)
@@ -63,10 +74,18 @@ class PipelineConfig:
     registered extensions are selectable from any entry point.
     """
 
-    max_connections: int = config_field(DEFAULT_MAX_CONNECTIONS, help="per-pair connection ceiling")
-    min_difference_mbps: float = config_field(100.0, help="Eq. 3 balance tolerance (Mbps)")
-    n_training_datasets: int = config_field(120, help="training datasets", cli="--datasets")
-    n_estimators: int = config_field(100, help="forest size", cli="--estimators")
+    max_connections: int = config_field(
+        DEFAULT_MAX_CONNECTIONS, help="per-pair connection ceiling", check=check_connections
+    )
+    min_difference_mbps: float = config_field(
+        100.0, help="Eq. 3 balance tolerance (Mbps)", check=check_min_difference
+    )
+    n_training_datasets: int = config_field(
+        120, help="training datasets", cli="--datasets", check=check_datasets
+    )
+    n_estimators: int = config_field(
+        100, help="forest size", cli="--estimators", check=check_estimators
+    )
     seed: int = config_field(13, help="weather / campaign seed")
     variant: str = config_field("wanify-tc", help="deployment variant (registered name)")
     policy: str = config_field("tetrium", help="placement policy (registered name)")
@@ -82,6 +101,15 @@ class PipelineConfig:
     cache_drift_tolerance: float = config_field(
         0.15, help="cached predictor re-infer threshold (relative snapshot drift)"
     )
+
+    def __post_init__(self) -> None:
+        for field_ in dataclasses.fields(self):
+            value, check = getattr(self, field_.name), field_.metadata.get("check")
+            # Finiteness first: NaN passes every range (comparisons are False).
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field_.name} must be finite (got {value})")
+            if check is not None and value is not None:
+                check(value)
 
 
 @dataclass(frozen=True)
@@ -108,7 +136,7 @@ class ServiceConfig(PipelineConfig):
     #: ``False`` freezes the control loop after the initial plan.
     online: bool = config_field(True, help="enable online re-planning", cli=False)
     throttling: bool = config_field(True, help="throttle BW-rich pairs")
-    max_concurrent: int = config_field(3, help="concurrent jobs admitted")
+    max_concurrent: int = config_field(3, help="concurrent jobs admitted", check=check_concurrency)
     #: Admission policy — names an entry in
     #: ``repro.pipeline.registry.admission_policy_registry`` (``fifo``,
     #: ``priority``, ``deadline-edf``, ``fair-share``, or anything
@@ -117,9 +145,10 @@ class ServiceConfig(PipelineConfig):
     #: Scheduler shard count.  ``1`` keeps the single shared-queue
     #: ``JobScheduler`` (byte-identical to the pre-sharding service);
     #: ``>1`` builds a ``ShardedScheduler`` hashing tenants across N
-    #: independent shards with work-stealing between them on idle;
-    #: below 1 the service refuses to start.
-    scheduler_shards: int = config_field(1, help="scheduler shards (1 = single shared queue)")
+    #: independent shards with work-stealing between them on idle.
+    scheduler_shards: int = config_field(
+        1, help="scheduler shards (1 = single shared queue)", check=check_shards
+    )
     #: Worker processes for the partitioned shard executor (the
     #: ``drain_parallel`` scale-out path).  ``0`` — the default — never
     #: builds the executor, keeping the in-process scheduler
@@ -128,21 +157,27 @@ class ServiceConfig(PipelineConfig):
     #: them out over a multiprocessing pool, one seeded self-contained
     #: simulation per shard, with identical results at any worker
     #: count.
-    shard_workers: int = config_field(0, help="shard worker processes (0 = in-process)")
+    shard_workers: int = config_field(
+        0, help="shard worker processes (0 = in-process)", check=check_workers
+    )
     #: Transfer-advancement kernel for the WAN simulator: ``scalar``
     #: advances each transfer from Python (the reference path);
     #: ``vectorized`` advances a link's concurrent transfers as one
     #: numpy vector once it carries more than two.  Both are
     #: bit-identical; only the wall-clock differs.
-    kernel: str = config_field("scalar", help="transfer kernel: scalar or vectorized")
+    kernel: str = config_field(
+        "scalar", help="transfer kernel: scalar or vectorized", check=check_kernel
+    )
     #: Default per-job SLO deadline, seconds from submission.  Unset
     #: means jobs carry no deadline (and SLO attainment reads 100%).
     slo_deadline_s: Optional[float] = config_field(
-        None, help="per-job SLO deadline (s from submission; unset = none)"
+        None, help="per-job SLO deadline (s from submission; unset = none)", check=check_deadline
     )
     #: Submissions between admission-queue re-orderings — the batched
     #: reallocation knob (1 = exact policy order on every admission).
-    admit_batch: int = config_field(16, help="submissions between admission re-orderings")
+    admit_batch: int = config_field(
+        16, help="submissions between admission re-orderings", check=check_batch
+    )
     #: Probe-dollar budget for drift-triggered re-plans; once the
     #: charged re-gauge cost reaches it, further re-plans are skipped.
     replan_budget_usd: Optional[float] = config_field(
@@ -174,7 +209,9 @@ class ServiceConfig(PipelineConfig):
     #: Mirrors ``repro.runtime.drift.DEFAULT_THRESHOLD`` — duplicated
     #: here (and equality-tested) so the light config layer does not
     #: import the runtime package.
-    drift_threshold: float = config_field(0.45, help="relative error firing a re-plan")
+    drift_threshold: float = config_field(
+        0.45, help="relative error firing a re-plan", check=check_threshold
+    )
     #: Mirrors ``repro.runtime.drift.DEFAULT_COOLDOWN_S``.
     cooldown_s: float = config_field(240.0, help="minimum gap between re-plans (s)")
     max_replans: Optional[int] = config_field(None, help="re-plan budget (unlimited when unset)")
@@ -219,8 +256,18 @@ class ServiceConfig(PipelineConfig):
     )
     #: Training-campaign size (small defaults keep service start cheap;
     #: raise toward the paper's 120/100 for fidelity studies).
-    n_training_datasets: int = config_field(24, help="training datasets", cli="--datasets")
-    n_estimators: int = config_field(16, help="forest size", cli="--estimators")
+    n_training_datasets: int = config_field(
+        24, help="training datasets", cli="--datasets", check=check_datasets
+    )
+    n_estimators: int = config_field(
+        16, help="forest size", cli="--estimators", check=check_estimators
+    )
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.autoscale:
+            # The floor is the scheduler's bound: a shard keeps one slot.
+            check_autoscale(self.autoscale_max, max(self.max_concurrent, self.scheduler_shards))
 
 
 # ----------------------------------------------------------------------
@@ -326,11 +373,6 @@ def layered_config(
     ``overrides`` win over everything (explicit CLI flags / kwargs).
     File keys that are not fields of ``cls`` are ignored, so one file
     can feed entry points with different config classes.
-
-    Every float-valued field of the result must be finite: NaN slips
-    through ordinary range checks (all comparisons are False), so a
-    NaN or infinite value from any layer raises :class:`ValueError`
-    naming the field.
     """
     names = {field_.name for field_ in dataclasses.fields(cls)}
     types = _field_types(cls)
@@ -341,12 +383,7 @@ def layered_config(
                 values[key] = _coerce(key, types[key], raw)
     values.update(env_overrides(cls, environ))
     values.update(overrides or {})
-    config = cls(**values)
-    for field_ in dataclasses.fields(cls):
-        value = getattr(config, field_.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{field_.name} must be finite (got {value})")
-    return config
+    return cls(**values)
 
 
 # ----------------------------------------------------------------------

@@ -124,8 +124,11 @@ class Registry:
         try:
             return self._entries[name]
         except KeyError:
-            known = ", ".join(self.names())
-            raise KeyError(f"unknown {self.kind} {name!r}; known: {known}") from None
+            raise KeyError(self.missing(name)) from None
+
+    def missing(self, name: str) -> str:
+        """The one-line message for a name this registry does not hold."""
+        return f"unknown {self.kind} {name!r}; known: {', '.join(self.names())}"
 
     def resolve(self, spec: object) -> object:
         """Resolve a spec — an instance, class, or registered name.
@@ -226,6 +229,37 @@ register_scenario = scenario_registry.register
 register_admission_policy = admission_policy_registry.register
 register_preemption_policy = preemption_policy_registry.register
 register_tuner_policy = tuner_registry.register
+
+#: Config field → the registry its name must resolve in.
+_NAMED_FIELDS: Mapping[str, Registry] = {
+    "variant": variant_registry, "policy": policy_registry, "gauger": gauger_registry,
+    "predictor": predictor_registry, "planner": planner_registry,
+    "scheduler": admission_policy_registry, "preemption": preemption_policy_registry,
+    "tuner": tuner_registry,
+}
+
+
+def unregistered(config: object) -> Optional[str]:
+    """The one-line message for the first name in ``config`` no registry knows.
+
+    ``None`` when every name resolves.  Entry points call this before
+    any work; the config does not, so it may name a later registration.
+    """
+    scenario = getattr(config, "scenario", None)
+    if scenario is not None:
+        from repro.runtime.scenarios import scenario_known, scenario_names
+
+        if not scenario_known(scenario):
+            return (
+                f"unknown scenario {scenario!r}; "
+                f"known: {', '.join(scenario_names(include_composed=True))} "
+                f"(join with + to compose)"
+            )
+    for field_name, registry in _NAMED_FIELDS.items():
+        value = getattr(config, field_name, None)
+        if value is not None and value not in registry:
+            return registry.missing(value)
+    return None
 
 
 def build_stage(registry: Registry, name: str, **context: object) -> object:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.checks import check_autoscale
+
 if TYPE_CHECKING:
     from repro.runtime.scheduler import JobScheduler
 
@@ -34,10 +36,7 @@ class ConcurrencyAutoscaler:
         scale_up_depth: int = 2,
     ) -> None:
         floor = floor if floor > 0 else scheduler.max_concurrent
-        if ceiling < floor:
-            raise ValueError(
-                f"autoscale ceiling {ceiling} below floor {floor}"
-            )
+        check_autoscale(ceiling, floor)
         self.scheduler = scheduler
         self.floor = floor
         self.ceiling = ceiling

@@ -26,6 +26,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.checks import check_threshold
 from repro.net.matrix import BandwidthMatrix
 from repro.runtime.telemetry import TelemetryStore
 
@@ -96,16 +97,6 @@ class ReplanEvent:
                 f"${self.probe_cost_usd:.4f}]"
             )
         return line
-
-
-def check_threshold(threshold: float) -> None:
-    """Reject a :class:`DriftDetector` threshold that is not positive.
-
-    A non-positive threshold fires on every assessable link (an error
-    is never below 0), so every check would re-plan.
-    """
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive: {threshold}")
 
 
 @dataclass

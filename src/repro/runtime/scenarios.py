@@ -419,8 +419,9 @@ def _split_composed(name: str) -> list[str]:
 def scenario_known(name: str) -> bool:
     """Whether :func:`scenario` would resolve ``name``.
 
-    The single source of truth for composition syntax — entry-point
-    validators (the CLI) call this instead of re-parsing ``+`` chains.
+    The single source of truth for composition syntax — the entry
+    points' name check (:func:`repro.pipeline.registry.unregistered`)
+    calls this instead of re-parsing ``+`` chains.
     """
     parts = _split_composed(name)
     return bool(parts) and all(part in scenario_registry for part in parts)

@@ -39,6 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
+from repro.checks import check_concurrency
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec
 from repro.gda.engine.engine import SHUFFLE_OVERHEAD, JobResult
@@ -291,10 +292,7 @@ class JobScheduler:
         default_slo: Optional[SLO] = None,
         admit_batch: int = DEFAULT_BATCH,
     ) -> None:
-        if max_concurrent < 1:
-            raise ValueError(
-                f"max_concurrent must be ≥ 1: {max_concurrent}"
-            )
+        check_concurrency(max_concurrent)
         self.cluster = cluster
         self.max_concurrent = max_concurrent
         self.decision_bw = decision_bw
@@ -494,8 +492,7 @@ class JobScheduler:
         naturally — running jobs are never preempted by a scale-down,
         the bound just stops back-filling freed slots.
         """
-        if value < 1:
-            raise ValueError(f"max_concurrent must be ≥ 1: {value}")
+        check_concurrency(value)
         self.max_concurrent = value
         self._admit()
 

@@ -61,6 +61,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.checks import check_workers
 from repro.gda.engine.dag import JobSpec
 from repro.pipeline.config import ServiceConfig
 from repro.runtime.scenarios import service_cluster
@@ -221,8 +222,7 @@ class ShardExecutor:
     """
 
     def __init__(self, workers: int = 0) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be ≥ 0: {workers}")
+        check_workers(workers)
         self.workers = workers
         #: Worker processes actually used by the last :meth:`run`
         #: (0 = the serial in-process path).
@@ -286,8 +286,6 @@ def build_tasks(entries: list[Entry], config: ServiceConfig) -> list[ShardTask]:
     shard gets at least one slot).
     """
     shards = config.scheduler_shards
-    if shards < 1:
-        raise ValueError(f"shard count must be ≥ 1: {shards}")
     slices = partition_mix(entries, shards, scheduler_args(config)["default_slo"])
     bounds = split_concurrency(config.max_concurrent, shards)
     return [

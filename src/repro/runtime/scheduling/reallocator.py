@@ -24,6 +24,8 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
+from repro.checks import check_batch
+
 if TYPE_CHECKING:
     from repro.runtime.scheduler import JobTicket
     from repro.runtime.scheduling.policies import AdmissionPolicy, SchedulerView
@@ -41,8 +43,7 @@ class BatchedReallocator:
     """Caches the policy's admission order between batched re-plans."""
 
     def __init__(self, policy: "AdmissionPolicy", batch: int = DEFAULT_BATCH) -> None:
-        if batch < 1:
-            raise ValueError(f"batch must be ≥ 1: {batch}")
+        check_batch(batch)
         self.policy = policy
         self.batch = batch
         self._order: deque["JobTicket"] = deque()

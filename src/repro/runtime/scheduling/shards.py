@@ -33,6 +33,7 @@ import zlib
 from itertools import chain
 from typing import Callable, Optional
 
+from repro.checks import check_concurrency, check_shards
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec
 from repro.gda.engine.engine import SHUFFLE_OVERHEAD
@@ -81,8 +82,7 @@ def shard_for_tenant(tenant: str, shards: int) -> int:
     per process, and shard routing must be reproducible across runs
     for the seeded scenarios to replay identically.
     """
-    if shards < 1:
-        raise ValueError(f"shard count must be ≥ 1: {shards}")
+    check_shards(shards)
     return zlib.crc32(tenant.encode("utf-8")) % shards
 
 
@@ -94,8 +94,7 @@ def split_concurrency(total: int, shards: int) -> list[int]:
     cannot run anything cannot steal either), so the effective bound
     is ``max(total, shards)``.
     """
-    if shards < 1:
-        raise ValueError(f"shard count must be ≥ 1: {shards}")
+    check_shards(shards)
     base, extra = divmod(max(total, 0), shards)
     return [max(1, base + (1 if i < extra else 0)) for i in range(shards)]
 
@@ -120,12 +119,10 @@ class ShardedScheduler:
         default_slo: Optional[SLO] = None,
         admit_batch: int = DEFAULT_BATCH,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shard count must be ≥ 1: {shards}")
         self.cluster = cluster
         self.default_slo = default_slo
         self.shards: list[JobScheduler] = []
-        for bound in split_concurrency(max_concurrent, shards):
+        for bound in split_concurrency(max_concurrent, shards):  # checks shards
             shard = JobScheduler(
                 cluster,
                 max_concurrent=bound,
@@ -335,8 +332,7 @@ class ShardedScheduler:
 
     def set_max_concurrent(self, value: int) -> None:
         """Re-split the concurrency budget across shards."""
-        if value < 1:
-            raise ValueError(f"max_concurrent must be ≥ 1: {value}")
+        check_concurrency(value)
         for shard, bound in zip(self.shards, split_concurrency(value, len(self.shards))):
             shard.set_max_concurrent(bound)
         self._balance()

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.checks import check_deadline
+
 if TYPE_CHECKING:
     from repro.runtime.scheduler import JobTicket
 
@@ -62,8 +64,8 @@ class SLO:
     tenant: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive: {self.deadline_s}")
+        if self.deadline_s is not None:
+            check_deadline(self.deadline_s)
         if self.weight <= 0:
             raise ValueError(f"weight must be positive: {self.weight}")
 
@@ -131,8 +133,7 @@ def spread_slos(
     """
     import numpy as np
 
-    if deadline_s <= 0:
-        raise ValueError(f"deadline_s must be positive: {deadline_s}")
+    check_deadline(deadline_s)
     rng = np.random.default_rng(seed)
     out: list[tuple[float, object, SLO]] = []
     for index, (delay, job) in enumerate(mix):

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.checks import check_interval
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec
 from repro.net.matrix import BandwidthMatrix
@@ -51,7 +52,7 @@ from repro.pipeline.core import Pipeline
 from repro.pipeline.deploy import Deployment
 from repro.pipeline.registry import variant_registry
 from repro.runtime.control.plane import ControlPlane
-from repro.runtime.drift import DriftDetector, ReplanEvent, check_threshold
+from repro.runtime.drift import DriftDetector, ReplanEvent
 from repro.runtime.observability.hub import ObservabilityHub
 from repro.runtime.recalibrator import RECAL_INTERVAL_S, CapacityRecalibrator
 from repro.runtime.scenarios import service_cluster
@@ -60,7 +61,7 @@ from repro.runtime.scheduling import SLO, spread_slos
 from repro.runtime.scheduling.shards import ShardedScheduler
 from repro.runtime.summary import ServiceSummary
 from repro.runtime.telemetry import TelemetryStore
-from repro.sim.kernel import Process, check_interval
+from repro.sim.kernel import Process
 from repro.core.agent import LocalAgent
 
 import numpy as np
@@ -178,14 +179,14 @@ class PipelineService:
         cluster, base = service_cluster(config, weather)
         if pipeline is None:
             pipeline = Pipeline(cluster.topology, base, config)
-        # Construct before training: a config the scheduler rejects
-        # fails here, without paying for a forest it would never use.
+        # Construct before training: the config refused out-of-range
+        # shard, batch and concurrency values, and what the scheduler
+        # still rejects fails here, without paying for a forest.
         service = cls(cluster, pipeline, config)
-        # So does a value start() would reject, in start()'s order: the
-        # agents' epoch, the drift threshold, the drift-check period.
+        # So does a period start() would reject, only where it is used:
+        # the agents' epoch, the drift-check period.
         if _deploys_agents(config.variant):
             check_interval(config.epoch_s)
-        check_threshold(config.drift_threshold)
         if config.online:
             check_interval(config.check_interval_s)
         if not pipeline.is_trained:

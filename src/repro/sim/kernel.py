@@ -41,6 +41,8 @@ import itertools
 import math
 from typing import Callable, Iterable, Optional
 
+from repro.checks import check_interval
+
 
 class Event:
     """A scheduled callback.
@@ -369,12 +371,6 @@ class Simulator:
         work still runs before :meth:`run` returns.
         """
         self._running = False
-
-
-def check_interval(interval: float) -> None:
-    """Reject a :class:`Process` period that is not positive."""
-    if interval <= 0:
-        raise ValueError(f"interval must be positive: {interval}")
 
 
 class Process:

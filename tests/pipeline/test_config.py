@@ -1,10 +1,16 @@
 """Tests for the layered config system and generated CLI arguments."""
 
 import argparse
+import dataclasses
+import importlib.util
+import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.pipeline.config import (
     ConfigArguments,
     PipelineConfig,
@@ -13,6 +19,9 @@ from repro.pipeline.config import (
     layered_config,
     load_config_file,
 )
+from repro.pipeline.core import Pipeline
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestDefaults:
@@ -214,3 +223,101 @@ class TestConfigArguments:
         config = config_args.resolve(args, environ={})
         assert config.n_estimators == 9
         assert config.seed == 42
+
+
+class TestValueChecks:
+    """A config checks its own values when it is built, however it is built."""
+
+    @staticmethod
+    def serve_says(*flags: str) -> str:
+        out = io.StringIO()
+        code = main(["serve", "us-east-1", "us-west-1", *flags], out=out)
+        assert code == 2
+        return out.getvalue()
+
+    def test_ranged_fields(self):
+        ranged = {
+            field_.name
+            for field_ in dataclasses.fields(ServiceConfig)
+            if field_.metadata["check"] is not None
+        }
+        assert ranged == {
+            "max_connections",
+            "min_difference_mbps",
+            "n_training_datasets",
+            "n_estimators",
+            "max_concurrent",
+            "scheduler_shards",
+            "shard_workers",
+            "kernel",
+            "slo_deadline_s",
+            "admit_batch",
+            "drift_threshold",
+        }
+
+    def test_keyword_value_raises_the_cli_text(self):
+        with pytest.raises(ValueError) as info:
+            ServiceConfig(max_concurrent=0)
+        assert str(info.value) == "max_concurrent must be ≥ 1: 0"
+        assert self.serve_says("--max-concurrent", "0") == f"bad configuration: {info.value}\n"
+
+    def test_replace_checks_too(self):
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(ServiceConfig(), drift_threshold=float("nan"))
+        assert str(info.value) == "drift_threshold must be finite (got nan)"
+        assert self.serve_says("--drift-threshold=nan") == f"bad configuration: {info.value}\n"
+
+    def test_pipeline_config_checks_its_fields(self):
+        with pytest.raises(ValueError, match="n_estimators must be ≥ 1: 0"):
+            PipelineConfig(n_estimators=0)
+
+    def test_unset_optional_value_is_not_checked(self):
+        assert ServiceConfig(slo_deadline_s=None).slo_deadline_s is None
+
+    def test_autoscale_rule_only_when_autoscaling(self):
+        assert ServiceConfig(autoscale_max=1).autoscale_max == 1
+        with pytest.raises(ValueError, match="when autoscaling: 1"):
+            ServiceConfig(autoscale=True, autoscale_max=1)
+
+    def test_service_build_refuses_before_training(self, monkeypatch):
+        from repro.runtime.service import PipelineService
+
+        def train(pipeline):
+            raise AssertionError("trained a forest for a rejected config")
+
+        monkeypatch.setattr(Pipeline, "train", train)
+        with pytest.raises(ValueError, match="autoscale_max must be ≥ the concurrency floor"):
+            PipelineService.build(ServiceConfig(autoscale=True, autoscale_max=1))
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("max_concurrent", [1, 2, 3, 5])
+    def test_autoscale_floor_is_the_schedulers_bound(self, shards, max_concurrent):
+        from repro.runtime.scheduling.shards import split_concurrency
+
+        # The bound the autoscaler starts from: every shard keeps a slot.
+        floor = sum(split_concurrency(max_concurrent, shards))
+        knobs = dict(autoscale=True, scheduler_shards=shards, max_concurrent=max_concurrent)
+        assert ServiceConfig(**knobs, autoscale_max=floor).autoscale_max == floor
+        with pytest.raises(ValueError, match=rf"floor \({floor}\) when autoscaling: {floor - 1}$"):
+            ServiceConfig(**knobs, autoscale_max=floor - 1)
+
+    @pytest.mark.parametrize(
+        "path", sorted((ROOT / "examples").glob("*.toml")), ids=lambda p: p.name
+    )
+    def test_example_files_construct(self, path):
+        from repro.tuner.search import load_tune
+
+        # Loading builds every cell's config.
+        assert load_tune(path).sweep.cells
+
+    def test_benchmark_workload_configs_construct(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        # Registered while it executes: its dataclasses look their module up.
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        for workload in module.WORKLOADS.values():
+            for seed in (1, 2, 3):
+                assert isinstance(workload.config(seed), PipelineConfig)

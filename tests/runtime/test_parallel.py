@@ -154,8 +154,10 @@ class TestDeterminism:
             results = ShardExecutor(0).run(build_tasks(entries, config))
             return [r for result in results for r in result.records]
 
-        reference = records(_config(shards=2))
-        changed = records(_config(shards=2, **{field: value}))
+        # An autoscaling config needs a ceiling at or above
+        # max_concurrent (8); the ceiling reaches no record either.
+        reference = records(_config(shards=2, autoscale_max=8))
+        changed = records(_config(shards=2, autoscale_max=8, **{field: value}))
         assert (changed == reference) is same
 
 

@@ -1,10 +1,15 @@
 """Tests for the command-line interface (:mod:`repro.cli`)."""
 
+import dataclasses
 import io
+import typing
 
 import pytest
 
+from repro.checks import AtLeast, OneOf, Positive
 from repro.cli import build_parser, main
+from repro.ml.forest import RandomForestRegressor
+from repro.pipeline.config import PipelineConfig, ServiceConfig
 from repro.pipeline.core import Pipeline
 
 
@@ -393,6 +398,47 @@ class TestProfiles:
         assert min_achievable(pub) < min_achievable(vpc)
 
 
+def outside(check) -> list:
+    """Values just outside a field's range: one per end of the range."""
+    if isinstance(check, AtLeast):
+        return [check.low - 1]
+    if isinstance(check, Positive):
+        return [0]
+    if isinstance(check, OneOf):
+        return ["bogus"]
+    raise AssertionError(f"no out-of-range value for {check!r}")
+
+
+def ranged_rows() -> list:
+    """``(command, flag, value, message)`` per out-of-range field value.
+
+    Generated from the config's field metadata: a ``PipelineConfig``
+    field goes through ``predict``, a service-only one through
+    ``serve``.
+    """
+    pipeline_fields = {field_.name for field_ in dataclasses.fields(PipelineConfig)}
+    hints = typing.get_type_hints(ServiceConfig)
+    rows = []
+    for field_ in dataclasses.fields(ServiceConfig):
+        check = field_.metadata["check"]
+        if check is None:
+            continue
+        command = "predict" if field_.name in pipeline_fields else "serve"
+        flag = field_.metadata["cli"] or "--" + field_.name.replace("_", "-")
+        # What the flag parses to: the field's type, Optional[X] → X.
+        hint = hints[field_.name]
+        kind = typing.get_args(hint)[0] if typing.get_args(hint) else hint
+        for value in map(kind, outside(check)):
+            with pytest.raises(ValueError) as info:
+                check(value)
+            rows.append(
+                pytest.param(
+                    command, flag, value, str(info.value), id=f"{field_.name}={value}"
+                )
+            )
+    return rows
+
+
 class TestBadKnobValues:
     """A rejected knob value exits 2 with one line, never a traceback."""
 
@@ -434,6 +480,29 @@ class TestBadKnobValues:
         assert code == 2
         assert text.startswith(f"bad configuration: {message}")
         assert text.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flag, value, message", ranged_rows())
+    def test_generated_out_of_range_row(self, monkeypatch, command, flag, value, message):
+        def train(pipeline):
+            raise AssertionError("trained a forest for a rejected config")
+
+        monkeypatch.setattr(Pipeline, "train", train)
+        base = self.SERVE if command == "serve" else self.PREDICT
+        code, text = run_cli(*base, *self.FAST, f"{flag}={value}")
+        assert code == 2
+        assert text == f"bad configuration: {message}\n"
+
+    def test_autoscale_ceiling_below_floor_exits_2(self, monkeypatch):
+        def train(pipeline):
+            raise AssertionError("trained a forest for a rejected config")
+
+        monkeypatch.setattr(Pipeline, "train", train)
+        code, text = run_cli(*self.SERVE, *self.FAST, "--autoscale", "--autoscale-max", "1")
+        assert code == 2
+        assert text == (
+            "bad configuration: autoscale_max must be ≥ the concurrency floor (3) "
+            "when autoscaling: 1\n"
+        )
 
     def test_bad_shard_count_exits_before_training(self, monkeypatch):
         def train(pipeline):
@@ -515,3 +584,40 @@ class TestBadKnobValues:
         assert text == (
             "bad configuration: min_difference_mbps must be finite (got inf)\n"
         )
+
+
+class TestBadSweepValues:
+    """A bad value in a sweep or tune file exits 2 before any forest fits."""
+
+    BASE = (
+        'regions = ["us-east-1", "us-west-1"]\n'
+        "n_training_datasets = 3\n"
+        "n_estimators = 2\n"
+    )
+
+    @pytest.mark.parametrize("command", ["sweep", "tune"])
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("max_concurrent = 0\n", "max_concurrent must be ≥ 1: 0"),
+            ('kernel = "bogus"\n', "unknown kernel 'bogus'; known: scalar, vectorized"),
+            ("shard_workers = -2\n", "shard workers must be ≥ 0: -2"),
+            (
+                "max_concurrent = 3\nautoscale_max = 1\n\n[sweep]\nautoscales = [true, false]\n",
+                "autoscale_max must be ≥ the concurrency floor (3) when autoscaling: 1",
+            ),
+        ],
+        ids=["max_concurrent", "kernel", "shard_workers", "autoscale_max"],
+    )
+    def test_bad_value_exits_2(self, tmp_path, monkeypatch, command, body, message):
+        def fit(forest, X, y):
+            raise AssertionError("fitted a forest for a rejected config")
+
+        monkeypatch.setattr(RandomForestRegressor, "fit", fit)
+        path = tmp_path / f"{command}.toml"
+        path.write_text(self.BASE + body)
+        code, text = run_cli(
+            command, "--config", str(path), "--output", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert text == f"bad {command} configuration: {message}\n"

@@ -5,6 +5,9 @@
 none of them — not at module level, not inside a function, not under
 ``TYPE_CHECKING``.  Every ``import`` statement in ``src/repro/gda`` is
 checked on the AST, relative imports resolved against their package.
+The shared value checks (``repro.checks``) import nothing from the
+package, and the config (``repro.pipeline.config``) nothing from the
+runtime.
 """
 
 from __future__ import annotations
@@ -82,6 +85,24 @@ def test_gda_imports_nothing_above_it(path):
 )
 def test_checker_catches_upward_imports(source):
     assert violations(source, "repro.gda.engine") != []
+
+
+def test_value_checks_are_a_leaf():
+    # Every layer imports the shared value checks, so they import no
+    # part of the package themselves.
+    path = SRC / "repro" / "checks.py"
+    assert not [
+        name for name in imported_modules(path.read_text(), "repro")
+        if name == "repro" or name.startswith("repro.")
+    ]
+
+
+def test_config_does_not_import_the_runtime():
+    path = SRC / "repro" / "pipeline" / "config.py"
+    assert not [
+        name for name in imported_modules(path.read_text(), "repro.pipeline")
+        if name == "repro.runtime" or name.startswith("repro.runtime.")
+    ]
 
 
 def test_checker_allows_lower_layers():
