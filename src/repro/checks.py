@@ -13,24 +13,25 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class AtLeast:
-    """A number no smaller than ``low``."""
+    """A number no smaller than ``low`` (NaN is not)."""
 
     what: str
     low: int
 
     def __call__(self, value: float) -> None:
-        if value < self.low:
+        # Written so NaN fails: every comparison with NaN is false.
+        if not value >= self.low:
             raise ValueError(f"{self.what} must be ≥ {self.low}: {value}")
 
 
 @dataclass(frozen=True)
 class Positive:
-    """A number above zero."""
+    """A number above zero (NaN is not)."""
 
     what: str
 
     def __call__(self, value: float) -> None:
-        if value <= 0:
+        if not value > 0:
             raise ValueError(f"{self.what} must be positive: {value}")
 
 
@@ -63,6 +64,7 @@ check_interval = Positive("interval")
 #: error is never below 0), so every check would re-plan.
 check_threshold = Positive("threshold")
 check_kernel = OneOf("kernel", KERNELS)
+check_throttle = Positive("throttle")
 
 
 def check_autoscale(ceiling: int, floor: int) -> None:

@@ -85,10 +85,7 @@ class LocalAgent:
         monitored = self.monitor.latest()
         if not monitored:
             return
-        volumes = {
-            dst: self.monitor.window_volume_mb(dst)
-            for dst in monitored
-        }
+        volumes = self.monitor.window_volumes_mb(monitored)
         decisions = self.optimizer.epoch(now, monitored, volumes)
         self.manager.apply(decisions)
 

@@ -24,6 +24,15 @@ Both kernels solve rates with :func:`repro.net.sharing.allocate`, so
 a vectorized run is bit-identical to a scalar one — the parity
 contract ``tests/net/test_batch_parity.py`` enforces.
 
+Progress is one walk of the store: :meth:`VectorKernel.progress` and
+:meth:`VectorKernel.advance` advance each bucket, collect the finishers
+(``advance``) and accrue the pair's statistics in the same pass.  Each
+bucket caches its aggregate rate, which that walk reads per pair; the
+cache is refilled with the same expression (the members' rates summed
+in member order, or the share times the rate-carrying members while
+array-backed) after a new share, a removal, and an admission that
+builds the arrays or brings a rate.
+
 While a bucket is array-backed its transfer objects' ``rate_mbps`` /
 ``transferred_mbits`` fields go stale by design; the simulator calls
 :meth:`VectorKernel.sync_objects` before handing transfers to
@@ -38,7 +47,7 @@ from typing import TYPE_CHECKING, Hashable
 import numpy as np
 
 if TYPE_CHECKING:
-    from repro.net.simulator import Transfer
+    from repro.net.simulator import PairStats, Transfer
 
 __all__ = [
     "SMALL_BUCKET",
@@ -77,9 +86,15 @@ class _Bucket:
     the catch-up progress inside that reallocation must not advance it
     — fresh members are excluded from progress, aggregate rate, and
     completion ETA until shares land.
+
+    ``total`` caches :meth:`rate_total`, read on every progress.
+    :meth:`set_share`, every removal and an admission that builds the
+    arrays or brings a rate refill it with the same expression.
     """
 
-    __slots__ = ("transfers", "threshold", "share", "fresh", "size", "transferred")
+    __slots__ = (
+        "transfers", "threshold", "share", "fresh", "total", "size", "transferred"
+    )
 
     def __init__(self, threshold: float) -> None:
         self.transfers: list["Transfer"] = []
@@ -89,8 +104,17 @@ class _Bucket:
         self.share = 0.0
         #: Trailing members not yet covered by ``share``.
         self.fresh = 0
+        #: Aggregate rate, what :meth:`rate_total` returns (``sum`` of
+        #: no rates is the integer 0).
+        self.total = 0
         self.size = None
         self.transferred = None
+
+    def _refill(self) -> None:
+        if self.size is None:
+            self.total = sum([t.rate_mbps for t in self.transfers])
+        else:
+            self.total = self.share * (len(self.transfers) - self.fresh)
 
     def _build_arrays(self) -> None:
         self.size = np.array(
@@ -110,12 +134,17 @@ class _Bucket:
         self.transfers.append(transfer)
         self.fresh += 1
         if self.size is not None:
+            # One more member, and one more fresh: the total holds.
             self.size = np.append(self.size, transfer.size_mbits)
             self.transferred = np.append(
                 self.transferred, transfer.transferred_mbits
             )
         elif len(self.transfers) > self.threshold:
             self._build_arrays()
+            self._refill()
+        elif transfer.rate_mbps:
+            # A new transfer carries rate 0, which leaves the sum as is.
+            self._refill()
 
     def remove(self, transfer: "Transfer") -> None:
         """Evict one transfer, writing its progress back to the object."""
@@ -133,32 +162,41 @@ class _Bucket:
         del self.transfers[index]
         if was_fresh:
             self.fresh -= 1
-        if self.size is None:
-            return
-        transfer.transferred_mbits = float(self.transferred[index])
-        if not was_fresh:
-            transfer.rate_mbps = self.share
-        self.size = np.delete(self.size, index)
-        self.transferred = np.delete(self.transferred, index)
-        if len(self.transfers) <= self.threshold:
-            self._drop_arrays()
+        if self.size is not None:
+            transfer.transferred_mbits = float(self.transferred[index])
+            if not was_fresh:
+                transfer.rate_mbps = self.share
+            self.size = np.delete(self.size, index)
+            self.transferred = np.delete(self.transferred, index)
+            if len(self.transfers) <= self.threshold:
+                self._drop_arrays()
+        self._refill()
 
     def set_share(self, share: float) -> None:
         """Install the per-transfer rate for the current allocation."""
         self.share = share
         self.fresh = 0
+        transfers = self.transfers
         if self.size is None:
-            for transfer in self.transfers:
+            for transfer in transfers:
                 transfer.rate_mbps = share
+            # The members' rates, summed in member order.
+            self.total = sum([share] * len(transfers))
+        else:
+            self.total = share * len(transfers)
 
     def rate_total(self) -> float:
-        """Aggregate instantaneous rate of the bucket (Mbps)."""
-        if self.size is None:
-            return sum(t.rate_mbps for t in self.transfers)
-        return self.share * (len(self.transfers) - self.fresh)
+        """Aggregate instantaneous rate of the bucket (Mbps): the sum of
+        the members' rates, or ``share`` times the rate-carrying members
+        while array-backed."""
+        return self.total
 
-    def progress(self, dt: float) -> None:
-        """Advance every rate-carrying member by ``dt`` seconds."""
+    def progress(self, dt: float, finished: list | None = None) -> None:
+        """Advance every rate-carrying member by ``dt`` seconds.
+
+        With a ``finished`` list, also append the members that are now
+        :meth:`finished`, in the same walk when the bucket is scalar.
+        """
         if self.size is not None:
             limit = len(self.transfers) - self.fresh
             np.minimum(
@@ -166,12 +204,16 @@ class _Bucket:
                 self.transferred[:limit] + self.share * dt,
                 out=self.transferred[:limit],
             )
-        else:
-            for transfer in self.transfers:
-                transfer.transferred_mbits = min(
-                    transfer.size_mbits,
-                    transfer.transferred_mbits + transfer.rate_mbps * dt,
-                )
+            if finished is not None:
+                finished.extend(self.finished())
+            return
+        for transfer in self.transfers:
+            size = transfer.size_mbits
+            done = transfer.transferred_mbits = min(
+                size, transfer.transferred_mbits + transfer.rate_mbps * dt
+            )
+            if finished is not None and max(0.0, size - done) <= FINISH_EPS:
+                finished.append(transfer)
 
     def min_eta(self) -> float:
         """Seconds until the bucket's next completion (inf when idle).
@@ -279,25 +321,50 @@ class VectorKernel:
         bucket = self.lan if key == self.LAN else self.pairs.get(key)
         return bucket.rate_total() if bucket is not None else 0.0
 
-    def progress(self, dt: float) -> None:
-        """Advance every bucket by ``dt`` seconds."""
-        for bucket in self._buckets():
-            bucket.progress(dt)
+    def _walk(
+        self,
+        dt: float,
+        stats: dict[Hashable, "PairStats"],
+        finished: list["Transfer"] | None,
+    ) -> None:
+        """Progress every bucket by ``dt`` (``finished`` as in
+        :meth:`_Bucket.progress`) and accrue each pair's ``stats``.
 
-    def advance(self, dt: float) -> list["Transfer"]:
-        """Progress every bucket by ``dt`` and collect the finishers.
+        ``stats[key]`` must create a missing pair's entry; entries are
+        created in pair order, the order the walk visits.
+        """
+        for key, bucket in self.pairs.items():
+            bucket.progress(dt, finished)
+            rate = bucket.total
+            pair = stats[key]
+            pair.mbits += rate * dt
+            pair.active_seconds += dt
+            if rate > 0:
+                pair.min_rate_mbps = min(pair.min_rate_mbps, rate)
+        self.lan.progress(dt, finished)
 
-        One walk over the buckets instead of the progress-then-scan
-        double pass: the completion event's hot path calls this so a
-        same-instant batch of finishing transfers is found in the same
-        visit that advanced it.  ``dt <= 0`` skips the (no-op)
-        progress but still collects — a transfer can finish exactly at
-        an instant another event already progressed to.
+    def progress(self, dt: float, stats: dict[Hashable, "PairStats"]) -> None:
+        """Advance every bucket by ``dt > 0`` seconds and accrue each
+        pair's rate and active time to its entry in ``stats``."""
+        self._walk(dt, stats, None)
+
+    def advance(
+        self, dt: float, stats: dict[Hashable, "PairStats"]
+    ) -> list["Transfer"]:
+        """:meth:`progress`, collecting the finishers in the same walk.
+
+        The completion event's hot path calls this, so a same-instant
+        batch of finishing transfers is found in the visit that
+        advanced it and accrued its pair's stats.  ``dt <= 0`` skips
+        the (no-op) progress and accrual but still collects — a
+        transfer can finish exactly at an instant another event
+        already progressed to.
         """
         out: list["Transfer"] = []
+        if dt > 0:
+            self._walk(dt, stats, out)
+            return out
         for bucket in self._buckets():
-            if dt > 0:
-                bucket.progress(dt)
             out.extend(bucket.finished())
         return out
 

@@ -38,6 +38,13 @@ entry is used only when its bucket is ``t``'s, it holds exactly what
 the memos return for that bucket, and the model's fields are frozen.
 The entry is per instance and takes no part in equality, hashing or
 ``repr``.
+
+The terms that depend on ``t`` alone — the noise bucket, its fraction,
+``1 − fraction`` and ``2π·t/DAY_S`` — are kept the same way, as one
+tuple that carries its ``t``.  A solve prices every active link at one
+instant, so every reprice after the instant's first reuses them; a
+``t`` that differs from the tuple's recomputes them with the same
+expressions in the same order, so the factor is the same double.
 """
 
 from __future__ import annotations
@@ -102,6 +109,11 @@ class FluctuationModel:
     noise_period_s: float = DEFAULT_NOISE_PERIOD_S
     floor: float = 0.35
     ceiling: float = 1.65
+    #: ``(t, bucket, frac, 1 − frac, 2π·t/DAY_S)``: the terms of the
+    #: instant last priced, which no link changes.
+    _instant: tuple = field(
+        default=(math.nan,), init=False, repr=False, compare=False
+    )
     #: ``(i, j)`` → ``(bucket, n0, n1, phase)``: the link's draws for
     #: the noise bucket it was last priced in.
     _links: dict = field(
@@ -125,8 +137,13 @@ class FluctuationModel:
         """
         if i == j:
             return 1.0
-        bucket = math.floor(t / self.noise_period_s)
-        frac = t / self.noise_period_s - bucket
+        instant = self._instant
+        if instant[0] != t:
+            bucket = math.floor(t / self.noise_period_s)
+            frac = t / self.noise_period_s - bucket
+            instant = (t, bucket, frac, 1.0 - frac, 2.0 * math.pi * t / DAY_S)
+            object.__setattr__(self, "_instant", instant)
+        _, bucket, frac, rest, angle = instant
         entry = self._links.get((i, j))
         if entry is None or entry[0] != bucket:
             entry = self._links[i, j] = (
@@ -136,10 +153,8 @@ class FluctuationModel:
                 self._phase(i, j),
             )
         _, n0, n1, phase = entry
-        noise = n0 * (1.0 - frac) + n1 * frac
-        diurnal = self.diurnal_amplitude * math.sin(
-            2.0 * math.pi * t / DAY_S + phase
-        )
+        noise = n0 * rest + n1 * frac
+        diurnal = self.diurnal_amplitude * math.sin(angle + phase)
         return float(min(max(1.0 + noise + diurnal, self.floor), self.ceiling))
 
     def snapshot_jitter(self, i: int, j: int, t: float, window_s: float) -> float:

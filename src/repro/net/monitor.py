@@ -10,7 +10,7 @@ computes standard deviations (Fig. 9).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.net.simulator import NetworkSimulator
 from repro.net.stats import percentile
@@ -61,11 +61,7 @@ class WanMonitor:
         )
 
     def _sample(self, now: float) -> None:
-        rates = {
-            dst: self.network.current_rate(self.dc, dst)
-            for dst in self.network.topology.keys
-            if dst != self.dc
-        }
+        rates = self.network.outgoing_rates(self.dc)
         self.samples.append(MonitorSample(now, rates))
         if len(self.samples) > self.history_limit:
             del self.samples[: len(self.samples) - self.history_limit]
@@ -104,15 +100,25 @@ class WanMonitor:
         return percentile(rates, p)
 
     def window_volume_mb(self, dst: str) -> float:
-        """Megabytes sent to ``dst`` since the last call for that pair.
+        """Megabytes sent to ``dst`` since the last read for that pair.
 
         Feeds the §3.2.2 rule that pairs moving < 1 MB skip AIMD mode
         toggles.
         """
-        total_mb = self.network.pair_mbits(self.dc, dst) / 8.0
-        anchor = self._volume_anchor.get(dst, 0.0)
-        self._volume_anchor[dst] = total_mb
-        return max(0.0, total_mb - anchor)
+        return self.window_volumes_mb((dst,))[dst]
+
+    def window_volumes_mb(self, dsts: Iterable[str]) -> dict[str, float]:
+        """:meth:`window_volume_mb` of each of ``dsts``, from one read
+        of the simulator's pair statistics."""
+        stats = self.network.pair_statistics()
+        anchors = self._volume_anchor
+        out = {}
+        for dst in dsts:
+            pair = stats.get((self.dc, dst))
+            total_mb = (pair.mbits if pair is not None else 0.0) / 8.0
+            out[dst] = max(0.0, total_mb - anchors.get(dst, 0.0))
+            anchors[dst] = total_mb
+        return out
 
     def stop(self) -> None:
         """Stop sampling."""

@@ -26,8 +26,16 @@ RTT, aggregate cap and contention weight come from a route table keyed
 by ``(src, dst, count)`` and filled on first use; the DC NIC
 capacities are read once, at construction.  Per solve remain the
 weather factor and the traffic-control limit (one
-:meth:`~NetworkSimulator.pair_capacity` call per pair), the congestion
-overload and the max-min solve itself.
+:meth:`~NetworkSimulator.pair_capacity` call per pair, which reads the
+clock and the controller's limit table directly and calls the weather
+model's ``factor`` once), the congestion overload and the max-min
+solve itself, through the module-global ``allocate``.  Those three
+names carry the work on purpose: the benchmark's tracer attributes
+repricing, weather and solving by them.  Progress between solves is
+one walk of the in-flight store that also accrues each pair's
+statistics and, at a completion, collects the finishers; observers
+read a DC's outgoing rates with one flush
+(:meth:`~NetworkSimulator.outgoing_rates`).
 
 Model summary (see DESIGN.md §5):
 
@@ -193,6 +201,15 @@ class PairStats:
         return self.mbits / self.active_seconds
 
 
+class _StatsTable(dict):
+    """``(src, dst)`` → :class:`PairStats`; a missing pair's entry is
+    created on first subscript, as the kernel's walk accrues it."""
+
+    def __missing__(self, pair: tuple[str, str]) -> PairStats:
+        stats = self[pair] = PairStats()
+        return stats
+
+
 class NetworkSimulator:
     """The WAN: topology + connection plan + weather + active transfers."""
 
@@ -206,6 +223,8 @@ class NetworkSimulator:
         kernel: str = "scalar",
     ) -> None:
         self.topology = topology
+        #: DC keys in topology order.
+        self._keys = topology.keys
         self.sim = sim or Simulator()
         self.fluctuation = fluctuation if fluctuation is not None else StaticModel()
         self.knee = knee
@@ -220,6 +239,8 @@ class NetworkSimulator:
         self.time_offset = time_offset
         self.tc = TrafficController()
         self.tc.bind(self._reallocate)
+        #: The controller's limit table, which pricing reads directly.
+        self._limits = self.tc._limits
         self._connections = BandwidthMatrix.full(topology.keys, 1.0)
         #: ``int`` of each off-diagonal count in ``_connections``, what
         #: a solve reads; kept in step by the two setters.
@@ -231,7 +252,7 @@ class NetworkSimulator:
             (dc.egress_cap_mbps, dc.ingress_cap_mbps, max(1, dc.num_vms))
             for dc in topology.dcs
         ]
-        self._stats: dict[tuple[str, str], PairStats] = {}
+        self._stats = _StatsTable()
         self._last_progress_time = self.sim.now
         self._completion_event: Optional[Event] = None
         self._weather_event: Optional[Event] = None
@@ -286,7 +307,10 @@ class NetworkSimulator:
 
     def connections(self, src: str, dst: str) -> int:
         """Current connection count for the pair."""
-        return int(self._connections.get(src, dst))
+        count = self._counts.get((src, dst))
+        if count is None:  # the diagonal, or an unknown DC
+            return int(self._connections.get(src, dst))
+        return count
 
     def connection_plan(self) -> BandwidthMatrix:
         """Copy of the current connection-count matrix."""
@@ -349,46 +373,30 @@ class NetworkSimulator:
     # Rate allocation
     # ------------------------------------------------------------------
 
-    def _weather_time(self) -> float:
-        return self.sim.now + self.time_offset
-
     def pair_capacity(self, src: str, dst: str, connections: int) -> float:
         """Aggregate ceiling for a pair with ``connections`` streams now
         (weather and traffic control included, contention excluded)."""
         i, j, _rtt, cap, _weight = self._routes[src, dst, connections]
-        cap *= self.fluctuation.factor(i, j, self._weather_time())
-        return min(cap, self.tc.limit(src, dst))
+        cap *= self.fluctuation.factor(i, j, self.sim.now + self.time_offset)
+        return min(cap, self._limits.get((src, dst), math.inf))
 
     def _progress(self, collect: bool = False) -> list[Transfer]:
         """Advance all active transfers to the current time.
 
-        With ``collect``, the transfers whose payload is now fully
-        delivered are gathered *during* the advancement walk and
-        returned — the completion event's fast path, which used to
-        progress every bucket and then re-scan the whole population a
-        second time.  Collection happens even when no time has passed:
-        a transfer can finish exactly at an instant another event
-        already progressed to.
+        The kernel advances every bucket and accrues each pair's
+        statistics in one walk.  With ``collect``, the transfers whose
+        payload is now fully delivered are gathered in that walk too
+        and returned — the completion event's fast path.  Collection
+        happens even when no time has passed: a transfer can finish
+        exactly at an instant another event already progressed to.
         """
         dt = self.sim.now - self._last_progress_time
-        finished: list[Transfer] = []
-        if collect:
-            finished = self._inflight.advance(dt)
-        elif dt > 0:
-            self._inflight.progress(dt)
-        if dt > 0:
-            all_stats = self._stats
-            for pair, bucket in self._inflight.pairs.items():
-                rate = bucket.rate_total()
-                stats = all_stats.get(pair)
-                if stats is None:
-                    stats = all_stats[pair] = PairStats()
-                stats.mbits += rate * dt
-                stats.active_seconds += dt
-                if rate > 0:
-                    stats.min_rate_mbps = min(stats.min_rate_mbps, rate)
         self._last_progress_time = self.sim.now
-        return finished
+        if collect:
+            return self._inflight.advance(dt, self._stats)
+        if dt > 0:
+            self._inflight.progress(dt, self._stats)
+        return []
 
     def _reallocate(self) -> None:
         """Note a change to the rates' inputs; solve at the instant's end.
@@ -516,6 +524,18 @@ class NetworkSimulator:
         """Instantaneous aggregate rate of an ordered pair (Mbps)."""
         self._flush()
         return self._inflight.rate_total(_bucket_key(src, dst))
+
+    def outgoing_rates(self, src: str) -> dict[str, float]:
+        """:meth:`current_rate` from ``src`` to every other DC, in
+        topology key order, after one flush."""
+        self._flush()
+        buckets = self._inflight.pairs
+        out = {}
+        for dst in self._keys:
+            if dst != src:
+                bucket = buckets.get((src, dst))
+                out[dst] = bucket.total if bucket is not None else 0.0
+        return out
 
     def rate_matrix(self) -> BandwidthMatrix:
         """Instantaneous rates for all pairs."""

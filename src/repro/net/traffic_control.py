@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.checks import check_throttle
+
 
 class TrafficController:
     """Mutable per-(src, dst) rate caps in Mbps.
@@ -21,6 +23,7 @@ class TrafficController:
     """
 
     def __init__(self) -> None:
+        #: ``(src, dst)`` → cap; the simulator's pricing reads it directly.
         self._limits: dict[tuple[str, str], float] = {}
         self._on_change: Optional[Callable[[], None]] = None
 
@@ -33,9 +36,9 @@ class TrafficController:
             self._on_change()
 
     def set_limit(self, src: str, dst: str, mbps: float) -> None:
-        """Cap the aggregate rate from ``src`` to ``dst``."""
-        if mbps <= 0:
-            raise ValueError(f"throttle must be positive: {mbps}")
+        """Cap the aggregate rate from ``src`` to ``dst`` (a positive
+        number; NaN is refused, as ``min(cap, nan)`` would ignore it)."""
+        check_throttle(mbps)
         self._limits[(src, dst)] = mbps
         self._notify()
 

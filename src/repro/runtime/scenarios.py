@@ -14,6 +14,14 @@ models (``factor`` and ``snapshot_jitter``), so they plug straight into
 probes.  Everything is a pure function of ``(seed, i, j, t)`` — replays
 and independent simulator instances agree on the shape.
 
+A shape's per-link draws that do not depend on ``t`` (whether the link
+is hit, a diurnal or flap phase, a failover onset) come from
+:meth:`ScenarioModel._draws` and are kept in a per-instance entry per
+link, so a reprice reads one dict entry instead of making memo calls.
+The entry holds exactly what the draws return, the model's fields are
+frozen, and it takes no part in equality, hashing or ``repr``, so
+``factor`` stays a pure function of ``(seed, i, j, t)``.
+
 Scenarios register by name in the shared
 :data:`~repro.pipeline.registry.scenario_registry`
 (``@register_scenario`` / :func:`register_scenario_model`), and
@@ -99,6 +107,22 @@ class ScenarioModel:
 
     #: Registry key; subclasses set their own.
     name: str = "scenario"
+    #: ``(i, j)`` → the link's draws that do not depend on ``t``
+    #: (:meth:`_draws`), filled on the link's first pricing.
+    _links: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _draws(self, i: int, j: int) -> tuple:
+        """The link's ``t``-independent draws; shapes that draw override."""
+        return ()
+
+    def _link(self, i: int, j: int) -> tuple:
+        """:meth:`_draws` of the link, drawn once per instance."""
+        entry = self._links.get((i, j))
+        if entry is None:
+            entry = self._links[i, j] = self._draws(i, j)
+        return entry
 
     def shape(self, i: int, j: int, t: float) -> float:
         """Multiplicative scenario factor (1 = no effect)."""
@@ -133,11 +157,15 @@ class DiurnalSwing(ScenarioModel):
     period_s: float = DAY_S
     phase_spread: float = 0.6
 
-    def shape(self, i: int, j: int, t: float) -> float:
-        """Phase-spread sinusoid dipping to ``1 − amplitude``."""
+    def _draws(self, i: int, j: int) -> tuple[float]:
         phase = _link_uniform(
             self.seed ^ _SELECT_SALT, i, j, -4, -self.phase_spread, self.phase_spread
         )
+        return (phase,)
+
+    def shape(self, i: int, j: int, t: float) -> float:
+        """Phase-spread sinusoid dipping to ``1 − amplitude``."""
+        (phase,) = self._link(i, j)
         return 1.0 - self.amplitude * (
             0.5 + 0.5 * math.sin(2.0 * math.pi * t / self.period_s + phase)
         )
@@ -158,9 +186,13 @@ class FlashCrowd(ScenarioModel):
     depth: float = 0.4
     hit_fraction: float = 0.5
 
+    def _draws(self, i: int, j: int) -> tuple[bool]:
+        return (_selected(self.seed, i, j, self.hit_fraction),)
+
     def shape(self, i: int, j: int, t: float) -> float:
         """Ramp down to ``depth``, hold, ramp back (selected links)."""
-        if not _selected(self.seed, i, j, self.hit_fraction):
+        (hit,) = self._link(i, j)
+        if not hit:
             return 1.0
         onset = _ramp(t, self.start_s, self.ramp_s)
         recovery = _ramp(t, self.start_s + self.duration_s, self.ramp_s)
@@ -185,14 +217,15 @@ class LinkDegradation(ScenarioModel):
     hit_fraction: float = 0.25
     links: tuple[tuple[int, int], ...] = ()
 
-    def _hit(self, i: int, j: int) -> bool:
+    def _draws(self, i: int, j: int) -> tuple[bool]:
         if self.links:
-            return (i, j) in self.links
-        return _selected(self.seed, i, j, self.hit_fraction)
+            return ((i, j) in self.links,)
+        return (_selected(self.seed, i, j, self.hit_fraction),)
 
     def shape(self, i: int, j: int, t: float) -> float:
         """Ramp hit links down to ``residual`` and hold there."""
-        if not self._hit(i, j):
+        (hit,) = self._link(i, j)
+        if not hit:
             return 1.0
         progress = _ramp(t, self.start_s, self.ramp_s)
         return 1.0 - (1.0 - self.residual) * progress
@@ -234,18 +267,22 @@ class CircuitFailover(ScenarioModel):
     spread_s: float = 60.0
     hit_fraction: float = 0.3
 
-    def _fail_at(self, i: int, j: int) -> float:
+    def _draws(self, i: int, j: int) -> tuple[bool, float]:
+        if not _selected(self.seed, i, j, self.hit_fraction):
+            return (False, math.nan)
         if self.spread_s <= 0.0:
-            return self.fail_at_s
-        return self.fail_at_s + _link_uniform(
+            return (True, self.fail_at_s)
+        jitter = _link_uniform(
             self.seed ^ _SELECT_SALT, i, j, -5, -self.spread_s, self.spread_s
         )
+        return (True, self.fail_at_s + jitter)
 
     def shape(self, i: int, j: int, t: float) -> float:
         """The circuit pair's delivered quality for hit links."""
-        if not _selected(self.seed, i, j, self.hit_fraction):
+        hit, fail_at = self._link(i, j)
+        if not hit:
             return 1.0
-        quality, _ = self.circuit.quality_at(t - self._fail_at(i, j))
+        quality, _ = self.circuit.quality_at(t - fail_at)
         return quality
 
 
@@ -268,15 +305,21 @@ class FlappingLink(ScenarioModel):
     down_quality: float = 0.1
     hit_fraction: float = 0.3
 
+    def _draws(self, i: int, j: int) -> tuple[bool, float]:
+        if not _selected(self.seed, i, j, self.hit_fraction):
+            return (False, math.nan)
+        phase = _link_uniform(
+            self.seed ^ _SELECT_SALT, i, j, -6, 0.0, self.period_s
+        )
+        return (True, phase)
+
     def shape(self, i: int, j: int, t: float) -> float:
         """Square-wave quality on hit links once flapping starts."""
         if t < self.start_s:
             return 1.0
-        if not _selected(self.seed, i, j, self.hit_fraction):
+        hit, phase = self._link(i, j)
+        if not hit:
             return 1.0
-        phase = _link_uniform(
-            self.seed ^ _SELECT_SALT, i, j, -6, 0.0, self.period_s
-        )
         return flap_quality(
             t - self.start_s,
             self.period_s,

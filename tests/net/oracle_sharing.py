@@ -126,7 +126,7 @@ class OracleNetworkSimulator(NetworkSimulator):
         i, j = self.topology.index(src), self.topology.index(dst)
         rtt = self.topology.rtt_ms(src, dst)
         cap = self.topology.tcp.aggregate_cap_mbps(rtt, connections, self.knee)
-        cap *= self.fluctuation.factor(i, j, self._weather_time())
+        cap *= self.fluctuation.factor(i, j, self.sim.now + self.time_offset)
         return min(cap, self.tc.limit(src, dst))
 
     def _flush(self) -> None:

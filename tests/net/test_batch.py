@@ -4,6 +4,8 @@ import math
 import random
 import struct
 
+import pytest
+
 from repro.net.batch import _Bucket
 from repro.net.simulator import Transfer
 
@@ -68,3 +70,34 @@ class TestScalarMinEta:
             eta = scalar.min_eta()
             assert _packed(eta) == _packed(_per_transfer_eta(scalar))
             assert _packed(eta) == _packed(array.min_eta())
+
+
+def _uncached_rate_total(bucket):
+    """What :meth:`_Bucket.rate_total` computed before it was cached: the
+    members' rates summed, or the share per rate-carrying member while
+    the bucket is array-backed."""
+    if bucket.size is None:
+        return sum(t.rate_mbps for t in bucket.transfers)
+    return bucket.share * (len(bucket.transfers) - bucket.fresh)
+
+
+class TestRateTotalCache:
+    @pytest.mark.parametrize("threshold", [math.inf, 0, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_sum_at_every_step(self, threshold, seed):
+        """Seeded adds, removals and shares; a threshold of 4 moves the
+        bucket between objects and arrays."""
+        rng = random.Random(seed)
+        bucket = _Bucket(threshold)
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.4 or not bucket.transfers:
+                transfer = Transfer("a", "b", rng.uniform(1.0, 900.0))
+                if rng.random() < 0.2:
+                    transfer.rate_mbps = rng.uniform(0.0, 50.0)
+                bucket.add(transfer)
+            elif roll < 0.7:
+                bucket.remove(rng.choice(bucket.transfers))
+            else:
+                bucket.set_share(rng.choice([0.0, rng.uniform(1e-3, 1e3)]))
+            assert _packed(bucket.rate_total()) == _packed(_uncached_rate_total(bucket))

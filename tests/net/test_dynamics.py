@@ -1,5 +1,8 @@
 """Tests for the fluctuation models."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -165,3 +168,57 @@ class TestStaticModel:
         m = StaticModel()
         assert m.factor(i, j, t) == 1.0
         assert m.snapshot_jitter(i, j, t, 1.0) == 1.0
+
+
+class TestInstanceCaches:
+    """The per-instant terms and per-link entries a model keeps change
+    neither its factors nor its identity."""
+
+    LINKS = [(i, j) for i in range(8) for j in range(8) if i != j]
+
+    @staticmethod
+    def interleaved_times() -> list[float]:
+        """The same ``t`` twice, both sides of a noise-bucket edge, then
+        back, around three edges and a day boundary."""
+        period = DEFAULT_NOISE_PERIOD_S
+        times = []
+        for edge in (period, 2 * period, 7 * period, DAY_S):
+            below, above = np.nextafter(edge, -np.inf), float(edge)
+            times += [below, below, above, above + 0.5, below, edge - 17.0, above]
+        return [float(t) for t in times]
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"noise_period_s": 45.0}, {"sigma": 0.6}]
+    )
+    def test_long_lived_model_equals_fresh_ones(self, overrides):
+        model = FluctuationModel(seed=17, **overrides)
+        rng = np.random.default_rng(5)
+        times = self.interleaved_times()
+        for t in times:
+            # Every link at the instant, in a seeded order …
+            for k in rng.permutation(len(self.LINKS)):
+                i, j = self.LINKS[k]
+                fresh = FluctuationModel(seed=17, **overrides).factor(i, j, t)
+                assert _packed(model.factor(i, j, t)) == _packed(fresh), (i, j, t)
+        # … and links and instants interleaved call by call.
+        for _ in range(500):
+            i, j = self.LINKS[rng.integers(len(self.LINKS))]
+            t = times[rng.integers(len(times))]
+            fresh = FluctuationModel(seed=17, **overrides).factor(i, j, t)
+            assert _packed(model.factor(i, j, t)) == _packed(fresh), (i, j, t)
+
+    def test_equality_hash_and_repr_ignore_the_caches(self):
+        model = FluctuationModel(seed=9)
+        before = (repr(model), hash(model))
+        for t in self.interleaved_times():
+            model.factor(0, 1, t)
+        assert model._links and model._instant[0] == self.interleaved_times()[-1]
+        twin = FluctuationModel(seed=9)
+        assert model == twin and hash(model) == hash(twin)
+        assert (repr(model), hash(model)) == before
+        assert "_links" not in before[0] and "_instant" not in before[0]
+        assert dataclasses.replace(model)._links == {}
+
+
+def _packed(value: float) -> bytes:
+    return struct.pack("<d", value)

@@ -108,6 +108,44 @@ class TestWanMonitor:
                 reads += got > 0.0
         assert reads >= 4
 
+    def test_sample_reads_every_destination_in_key_order(self, triad, weather):
+        """One flush per sample gives what ``current_rate`` gives per
+        destination, in topology key order."""
+        net = NetworkSimulator(triad, fluctuation=weather)
+        monitor = WanMonitor(net, "us-east-1", interval_s=1.0)
+        net.start_transfer("us-east-1", "us-west-1", 1e6)
+        net.start_transfer("us-east-1", "ap-southeast-1", 1e6)
+        net.start_transfer("us-west-1", "us-east-1", 1e6)
+        for until in (1.0, 2.5, 4.0):
+            net.sim.run(until=until)
+            rates = monitor.latest()
+            assert list(rates) == ["us-west-1", "ap-southeast-1"]
+            assert net.outgoing_rates("us-east-1") == rates
+            for dst, rate in rates.items():
+                expected = net.current_rate("us-east-1", dst)
+                assert rate > 0
+                assert struct.pack("<d", rate) == struct.pack("<d", expected)
+
+    def test_window_volumes_equal_one_read_per_destination(self, triad, weather):
+        """Reading every destination at once equals reading them one by
+        one on a twin network, anchors included."""
+        monitors = []
+        for _ in range(2):
+            net = NetworkSimulator(triad, fluctuation=weather)
+            net.start_transfer("us-east-1", "us-west-1", 5000.0)
+            net.start_transfer("us-east-1", "ap-southeast-1", 900.0)
+            monitors.append(WanMonitor(net, "us-east-1", interval_s=1.0))
+        together, apart = monitors
+        dsts = ["ap-southeast-1", "us-west-1", "us-east-1"]
+        for until in (3.0, 7.5, 60.0):
+            for monitor in monitors:
+                monitor.network.sim.run(until=until)
+            read = together.window_volumes_mb(dsts)
+            assert list(read) == dsts
+            for dst in dsts:
+                one = apart.window_volume_mb(dst)
+                assert struct.pack("<d", read[dst]) == struct.pack("<d", one)
+
     def test_rate_percentile_empty_history(self, triad, calm):
         net = NetworkSimulator(triad, fluctuation=calm)
         monitor = WanMonitor(net, "us-east-1", interval_s=1.0)
@@ -199,6 +237,16 @@ class TestTrafficController:
         tc = TrafficController()
         with pytest.raises(ValueError):
             tc.set_limit("a", "b", 0.0)
+
+    def test_nan_limit_rejected(self):
+        """``min(cap, nan)`` would keep the cap, so a NaN throttle would
+        be reported by ``limits()`` and silently ignored by pricing."""
+        tc = TrafficController()
+        calls = []
+        tc.bind(lambda: calls.append(1))
+        with pytest.raises(ValueError, match="^throttle must be positive: nan$"):
+            tc.set_limit("a", "b", float("nan"))
+        assert tc.limits() == {} and calls == []
 
     def test_change_notification(self):
         tc = TrafficController()

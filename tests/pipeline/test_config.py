@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import checks
 from repro.cli import main
 from repro.pipeline.config import (
     ConfigArguments,
@@ -266,6 +267,35 @@ class TestValueChecks:
             dataclasses.replace(ServiceConfig(), drift_threshold=float("nan"))
         assert str(info.value) == "drift_threshold must be finite (got nan)"
         assert self.serve_says("--drift-threshold=nan") == f"bad configuration: {info.value}\n"
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(
+            name
+            for name, rule in vars(checks).items()
+            if isinstance(rule, (checks.AtLeast, checks.Positive))
+        ),
+    )
+    def test_rule_refuses_nan(self, name):
+        rule = getattr(checks, name)
+        bound = f"≥ {rule.low}" if isinstance(rule, checks.AtLeast) else "positive"
+        with pytest.raises(ValueError) as info:
+            rule(float("nan"))
+        assert str(info.value) == f"{rule.what} must be {bound}: nan"
+        low = rule.low if isinstance(rule, checks.AtLeast) else 1e-300
+        for value in (low, low + 0.5, float("inf")):
+            rule(value)
+
+    def test_constructors_refuse_nan(self):
+        from repro.runtime.scheduling.slo import SLO
+        from repro.sim.kernel import Process, Simulator
+
+        with pytest.raises(ValueError, match="^deadline_s must be positive: nan$"):
+            SLO(deadline_s=float("nan"))
+        with pytest.raises(ValueError, match="^interval must be positive: nan$"):
+            Process(Simulator(), float("nan"), lambda now: None)
+        with pytest.raises(ValueError, match="^threshold must be positive: nan$"):
+            checks.check_threshold(float("nan"))
 
     def test_pipeline_config_checks_its_fields(self):
         with pytest.raises(ValueError, match="n_estimators must be ≥ 1: 0"):

@@ -1,5 +1,8 @@
 """Tests for the bandwidth-dynamics scenario library."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
@@ -234,3 +237,44 @@ class TestMemoizedParity:
                     )
                     expected = float(max(combined, FACTOR_FLOOR))
                 assert model.factor(i, j, t) == expected, (name, i, j, t)
+
+
+class TestLinkEntries:
+    """A scenario's per-link entries change neither its factors nor its
+    identity."""
+
+    LINKS = [(i, j) for i in range(8) for j in range(8) if i != j]
+    NAMES = scenario_names() + tuple(FEATURED_COMPOSITIONS)
+
+    @staticmethod
+    def times() -> list[float]:
+        # Seeded instants over the scenarios' event windows and two
+        # days, each priced twice in a row and once again later.
+        rng = np.random.default_rng(31)
+        times = [float(t) for t in rng.uniform(0.0, 2000.0, 6)]
+        times += [float(t) for t in rng.uniform(0.0, 2 * DAY_S, 3)]
+        return [t for t in times for _ in (0, 1)] + times[:3]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_long_lived_model_equals_fresh_ones(self, name):
+        model = scenario(name, seed=13)
+        order = np.random.default_rng(7)
+        for t in self.times():
+            for k in order.permutation(len(self.LINKS)):
+                i, j = self.LINKS[k]
+                fresh = scenario(name, seed=13).factor(i, j, t)
+                assert struct.pack("<d", model.factor(i, j, t)) == struct.pack(
+                    "<d", fresh
+                ), (name, i, j, t)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_equality_hash_and_repr_ignore_the_entries(self, name):
+        model = scenario(name, seed=13)
+        before = (repr(model), hash(model))
+        for i, j in self.LINKS:
+            model.factor(i, j, 700.0)
+        twin = scenario(name, seed=13)
+        assert model == twin and hash(model) == hash(twin)
+        assert (repr(model), hash(model)) == before
+        assert "_links" not in before[0]
+        assert dataclasses.replace(model)._links == {}
