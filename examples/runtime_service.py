@@ -34,7 +34,6 @@ def serve(online: bool) -> PipelineService:
         regions=REGIONS,
         seed=SEED,
         online=online,
-        check_interval_s=30.0,
         cooldown_s=180.0,
         n_training_datasets=16,
         n_estimators=12,

@@ -15,8 +15,10 @@ Checks, over README.md and every ``docs/*.md``:
    (``[text](path)``, anchors stripped) must exist on disk;
 5. **config coverage** — every field of ``PipelineConfig`` and
    ``ServiceConfig`` must appear (as `` `field_name` ``) in
-   docs/OPERATIONS.md, so the operator's guide cannot silently rot
-   when a config knob is added;
+   docs/OPERATIONS.md, and every row of its knob tables
+   (``| field | default | consumed by | notes |``) must name a field,
+   so the operator's guide cannot silently rot when a config knob is
+   added or removed;
 6. **metric coverage** — every ``ServiceSummary.to_row()`` name must
    appear (backticked) in docs/OPERATIONS.md, and every ``/metrics``
    family the hub renders must appear in a table row of
@@ -58,6 +60,12 @@ DOCUMENTS = (
 
 #: The operator's guide — must document every config field.
 OPERATIONS = "docs/OPERATIONS.md"
+
+#: Header row of the knob tables in docs/OPERATIONS.md.
+KNOB_TABLE_HEADER = "| field | default | consumed by | notes |"
+
+#: The backticked name in a table row's first cell.
+FIRST_CELL = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
 #: The observability guide — its family table lists every family.
 OBSERVABILITY = "docs/OBSERVABILITY.md"
@@ -221,13 +229,29 @@ def check_references(path: Path, failures: list[str]) -> int:
     return len(references)
 
 
+def knob_rows(text: str) -> list[str]:
+    """First-cell names of every knob-table row in ``text``."""
+    names: list[str] = []
+    in_table = False
+    for line in text.splitlines():
+        if line.strip() == KNOB_TABLE_HEADER:
+            in_table = True
+        elif not line.startswith("|"):
+            in_table = False
+        elif in_table and (match := FIRST_CELL.match(line)):
+            names.append(match.group(1))
+    return names
+
+
 def check_config_coverage(failures: list[str]) -> int:
     """Every ``PipelineConfig``/``ServiceConfig`` field must appear in
-    docs/OPERATIONS.md as a backticked name.
+    docs/OPERATIONS.md as a backticked name, and every knob-table row
+    there must name one of those fields.
 
     Requires ``src/`` on ``sys.path`` (``main`` arranges this).  The
     config dataclasses are the source of truth: adding a field without
-    documenting its default/spelling/consumer fails the docs job.
+    documenting its default/spelling/consumer fails the docs job, and
+    so does a row left behind for a field that is gone.
     """
     import dataclasses
 
@@ -249,6 +273,13 @@ def check_config_coverage(failures: list[str]) -> int:
             failures.append(
                 f"{OPERATIONS}: config field `{name}` undocumented "
                 f"(add it to the knob tables)"
+            )
+    for name in knob_rows(text):
+        checked += 1
+        if name not in names:
+            failures.append(
+                f"{OPERATIONS}: knob-table row `{name}` names no config field "
+                f"(remove the stale row)"
             )
     return checked
 

@@ -36,6 +36,19 @@ class Positive:
 
 
 @dataclass(frozen=True)
+class Between:
+    """A number from ``low`` to ``high``, both included (NaN is not)."""
+
+    what: str
+    low: int
+    high: int
+
+    def __call__(self, value: float) -> None:
+        if not self.low <= value <= self.high:
+            raise ValueError(f"{self.what} must be in [{self.low}, {self.high}]: {value}")
+
+
+@dataclass(frozen=True)
 class OneOf:
     """One of a fixed tuple of names."""
 
@@ -64,6 +77,8 @@ check_interval = Positive("interval")
 #: error is never below 0), so every check would re-plan.
 check_threshold = Positive("threshold")
 check_kernel = OneOf("kernel", KERNELS)
+#: 0 asks the OS for an ephemeral port.
+check_port = Between("port", 0, 65535)
 check_throttle = Positive("throttle")
 
 

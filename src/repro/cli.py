@@ -400,6 +400,12 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
             f"(got {args.duration})\n"
         )
         return 2
+    if args.record_file is not None and not base_config.observability:
+        out.write(
+            "cannot record the run: observability is disabled "
+            "(--record needs the telemetry warehouse)\n"
+        )
+        return 2
 
     def prepare(online: bool) -> tuple[PipelineService, list]:
         config = dataclasses.replace(base_config, online=online)
@@ -484,12 +490,6 @@ def cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
                 f"{static_total / online_total:.2f}x\n"
             )
     if args.record_file is not None:
-        if primary.hub is None:
-            out.write(
-                "cannot record the run: observability is disabled "
-                "(--record needs the telemetry warehouse)\n"
-            )
-            return 2
         from repro.runtime.observability import write_run
 
         path = write_run(primary, args.record_file)

@@ -99,7 +99,6 @@ def deploy_agents(
     network: NetworkSimulator,
     plan: GlobalPlan,
     throttling: bool = True,
-    epoch_s: float = EPOCH_S,
     telemetry: Optional[SampleSink] = None,
 ) -> list[LocalAgent]:
     """Start one agent per DC in the plan; returns them for later stop().
@@ -108,6 +107,6 @@ def deploy_agents(
     monitor — the runtime service's cluster-wide sample feed.
     """
     return [
-        LocalAgent(network, dc, plan, throttling, epoch_s, telemetry)
+        LocalAgent(network, dc, plan, throttling, telemetry=telemetry)
         for dc in plan.keys
     ]

@@ -56,7 +56,6 @@ def _serve(weather, online: bool, fast: bool) -> PipelineService:
         regions=REGIONS,
         seed=SEED,
         online=online,
-        check_interval_s=30.0,
         cooldown_s=180.0,
         n_training_datasets=10 if fast else 40,
         n_estimators=8 if fast else 30,

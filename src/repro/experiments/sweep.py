@@ -355,11 +355,7 @@ def _cell_pipeline(
     if config.predictor in ("forest", "cached"):
         predictor = _train_forest(config, trained)
         if config.predictor == "cached":
-            predictor = CachedPredictor(
-                inner=predictor,
-                ttl_s=config.cache_ttl_s,
-                drift_tolerance=config.cache_drift_tolerance,
-            )
+            predictor = CachedPredictor(inner=predictor)
     else:
         predictor = build_stage(predictor_registry, config.predictor, **context)
 

@@ -200,6 +200,11 @@ class PassiveTelemetryGauger(GaugeLedger):
 # Cached prediction
 # ----------------------------------------------------------------------
 
+#: Simulated seconds a cached prediction stays reusable.
+CACHE_TTL_S = 600.0
+#: Mean relative snapshot drift at which a cached prediction re-infers.
+CACHE_DRIFT_TOLERANCE = 0.15
+
 
 @dataclass
 class _CacheEntry:
@@ -220,10 +225,10 @@ class CachedPredictor:
     both hold:
 
     * **TTL** — the new report is at most ``ttl_s`` simulated seconds
-      newer than the cached one (``cache_ttl_s`` in config);
+      newer than the cached one (:data:`CACHE_TTL_S` by default);
     * **drift** — the new snapshot's mean relative delta from the
       cached snapshot stays under ``drift_tolerance``
-      (``cache_drift_tolerance`` in config).  A drifted snapshot means
+      (:data:`CACHE_DRIFT_TOLERANCE` by default).  A drifted snapshot means
       the network moved, and a re-plan fed a stale prediction would
       re-install exactly the plan that just failed.
 
@@ -236,8 +241,8 @@ class CachedPredictor:
         weather: Optional[object] = None,
         config: Optional[PipelineConfig] = None,
         inner: Optional[Predictor] = None,
-        ttl_s: Optional[float] = None,
-        drift_tolerance: Optional[float] = None,
+        ttl_s: float = CACHE_TTL_S,
+        drift_tolerance: float = CACHE_DRIFT_TOLERANCE,
     ) -> None:
         if inner is None:
             if topology is None or config is None:
@@ -247,10 +252,6 @@ class CachedPredictor:
                 )
             inner = ForestPredictor(topology, weather, config)
         self.inner = inner
-        if ttl_s is None:
-            ttl_s = getattr(config, "cache_ttl_s", 600.0)
-        if drift_tolerance is None:
-            drift_tolerance = getattr(config, "cache_drift_tolerance", 0.15)
         self.ttl_s = float(ttl_s)
         self.drift_tolerance = float(drift_tolerance)
         self.hits = 0

@@ -38,12 +38,11 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.checks import (
     check_autoscale, check_batch, check_concurrency, check_connections, check_datasets,
-    check_deadline, check_estimators, check_kernel, check_min_difference, check_shards,
-    check_threshold, check_workers,
+    check_deadline, check_estimators, check_kernel, check_min_difference, check_port,
+    check_shards, check_threshold, check_workers,
 )
 from repro.cloud.regions import PAPER_REGIONS
 from repro.core.globalopt import DEFAULT_MAX_CONNECTIONS
-from repro.core.localopt import EPOCH_S
 
 #: Prefix for environment-variable overrides (layer 3).
 ENV_PREFIX = "WANIFY_"
@@ -96,11 +95,6 @@ class PipelineConfig:
     gauger: str = config_field("snapshot", help="gauger stage (registered name)")
     predictor: str = config_field("forest", help="predictor stage (registered name)")
     planner: str = config_field("window", help="planner stage (registered name)")
-    #: Knobs for the ``cached`` predictor (ignored by the others).
-    cache_ttl_s: float = config_field(600.0, help="cached predictor TTL (s)")
-    cache_drift_tolerance: float = config_field(
-        0.15, help="cached predictor re-infer threshold (relative snapshot drift)"
-    )
 
     def __post_init__(self) -> None:
         for field_ in dataclasses.fields(self):
@@ -135,7 +129,6 @@ class ServiceConfig(PipelineConfig):
     )
     #: ``False`` freezes the control loop after the initial plan.
     online: bool = config_field(True, help="enable online re-planning", cli=False)
-    throttling: bool = config_field(True, help="throttle BW-rich pairs")
     max_concurrent: int = config_field(3, help="concurrent jobs admitted", check=check_concurrency)
     #: Admission policy — names an entry in
     #: ``repro.pipeline.registry.admission_policy_registry`` (``fifo``,
@@ -204,8 +197,6 @@ class ServiceConfig(PipelineConfig):
     autoscale_max: int = config_field(
         6, help="autoscaler max_concurrent ceiling"
     )
-    epoch_s: float = config_field(EPOCH_S, help="AIMD agent epoch (s)")
-    check_interval_s: float = config_field(30.0, help="drift check period (s)")
     #: Mirrors ``repro.runtime.drift.DEFAULT_THRESHOLD`` — duplicated
     #: here (and equality-tested) so the light config layer does not
     #: import the runtime package.
@@ -214,7 +205,6 @@ class ServiceConfig(PipelineConfig):
     )
     #: Mirrors ``repro.runtime.drift.DEFAULT_COOLDOWN_S``.
     cooldown_s: float = config_field(240.0, help="minimum gap between re-plans (s)")
-    max_replans: Optional[int] = config_field(None, help="re-plan budget (unlimited when unset)")
     #: Continuous capacity recalibration: a background gauger that
     #: re-derives each link's usable capacity from the p95 of observed
     #: throughput on an interval, keeping plans honest between drift
@@ -234,7 +224,7 @@ class ServiceConfig(PipelineConfig):
     #: Port for the Prometheus ``/metrics`` endpoint during ``serve``
     #: (0 binds an ephemeral port and prints it; unset serves nothing).
     metrics_port: Optional[int] = config_field(
-        None, help="serve /metrics on this port (0 = ephemeral; unset = off)"
+        None, help="serve /metrics on this port (0 = ephemeral; unset = off)", check=check_port
     )
     #: Online policy switcher — names an entry in
     #: ``repro.pipeline.registry.tuner_registry`` (``none``,
@@ -242,12 +232,6 @@ class ServiceConfig(PipelineConfig):
     #: code).  ``none`` (the default) builds no switcher at all, so
     #: every pre-existing run stays byte-identical.
     tuner: str = config_field("none", help="online policy switcher (registered name)")
-    #: SLO-attainment floor the offline ``wanify tune`` search treats
-    #: as its feasibility constraint (also the ``[tune]`` table's
-    #: default ``target``).
-    tune_target: float = config_field(
-        0.9, help="SLO-attainment target for `wanify tune`"
-    )
     #: Minimum simulated seconds between switcher decisions.  Matches
     #: the re-plan cooldown default so policy churn and re-planning
     #: settle on the same timescale.

@@ -148,9 +148,8 @@ class Pipeline:
         ``variant`` defaults to the config's ``variant`` field; the
         name resolves through the variant registry, so anything
         registered with ``@register_variant`` works here.  Extra
-        keyword arguments (the service's ``epoch_s``/``telemetry``
-        agent knobs, or custom strategy options) are forwarded to the
-        strategy's ``build``.
+        keyword arguments (the service's ``telemetry`` sink, or custom
+        strategy options) are forwarded to the strategy's ``build``.
         """
         name = variant if variant is not None else self.config.variant
         try:

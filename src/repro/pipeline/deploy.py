@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.core.agent import LocalAgent, deploy_agents
 from repro.core.globalopt import GlobalPlan
-from repro.core.localopt import EPOCH_S
 from repro.core.throttle import apply_throttles
 from repro.net.monitor import SampleSink
 from repro.net.simulator import NetworkSimulator
@@ -32,8 +31,6 @@ class Deployment:
     plan: Optional[GlobalPlan]
     agents: bool
     throttling: bool
-    #: AIMD epoch for deployed agents (the service shortens it).
-    epoch_s: float = EPOCH_S
     #: Shared sample sink wired into every agent's monitor (the
     #: runtime service's TelemetryStore).
     telemetry: Optional[SampleSink] = None
@@ -52,7 +49,6 @@ class Deployment:
                 network,
                 self.plan,
                 throttling=self.throttling,
-                epoch_s=self.epoch_s,
                 telemetry=self.telemetry,
             )
             return

@@ -101,9 +101,9 @@ class Planner(Protocol):
 class DeploymentStrategy(Protocol):
     """Builds a deployment from the pipeline's current state.
 
-    ``epoch_s`` and ``telemetry`` are agent knobs forwarded by the
-    runtime service; a strategy that deploys agents must honor them
-    (the built-ins inherit handling from ``VariantStrategy``).
+    ``telemetry`` is the sample sink the runtime service forwards; a
+    strategy that deploys agents must wire it into them (the built-ins
+    inherit handling from ``VariantStrategy``).
     """
 
     def build(
@@ -113,7 +113,6 @@ class DeploymentStrategy(Protocol):
         at_time: float = 0.0,
         skew_weights: Optional[dict[str, float]] = None,
         rvec: Optional[dict[str, float]] = None,
-        epoch_s: Optional[float] = None,
         telemetry: Optional[object] = None,
     ) -> Deployment:
         """A ready-to-install deployment for the pipeline's state."""

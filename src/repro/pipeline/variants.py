@@ -36,16 +36,14 @@ if TYPE_CHECKING:
 class VariantStrategy:
     """Shared plumbing: resolve ``bw`` lazily, stamp the variant name.
 
-    ``epoch_s``/``telemetry`` are the service's agent knobs, forwarded
-    at build time so custom variants see them too (a variant that
-    deploys its own agents must honor them itself).
+    ``telemetry`` is the service's shared sample sink, forwarded at
+    build time so custom variants see it too (a variant that deploys
+    its own agents must wire it itself).
     """
 
     #: Registered name; subclasses set their own.
     name = "variant"
-    #: Whether the deployment runs AIMD agents, which tick every
-    #: ``epoch_s``.  The service checks ``epoch_s`` before training
-    #: when this is true; otherwise the agents' own check catches it.
+    #: Whether the deployment runs AIMD agents.
     agents = False
 
     def build(
@@ -55,24 +53,17 @@ class VariantStrategy:
         at_time: float = 0.0,
         skew_weights: Optional[dict[str, float]] = None,
         rvec: Optional[dict[str, float]] = None,
-        epoch_s: Optional[float] = None,
         telemetry: Optional[object] = None,
     ) -> Deployment:
         """Resolve ``bw`` (predicting if absent), then build + configure."""
         if bw is None:
             bw = pipeline.predict(at_time=at_time)
         deployment = self.deployment(pipeline, bw, skew_weights, rvec)
-        return self.configure(deployment, epoch_s, telemetry)
+        return self.configure(deployment, telemetry)
 
     @staticmethod
-    def configure(
-        deployment: Deployment,
-        epoch_s: Optional[float],
-        telemetry: Optional[object],
-    ) -> Deployment:
-        """Apply the forwarded agent knobs (unset ones keep defaults)."""
-        if epoch_s is not None:
-            deployment.epoch_s = epoch_s
+    def configure(deployment: Deployment, telemetry: Optional[object]) -> Deployment:
+        """Wire the forwarded sample sink (unset keeps the default)."""
         if telemetry is not None:
             deployment.telemetry = telemetry
         return deployment
@@ -101,12 +92,11 @@ class SingleConnection(VariantStrategy):
         at_time: float = 0.0,
         skew_weights: Optional[dict[str, float]] = None,
         rvec: Optional[dict[str, float]] = None,
-        epoch_s: Optional[float] = None,
         telemetry: Optional[object] = None,
     ) -> Deployment:
         """An empty deployment (deliberately skips prediction)."""
         deployment = Deployment(self.name, None, agents=self.agents, throttling=False)
-        return self.configure(deployment, epoch_s, telemetry)
+        return self.configure(deployment, telemetry)
 
 
 @register_variant()

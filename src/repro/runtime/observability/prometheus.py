@@ -25,6 +25,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterable, Optional
 
+from repro.checks import check_port
+
 #: Buckets (seconds) for job-latency histograms: sub-minute through
 #: multi-hour, matching the JCT range the paper's workloads span.
 DEFAULT_JCT_BUCKETS_S: tuple[float, ...] = (
@@ -293,6 +295,7 @@ class MetricsEndpoint:
         host: str = "127.0.0.1",
         on_scrape: Optional[Callable[[], None]] = None,
     ) -> None:
+        check_port(port)
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):

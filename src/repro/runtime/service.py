@@ -43,14 +43,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.checks import check_interval
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import JobSpec
 from repro.net.matrix import BandwidthMatrix
 from repro.pipeline.config import ServiceConfig
 from repro.pipeline.core import Pipeline
 from repro.pipeline.deploy import Deployment
-from repro.pipeline.registry import variant_registry
 from repro.runtime.control.plane import ControlPlane
 from repro.runtime.drift import DriftDetector, ReplanEvent
 from repro.runtime.observability.hub import ObservabilityHub
@@ -82,18 +80,9 @@ __all__ = [
 #: the window for a persistent drop.
 TELEMETRY_WINDOW_S = 120.0
 
-
-def _deploys_agents(variant: str) -> bool:
-    """Whether the registered ``variant`` declares AIMD agents.
-
-    An unknown name, or a strategy that declares nothing, reads false:
-    its deployment is checked when it installs.
-    """
-    try:
-        strategy = variant_registry.get(variant)
-    except KeyError:
-        return False
-    return getattr(strategy, "agents", False) is True
+#: Period (s) of the drift check that compares telemetry with the
+#: prediction while the service runs online.
+CHECK_INTERVAL_S = 30.0
 
 
 class PipelineService:
@@ -183,12 +172,6 @@ class PipelineService:
         # shard, batch and concurrency values, and what the scheduler
         # still rejects fails here, without paying for a forest.
         service = cls(cluster, pipeline, config)
-        # So does a period start() would reject, only where it is used:
-        # the agents' epoch, the drift-check period.
-        if _deploys_agents(config.variant):
-            check_interval(config.epoch_s)
-        if config.online:
-            check_interval(config.check_interval_s)
         if not pipeline.is_trained:
             pipeline.train()
         service.start()
@@ -236,9 +219,9 @@ class PipelineService:
         if self.config.online:
             self._drift_process = Process(
                 self.sim,
-                self.config.check_interval_s,
+                CHECK_INTERVAL_S,
                 self._check,
-                start_delay=self.config.check_interval_s,
+                start_delay=CHECK_INTERVAL_S,
                 priority=5,
             )
         # Continuous capacity recalibration: a background gauger that
@@ -302,17 +285,12 @@ class PipelineService:
     def _install(self, predicted: BandwidthMatrix) -> None:
         """Build and install the configured variant's deployment.
 
-        The agent knobs travel through the strategy's ``build`` so
-        custom registered variants see them at build time.
+        The shared telemetry store travels through the strategy's
+        ``build`` so custom registered variants see it at build time.
         """
         deployment = self.pipeline.deployment(
-            self.config.variant,
-            bw=predicted,
-            epoch_s=self.config.epoch_s,
-            telemetry=self.telemetry,
+            self.config.variant, bw=predicted, telemetry=self.telemetry
         )
-        if not self.config.throttling:
-            deployment.throttling = False
         deployment.install(self.network)
         self.deployment = deployment
         # A planner that scores placement backends (the multi-backend
@@ -360,11 +338,6 @@ class PipelineService:
 
     def _check(self, now: float) -> None:
         if self.detector is None:
-            return
-        if (
-            self.config.max_replans is not None
-            and len(self.replans) >= self.config.max_replans
-        ):
             return
         if (
             self.config.replan_budget_usd is not None

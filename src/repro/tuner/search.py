@@ -27,7 +27,7 @@ A tune file is a sweep file plus one more table::
     repeats = 2
 
     [tune]
-    target = 0.9        # SLO-attainment floor (default: base tune_target)
+    target = 0.9        # SLO-attainment floor (default: DEFAULT_TARGET)
     eta = 2             # survivor fraction per rung (keep 1/eta)
     min_jobs = 1        # fidelity floor for the earliest rung
 
@@ -60,6 +60,9 @@ from repro.experiments.sweep import (
 #: Objective metrics every ranking reads (subset of METRIC_COLUMNS).
 COST_METRICS = ("probe_cost_usd", "replan_cost_usd")
 
+#: SLO-attainment floor when the ``[tune]`` table names no ``target``.
+DEFAULT_TARGET = 0.9
+
 
 class TuneError(SweepError):
     """A tune file failed validation (bad target, bad eta…)."""
@@ -72,7 +75,7 @@ class TuneSpec:
     sweep: SweepSpec
     #: Feasibility floor: cells below this SLO attainment only win when
     #: nothing reaches it (the report flags the winner infeasible).
-    target: float = 0.9
+    target: float = DEFAULT_TARGET
     #: Survivor fraction per rung — each rung keeps ``ceil(n / eta)``.
     eta: int = 2
     #: Fidelity floor: the earliest rung never runs fewer jobs.
@@ -94,7 +97,7 @@ def load_tune(
     unknown = sorted(set(section) - known)
     if unknown:
         raise TuneError(f"unknown [tune] keys {unknown}; known: {sorted(known)}")
-    target = float(section.get("target", sweep.base.tune_target))
+    target = float(section.get("target", DEFAULT_TARGET))
     if not 0.0 < target <= 1.0:
         raise TuneError(f"[tune] target must be in (0, 1]: {target}")
     eta = int(section.get("eta", 2))

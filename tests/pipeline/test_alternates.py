@@ -10,6 +10,8 @@ from repro.net.measurement import MeasurementCost, MeasurementReport
 from repro.net.topology import Topology
 from repro.pipeline import Pipeline, PipelineConfig
 from repro.pipeline.alternates import (
+    CACHE_DRIFT_TOLERANCE,
+    CACHE_TTL_S,
     CachedPredictor,
     MultiBackendPlanner,
     PassiveTelemetryGauger,
@@ -188,14 +190,13 @@ class TestCachedPredictor:
         with pytest.raises(ValueError, match="inner predictor"):
             CachedPredictor()
 
-    def test_config_supplies_cache_knobs(self):
+    def test_cache_knobs_default_to_module_constants(self):
         topo = topology()
-        config = PipelineConfig(cache_ttl_s=42.0, cache_drift_tolerance=0.5)
         cached = CachedPredictor(
-            inner=FixedPredictor(topo.keys), config=config
+            inner=FixedPredictor(topo.keys), config=PipelineConfig()
         )
-        assert cached.ttl_s == 42.0
-        assert cached.drift_tolerance == 0.5
+        assert cached.ttl_s == CACHE_TTL_S == 600.0
+        assert cached.drift_tolerance == CACHE_DRIFT_TOLERANCE == 0.15
 
 
 class TestMultiBackendPlanner:

@@ -90,16 +90,16 @@ class TestEnvLayer:
     def test_env_coercion(self):
         env = {
             "WANIFY_SEED": "5",
-            "WANIFY_THROTTLING": "off",
-            "WANIFY_MAX_REPLANS": "3",
+            "WANIFY_GOVERNOR": "off",
+            "WANIFY_METRICS_PORT": "3",
             "WANIFY_SCENARIO": "diurnal",
             "WANIFY_UNRELATED": "ignored",
         }
         found = env_overrides(ServiceConfig, env)
         assert found == {
             "seed": 5,
-            "throttling": False,
-            "max_replans": 3,
+            "governor": False,
+            "metrics_port": 3,
             "scenario": "diurnal",
         }
 
@@ -117,13 +117,18 @@ class TestEnvLayer:
 
     def test_optional_none_spelling(self):
         found = env_overrides(
-            ServiceConfig, {"WANIFY_MAX_REPLANS": "none"}
+            ServiceConfig, {"WANIFY_METRICS_PORT": "none"}
         )
-        assert found == {"max_replans": None}
+        assert found == {"metrics_port": None}
+
+    def test_removed_knob_spelling_is_ignored(self):
+        # Constants now; an old environment still starts the service.
+        env = {"WANIFY_EPOCH_S": "2", "WANIFY_MAX_REPLANS": "3", "WANIFY_THROTTLING": "off"}
+        assert env_overrides(ServiceConfig, env) == {}
 
     def test_bad_bool_rejected(self):
         with pytest.raises(ValueError, match="boolean"):
-            env_overrides(ServiceConfig, {"WANIFY_THROTTLING": "maybe"})
+            env_overrides(ServiceConfig, {"WANIFY_GOVERNOR": "maybe"})
 
 
 class TestPrecedence:
@@ -183,17 +188,17 @@ class TestConfigArguments:
     def test_bool_fields_get_no_variant(self):
         config_args = ConfigArguments(ServiceConfig)
         parser = self._parser(config_args)
-        assert parser.parse_args(["--no-throttling"]).throttling is False
-        assert parser.parse_args(["--throttling"]).throttling is True
+        assert parser.parse_args(["--no-governor"]).governor is False
+        assert parser.parse_args(["--governor"]).governor is True
 
     def test_explicit_detects_only_typed_flags(self):
         config_args = ConfigArguments(
             ServiceConfig, defaults={"scenario": "step-drop"}
         )
         explicit = config_args.explicit(
-            ["serve", "us-east-1", "--seed", "9", "--no-throttling"]
+            ["serve", "us-east-1", "--seed", "9", "--no-governor"]
         )
-        assert explicit == {"seed": 9, "throttling": False}
+        assert explicit == {"seed": 9, "governor": False}
 
     def test_resolve_layers_file_env_cli(self, tmp_path):
         path = tmp_path / "svc.toml"
@@ -254,6 +259,7 @@ class TestValueChecks:
             "slo_deadline_s",
             "admit_batch",
             "drift_threshold",
+            "metrics_port",
         }
 
     def test_keyword_value_raises_the_cli_text(self):
@@ -296,6 +302,23 @@ class TestValueChecks:
             Process(Simulator(), float("nan"), lambda now: None)
         with pytest.raises(ValueError, match="^threshold must be positive: nan$"):
             checks.check_threshold(float("nan"))
+
+    @pytest.mark.parametrize("port", [70000, -3])
+    def test_metrics_port_outside_the_port_range(self, port):
+        from repro.runtime.observability.prometheus import MetricsEndpoint
+
+        with pytest.raises(ValueError) as info:
+            ServiceConfig(metrics_port=port)
+        assert str(info.value) == f"port must be in [0, 65535]: {port}"
+        assert self.serve_says(f"--metrics-port={port}") == f"bad configuration: {info.value}\n"
+        with pytest.raises(ValueError, match=rf"^port must be in \[0, 65535\]: {port}$"):
+            MetricsEndpoint(str, port=port)
+
+    def test_metrics_port_range_ends_are_valid(self):
+        for port in (0, 65535):
+            assert ServiceConfig(metrics_port=port).metrics_port == port
+        with pytest.raises(ValueError, match=r"^port must be in \[0, 65535\]: nan$"):
+            checks.check_port(float("nan"))
 
     def test_pipeline_config_checks_its_fields(self):
         with pytest.raises(ValueError, match="n_estimators must be ≥ 1: 0"):

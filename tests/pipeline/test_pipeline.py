@@ -59,18 +59,15 @@ class TestPipeline:
             pipeline.deployment("wanify-max")
 
     def test_agent_knobs_forwarded_through_build(self, trained):
-        # The service's epoch_s/telemetry reach the strategy at build
-        # time (not patched on afterwards), so custom variants see
-        # them too.
+        # The service's telemetry sink reaches the strategy at build
+        # time (not patched on afterwards), so custom variants see it
+        # too.
         _, pipeline = trained
 
         def sink(sample):
             pass
 
-        deployment = pipeline.deployment(
-            "wanify-tc", at_time=500.0, epoch_s=2.5, telemetry=sink
-        )
-        assert deployment.epoch_s == 2.5
+        deployment = pipeline.deployment("wanify-tc", at_time=500.0, telemetry=sink)
         assert deployment.telemetry is sink
 
     def test_fresh_config_per_instance(self, triad):
@@ -286,7 +283,7 @@ class TestComposedScenarioServe:
         assert "bad configuration" in text
 
     def test_bad_env_value_fails_cleanly(self, monkeypatch):
-        monkeypatch.setenv("WANIFY_THROTTLING", "maybe")
+        monkeypatch.setenv("WANIFY_GOVERNOR", "maybe")
         code, text = self.run_cli(*self.SMALL)
         assert code == 2
         assert "bad configuration" in text
@@ -345,3 +342,25 @@ class TestComposedScenarioModel:
             )
         finally:
             scenario_registry.unregister("meteor-strike")
+
+
+class TestMinDifference:
+    """``min_difference_mbps`` (Eq. 3's tolerance) shapes the plan."""
+
+    KEYS = ("us-east-1", "us-west-1", "eu-west-1", "ap-southeast-1")
+    BW = [[0, 900, 420, 150], [880, 0, 380, 160], [430, 390, 0, 610], [140, 170, 600, 0]]
+
+    @pytest.mark.parametrize(
+        "tolerance, row",
+        [(0.0, [1, 2, 5, 8]), (100.0, [1, 4, 7, 8]), (1000.0, [1, 8, 8, 8])],
+    )
+    def test_tolerance_moves_the_window(self, tolerance, row):
+        import numpy as np
+
+        from repro.net.matrix import BandwidthMatrix
+        from repro.net.topology import Topology
+
+        bw = BandwidthMatrix(self.KEYS, np.array(self.BW, dtype=float))
+        config = PipelineConfig(min_difference_mbps=tolerance)
+        plan = Pipeline(Topology.build(self.KEYS), config=config).plan(bw)
+        assert plan.max_connections.values[0].tolist() == row

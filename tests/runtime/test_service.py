@@ -29,7 +29,6 @@ def _config(online: bool) -> ServiceConfig:
         seed=SEED,
         online=online,
         max_concurrent=3,
-        check_interval_s=30.0,
         cooldown_s=180.0,
         **FAST,
     )

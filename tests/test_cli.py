@@ -6,7 +6,7 @@ import typing
 
 import pytest
 
-from repro.checks import AtLeast, OneOf, Positive
+from repro.checks import AtLeast, Between, OneOf, Positive
 from repro.cli import build_parser, main
 from repro.ml.forest import RandomForestRegressor
 from repro.pipeline.config import PipelineConfig, ServiceConfig
@@ -404,6 +404,8 @@ def outside(check) -> list:
         return [check.low - 1]
     if isinstance(check, Positive):
         return [0]
+    if isinstance(check, Between):
+        return [check.low - 1, check.high + 1]
     if isinstance(check, OneOf):
         return ["bogus"]
     raise AssertionError(f"no out-of-range value for {check!r}")
@@ -452,8 +454,8 @@ class TestBadKnobValues:
         [
             ("serve", ("--slo-deadline-s", "-5"), "deadline_s must be positive"),
             ("serve", ("--drift-threshold=-1",), "threshold must be positive: -1.0"),
-            ("serve", ("--epoch-s", "0"), "interval must be positive"),
-            ("serve", ("--check-interval-s", "-1"), "interval must be positive"),
+            ("serve", ("--metrics-port", "70000"), "port must be in [0, 65535]: 70000"),
+            ("serve", ("--metrics-port=-3",), "port must be in [0, 65535]: -3"),
             ("serve", ("--drift-threshold=0",), "threshold must be positive: 0.0"),
             ("serve", ("--admit-batch", "0"), "batch must be ≥ 1: 0"),
             ("predict", ("--datasets", "0"), "n_datasets must be ≥ 1"),
@@ -517,8 +519,6 @@ class TestBadKnobValues:
         "flags, message",
         [
             (("--drift-threshold=-1",), "threshold must be positive: -1.0"),
-            (("--epoch-s", "0"), "interval must be positive: 0.0"),
-            (("--check-interval-s", "-1"), "interval must be positive: -1.0"),
         ],
     )
     def test_bad_start_value_exits_before_training(self, monkeypatch, flags, message):
@@ -530,18 +530,21 @@ class TestBadKnobValues:
         assert code == 2
         assert text == f"bad configuration: {message}\n"
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            # No agents, so no epoch to tick.
-            ("--variant", "global-only", "--epoch-s", "0"),
-            # No drift checks, so no check period.
-            ("--static", "--check-interval-s", "-1"),
-        ],
-    )
-    def test_unused_start_value_still_runs(self, flags):
-        code, _ = run_cli(*self.SERVE, *self.FAST, *flags)
-        assert code == 0
+    def test_record_without_observability_exits_before_training(self, monkeypatch, tmp_path):
+        def train(pipeline):
+            raise AssertionError("trained a forest for a run it cannot record")
+
+        monkeypatch.setattr(Pipeline, "train", train)
+        record = tmp_path / "run.json"
+        code, text = run_cli(
+            *self.SERVE, *self.FAST, "--no-observability", "--record", str(record)
+        )
+        assert code == 2
+        assert text == (
+            "cannot record the run: observability is disabled "
+            "(--record needs the telemetry warehouse)\n"
+        )
+        assert not record.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
     def test_duration_must_be_positive_and_finite(self, value):

@@ -142,6 +142,33 @@ class TestDocsHealth:
             sys.path.remove(str(REPO / "src"))
         assert any("drift_threshold" in f for f in failures)
 
+    def test_config_coverage_catches_stale_row(self, check_docs, monkeypatch):
+        """A knob-table row naming no config field fails the job."""
+        operations = (REPO / "docs" / "OPERATIONS.md").read_text()
+        row = "| `drift_threshold` |"
+        assert row in operations
+        stale = operations.replace(row, "| `epoch_s` | 5.0 | agents | gone |\n" + row, 1)
+        sys.path.insert(0, str(REPO / "src"))
+        try:
+            import pathlib
+
+            original = pathlib.Path.read_text
+
+            def patched(self, *args, **kwargs):
+                if self.name == "OPERATIONS.md":
+                    return stale
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(pathlib.Path, "read_text", patched)
+            failures: list[str] = []
+            check_docs.check_config_coverage(failures)
+        finally:
+            sys.path.remove(str(REPO / "src"))
+        assert failures == [
+            "docs/OPERATIONS.md: knob-table row `epoch_s` names no config field "
+            "(remove the stale row)"
+        ]
+
     def test_metric_coverage_passes_on_shipped_docs(self, check_docs):
         failures: list[str] = []
         sys.path.insert(0, str(REPO / "src"))

@@ -23,6 +23,7 @@ from repro.tuner import (
     winning_toml,
     write_tune_report,
 )
+from repro.tuner.search import DEFAULT_TARGET
 
 #: Two tiny regions + miniature training keep a real run in seconds.
 FAST_BASE = """
@@ -61,17 +62,10 @@ min_jobs = 2
         assert spec.min_jobs == 2
         assert len(spec.sweep.cells) == 2
 
-    def test_target_defaults_to_the_base_tune_target(self, tmp_path):
-        path = write_toml(
-            tmp_path,
-            FAST_BASE + 'tune_target = 0.85\n\n[sweep]\njobs = 1\n',
-        )
-        assert load_tune(path).target == pytest.approx(0.85)
-
     def test_tune_table_is_optional(self, tmp_path):
         path = write_toml(tmp_path, FAST_BASE + "\n[sweep]\njobs = 2\n")
         spec = load_tune(path)
-        assert spec.target == ServiceConfig().tune_target
+        assert spec.target == DEFAULT_TARGET
         assert spec.eta == 2
         assert spec.min_jobs == 1
 
@@ -344,6 +338,75 @@ target = 0.5
         text = winning_toml(result)
         assert f'gauger = "{result.winner.cell["gauger"]}"' in text
         assert "seed = 11" in text
+
+
+#: A winner file as ``winning_toml`` wrote it before seven knobs became
+#: constants: every removed key is spelled out at its old default
+#: (``max_replans`` defaulted to unset, so it was never written).
+OLD_WINNER = """\
+# Winning configuration from `wanify tune`
+max_connections = 8
+min_difference_mbps = 100.0
+n_training_datasets = 3
+n_estimators = 2
+seed = 11
+variant = "wanify-tc"
+policy = "tetrium"
+gauger = "passive-telemetry"
+predictor = "forest"
+planner = "window"
+cache_ttl_s = 600.0
+cache_drift_tolerance = 0.15
+regions = ["us-east-1", "us-west-1"]
+vm = "t2.medium"
+profile = "vpc-peering"
+online = true
+throttling = true
+max_concurrent = 3
+scheduler = "fifo"
+scheduler_shards = 1
+shard_workers = 0
+kernel = "scalar"
+admit_batch = 16
+preemption = "none"
+governor = false
+autoscale = false
+autoscale_max = 6
+epoch_s = 5.0
+check_interval_s = 30.0
+drift_threshold = 0.45
+cooldown_s = 240.0
+recalibrate = false
+observability = true
+tuner = "none"
+tune_target = 0.9
+switch_cooldown_s = 240.0
+"""
+
+REMOVED_KEYS = (
+    "cache_ttl_s",
+    "cache_drift_tolerance",
+    "throttling",
+    "epoch_s",
+    "check_interval_s",
+    "tune_target",
+)
+
+
+class TestOldWinners:
+    def test_removed_keys_are_ignored(self, tmp_path):
+        old = write_toml(tmp_path, OLD_WINNER, name="old.toml")
+        kept = "".join(
+            line + "\n"
+            for line in OLD_WINNER.splitlines()
+            if line.split(" = ")[0] not in REMOVED_KEYS
+        )
+        assert kept.count("\n") == OLD_WINNER.count("\n") - len(REMOVED_KEYS)
+        new = write_toml(tmp_path, kept, name="new.toml")
+        loaded = layered_config(ServiceConfig, path=old)
+        assert loaded == layered_config(ServiceConfig, path=new)
+        assert loaded.gauger == "passive-telemetry"
+        assert loaded.regions == ("us-east-1", "us-west-1")
 
 
 class TestRepeatsParity:
