@@ -113,9 +113,12 @@ MAX_LOG_OVERHEAD_PCT = 5.0
 def _metrics_log_ns_per_sample() -> float:
     """Wall nanoseconds one ``MetricsLog.record`` destination costs.
 
-    The ingest path is a bare list append; measuring it in isolation
-    (rather than diffing two whole runs) keeps the number stable enough
-    to regress against.
+    A standalone log stores each sample in its own store's per-link
+    lists (``LinkSeries.add``: an order check, two appends and the
+    EWMA).  The hub's log reads the service's store and adds nothing
+    to its ingest, so this is an upper bound on what warehousing costs
+    a run.  Measuring it in isolation (rather than diffing two whole
+    runs) keeps the number stable enough to regress against.
     """
     log = MetricsLog()
     rates = {f"dc-{i}": float(i) for i in range(7)}

@@ -28,6 +28,7 @@ from typing import Callable, Optional
 
 from repro.checks import check_threshold
 from repro.net.matrix import BandwidthMatrix
+from repro.net.stats import percentile
 from repro.runtime.telemetry import TelemetryStore
 
 #: Default relative-error threshold before a re-plan fires.
@@ -123,19 +124,23 @@ class DriftDetector:
 
     def __post_init__(self) -> None:
         check_threshold(self.threshold)
+        if not 0.0 <= self.percentile <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100]: {self.percentile}")
 
-    def link_error(self, src: str, dst: str, now: float) -> float | None:
-        """Relative degradation of one link, ``None`` if not assessable."""
-        estimate = self.store.estimate(src, dst)
-        if estimate.samples < self.min_samples:
+    def assess(self, src: str, dst: str, now: float) -> tuple[float, float] | None:
+        """One link's observed capacity and relative degradation, from
+        one read of its window; ``None`` if not assessable."""
+        last_time, rates = self.store.read_window(src, dst)
+        active = [r for r in rates if r > 0.0]
+        if len(active) < self.min_samples:
             return None
-        if now - estimate.last_time > self.freshness_s:
+        if now - last_time > self.freshness_s:
             return None
         predicted = self.predicted.get(src, dst)
         if predicted < self.min_predicted_mbps:
             return None
-        observed = self.store.capacity_mbps(src, dst, self.percentile)
-        return max(0.0, (predicted - observed) / predicted)
+        observed = percentile(active, self.percentile) if active else 0.0
+        return observed, max(0.0, (predicted - observed) / predicted)
 
     def check(self, now: float) -> ReplanEvent | None:
         """Fire a :class:`ReplanEvent` if drift exceeds the threshold.
@@ -147,17 +152,16 @@ class DriftDetector:
             return None
         worst: ReplanEvent | None = None
         for src, dst in self.store.links():
-            error = self.link_error(src, dst, now)
-            if error is None or error < self.threshold:
+            assessed = self.assess(src, dst, now)
+            if assessed is None or assessed[1] < self.threshold:
                 continue
+            observed, error = assessed
             if worst is None or error > worst.rel_error:
                 worst = ReplanEvent(
                     time=now,
                     src=src,
                     dst=dst,
-                    observed_mbps=self.store.capacity_mbps(
-                        src, dst, self.percentile
-                    ),
+                    observed_mbps=observed,
                     predicted_mbps=self.predicted.get(src, dst),
                     rel_error=error,
                 )

@@ -4,7 +4,8 @@
 :class:`~repro.runtime.service.PipelineService` constructs (when
 ``ServiceConfig.observability`` is on — the default) at the end of
 ``start()``.  It owns the run's
-:class:`~repro.runtime.observability.warehouse.MetricsLog` and
+:class:`~repro.runtime.observability.warehouse.MetricsLog` (a view over
+the service's telemetry store, so each sample is stored once) and
 :class:`~repro.runtime.observability.trace.EventTrace`, and threads
 lightweight callbacks through every decision-making component:
 
@@ -92,8 +93,7 @@ class ObservabilityHub:
                 topology.dc(dst).ingress_cap_mbps,
             )
 
-        self.log = MetricsLog(capacity_of)
-        service.telemetry.attach(self.log.record)
+        self.log = MetricsLog(capacity_of, service.telemetry)
         self.trace = EventTrace()
         self.counters: dict[str, int] = {
             "submitted": 0,
@@ -213,11 +213,6 @@ class ObservabilityHub:
         )
 
     # -- summary surface ------------------------------------------------
-
-    @property
-    def rollup_rows(self) -> int:
-        """Link-level rollup rows across every grain (counted, not built)."""
-        return self.log.rollup_rows()
 
     @property
     def events_traced(self) -> int:

@@ -1,11 +1,12 @@
-"""The telemetry warehouse: an append-only metrics log with rollups.
+"""The telemetry warehouse: a metrics log with rollups.
 
-The :class:`~repro.runtime.telemetry.TelemetryStore` is a sliding
-window — it answers "what is this link doing *now*" and forgets.  NOC
+The :class:`~repro.runtime.telemetry.TelemetryStore`'s estimators read
+a sliding window — they answer "what is this link doing *now*".  NOC
 operation needs the opposite: durable history an operator (or the
-auto-tuner) can aggregate over.  :class:`MetricsLog` is that history:
-every monitor tick the store ingests is also appended here, raw and
-unbounded, and :meth:`MetricsLog.rollup` turns the log into the
+auto-tuner) can aggregate over.  :class:`MetricsLog` is that history.
+It stores nothing itself: it reads the per-link lists of a store that
+keeps every sample (the service builds its store that way when
+observability is on), and :meth:`MetricsLog.rollup` turns them into the
 time-grain aggregates real WAN dashboards show — per-link (or
 per-region) min/mean/p50/p95/max, *time above threshold* at 70/80/90 %
 of link capacity in both **cumulative** (total seconds) and
@@ -19,20 +20,24 @@ columns distinguish bursty from sustained saturation.  A **flap** is
 an up→down transition (an active link going idle); **availability** is
 the share of samples that saw the link carrying traffic at all.
 
-Rollups are computed lazily and memoized on the log length, so the
-ingest path stays a bare list append — cheap enough to leave on for
-every run (the runtime benchmark pins the overhead below 5 %).
+Rollups are computed lazily and memoized on the sample count, so a
+monitor tick is ingested once, by the store, and the log adds nothing
+to it — cheap enough to leave on for every run (the runtime benchmark
+pins the overhead below 5 %).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
 from repro.net.stats import percentile
+from repro.runtime.telemetry import TelemetryStore
 
 #: Rollup grain name → bucket width in seconds.
 GRAINS: dict[str, float] = {"1m": 60.0, "10m": 600.0, "1h": 3600.0}
@@ -164,26 +169,28 @@ class _LinkBucketStats:
 
 
 class MetricsLog:
-    """Append-only warehouse of per-link bandwidth samples + rollups.
+    """Rollups over the per-link samples of a
+    :class:`~repro.runtime.telemetry.TelemetryStore` that keeps them all.
 
-    ``capacity_of(src, dst)`` supplies each link's nominal capacity in
-    Mbps for the threshold columns; without it the thresholds read 0
-    (min/mean/percentile columns still work).  :meth:`record` matches
-    the :data:`~repro.net.monitor.SampleSink` signature, so the log can
-    be attached straight to a
-    :class:`~repro.runtime.telemetry.TelemetryStore` via
-    :meth:`~repro.runtime.telemetry.TelemetryStore.attach`.
+    The hub passes the service's store, so its log ingests nothing;
+    without ``store`` the log builds its own, fed by :meth:`record` /
+    :meth:`observe`.  ``capacity_of(src, dst)`` supplies each link's
+    nominal capacity in Mbps for the threshold columns; without it the
+    thresholds read 0 (min/mean/percentile columns still work).
     """
 
     def __init__(
         self,
         capacity_of: Optional[Callable[[str, str], float]] = None,
+        store: Optional[TelemetryStore] = None,
     ) -> None:
+        if store is None:
+            store = TelemetryStore(keep_all=True)
+        elif not store.keep_all:
+            raise ValueError("a metrics log needs a store that keeps every sample")
         self.capacity_of = capacity_of
-        #: The append-only log: ``(time, src, dst, rate_mbps)`` rows.
-        self.entries: list[tuple[float, str, str, float]] = []
-        self._capacity_cache: dict[tuple[str, str], float] = {}
-        #: (grain, by) → (log length at compute time, rows).
+        self.store = store
+        #: (grain, by) → (log size at compute time, rows).
         self._rollup_cache: dict[
             tuple[str, str], tuple[int, list[RollupRow]]
         ] = {}
@@ -192,39 +199,22 @@ class MetricsLog:
 
     def record(self, dc: str, time: float, rates_mbps: dict[str, float]) -> None:
         """Ingest one monitor tick (the ``SampleSink`` signature)."""
-        append = self.entries.append
-        for dst, rate in rates_mbps.items():
-            append((time, dc, dst, rate))
+        self.store.record(dc, time, rates_mbps)
 
     def observe(self, time: float, src: str, dst: str, rate_mbps: float) -> None:
-        """Append a single link sample (test/synthetic feeder)."""
-        self.entries.append((time, src, dst, rate_mbps))
-
-    # -- capacity -------------------------------------------------------
-
-    def capacity_mbps(self, src: str, dst: str) -> float:
-        """The link's nominal capacity (0 without an oracle)."""
-        key = (src, dst)
-        found = self._capacity_cache.get(key)
-        if found is None:
-            found = (
-                float(self.capacity_of(src, dst))
-                if self.capacity_of is not None
-                else 0.0
-            )
-            self._capacity_cache[key] = found
-        return found
+        """Add a single link sample (test/synthetic feeder)."""
+        self.store.series(src, dst).add(time, rate_mbps)
 
     # -- rollups --------------------------------------------------------
 
     @property
     def size(self) -> int:
         """Samples ingested so far."""
-        return len(self.entries)
+        return sum(len(series.times) for _, series in self.store.sampled())
 
     def links(self) -> list[tuple[str, str]]:
         """Every directed link the log has seen, sorted."""
-        return sorted({(src, dst) for _, src, dst, _ in self.entries})
+        return [link for link, _ in self.store.sampled()]
 
     def rollup(self, grain: str = "1m", by: str = "link") -> list[RollupRow]:
         """Aggregate the log at one time grain.
@@ -245,69 +235,71 @@ class MetricsLog:
                 f"unknown rollup level {by!r}; known: "
                 f"{', '.join(ROLLUP_LEVELS)}"
             )
+        size = self.size
         cached = self._rollup_cache.get((grain, by))
-        if cached is not None and cached[0] == len(self.entries):
+        if cached is not None and cached[0] == size:
             return cached[1]
         rows = self._compute(grain, by)
-        self._rollup_cache[(grain, by)] = (len(self.entries), rows)
+        self._rollup_cache[(grain, by)] = (size, rows)
         return rows
 
     def rollup_rows(self) -> int:
         """Total link-level rollup rows across every grain.
 
-        A link-level rollup has one row per distinct ``(bucket, src,
-        dst)`` key, so this counts the keys of every grain in one pass
-        over the log instead of building the rows.
+        One row per ``(bucket, src, dst)`` key: each link's times are
+        sorted, so this counts its bucket runs by bisecting on
+        :func:`bucket_start` instead of building the rows.
         """
-        widths = tuple(GRAINS.values())
-        keys = {
-            (width, bucket_start(time, width), src, dst)
-            for time, src, dst, _ in self.entries
-            for width in widths
-        }
-        return len(keys)
+        rows = 0
+        for _, series in self.store.sampled():
+            times = series.times
+            for width in GRAINS.values():
+                start_of = partial(bucket_start, width=width)
+                i = 0
+                while i < len(times):
+                    rows += 1
+                    i = bisect_right(times, start_of(times[i]), i, key=start_of)
+        return rows
 
     def _compute(self, grain: str, by: str) -> list[RollupRow]:
         width = GRAINS[grain]
-        # Pass 1: per-(bucket, link) accumulation.  Samples arrive in
-        # time order per link (monitors tick forward), so consecutive
-        # entries of one link bound each sample's represented interval.
+        # Pass 1: per-(bucket, link) accumulation, link by link.  Each
+        # link's times are sorted, so its buckets come as runs and
+        # consecutive samples bound each sample's represented interval.
         stats: dict[tuple[float, str, str], _LinkBucketStats] = {}
-        last_seen: dict[tuple[str, str], tuple[float, float]] = {}
-        for time, src, dst, rate in self.entries:
-            bucket = bucket_start(time, width)
-            key = (bucket, src, dst)
-            group = stats.get(key)
-            if group is None:
-                group = stats[key] = _LinkBucketStats(
-                    self.capacity_mbps(src, dst)
-                )
-            group.rates.append(rate)
-            if rate > 0.0:
-                group.active += 1
-            previous = last_seen.get((src, dst))
-            last_seen[(src, dst)] = (time, rate)
-            if previous is None:
-                continue
-            prev_time, prev_rate = previous
-            # The interval this sample represents, clipped to its
-            # bucket — a sample straddling a boundary only charges the
-            # portion inside its own bucket.
-            dt = min(max(0.0, time - prev_time), time - bucket)
-            if prev_rate > 0.0 and rate <= 0.0:
-                group.flaps += 1
-            capacity = group.capacity
-            if capacity <= 0.0 or dt <= 0.0:
-                continue
-            for pct in THRESHOLD_PCTS:
-                if rate >= capacity * (pct / 100.0):
-                    group.above[pct] += dt
-                    group.run[pct] += dt
-                    group.continuous[pct] = max(
-                        group.continuous[pct], group.run[pct]
+        for (src, dst), series in self.store.sampled():
+            capacity = float(self.capacity_of(src, dst)) if self.capacity_of is not None else 0.0
+            # Seeding with the first sample gives it a zero interval and
+            # no flap, as a sample with no predecessor.
+            group_bucket, prev_time, prev_rate = None, series.times[0], series.rates[0]
+            for time, rate in zip(series.times, series.rates):
+                bucket = bucket_start(time, width)
+                if bucket != group_bucket:
+                    group_bucket = bucket
+                    group = stats[(bucket, src, dst)] = _LinkBucketStats(
+                        capacity
                     )
-                else:
-                    group.run[pct] = 0.0
+                group.rates.append(rate)
+                if rate > 0.0:
+                    group.active += 1
+                # The interval this sample represents, clipped to its
+                # bucket — a sample straddling a boundary only charges
+                # the portion inside its own bucket.
+                dt = min(max(0.0, time - prev_time), time - bucket)
+                if prev_rate > 0.0 and rate <= 0.0:
+                    group.flaps += 1
+                prev_time, prev_rate = time, rate
+                if capacity <= 0.0 or dt <= 0.0:
+                    continue
+                for pct in THRESHOLD_PCTS:
+                    if rate >= capacity * (pct / 100.0):
+                        group.above[pct] += dt
+                        group.run[pct] += dt
+                        group.continuous[pct] = max(
+                            group.continuous[pct], group.run[pct]
+                        )
+                    else:
+                        group.run[pct] = 0.0
         if by == "link":
             return [
                 self._finish(
@@ -315,21 +307,17 @@ class MetricsLog:
                 )
                 for (bucket, src, dst), group in sorted(stats.items())
             ]
-        # Region level: merge link accumulators sharing a source.
+        # Region level: merge link accumulators sharing a source (each
+        # group is one member link, so its capacity counts once).
         merged: dict[tuple[float, str], _LinkBucketStats] = {}
-        capacity_seen: dict[tuple[float, str], set[str]] = {}
-        for (bucket, src, dst), group in sorted(stats.items()):
-            key = (bucket, src)
-            pool = merged.get(key)
+        for (bucket, src, _), group in sorted(stats.items()):
+            pool = merged.get((bucket, src))
             if pool is None:
-                pool = merged[key] = _LinkBucketStats(0.0)
-                capacity_seen[key] = set()
+                pool = merged[(bucket, src)] = _LinkBucketStats(0.0)
             pool.rates.extend(group.rates)
             pool.active += group.active
             pool.flaps += group.flaps
-            if dst not in capacity_seen[key]:
-                capacity_seen[key].add(dst)
-                pool.capacity += group.capacity
+            pool.capacity += group.capacity
             for pct in THRESHOLD_PCTS:
                 pool.above[pct] += group.above[pct]
                 pool.continuous[pct] = max(

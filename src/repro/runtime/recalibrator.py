@@ -47,6 +47,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.net.matrix import BandwidthMatrix
+from repro.net.stats import percentile
 from repro.runtime.telemetry import TelemetryStore
 
 __all__ = ["CapacityRecalibrator"]
@@ -193,16 +194,10 @@ class CapacityRecalibrator:
         self.last_tick_s = now
         moved = 0
         for src, dst in self.current.pairs():
-            estimate = self.store.estimate(src, dst, window_s=RECAL_WINDOW_S)
-            if estimate.samples < RECAL_MIN_SAMPLES:
+            _, rates = self.store.read_window(src, dst, RECAL_WINDOW_S)
+            if len([r for r in rates if r > 0.0]) < RECAL_MIN_SAMPLES:
                 continue
-            observed = self.store.capacity_mbps(
-                src,
-                dst,
-                RECAL_PERCENTILE,
-                window_s=RECAL_WINDOW_S,
-                active_only=False,
-            )
+            observed = percentile(rates, RECAL_PERCENTILE)
             previous = self.current.get(src, dst)
             step = RECAL_MAX_STEP_FRACTION * self.baseline.get(src, dst)
             target = min(max(observed, previous - step), previous + step)

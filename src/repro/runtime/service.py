@@ -103,7 +103,8 @@ class PipelineService:
         self.cluster = cluster
         self.pipeline = pipeline
         self.config = config if config is not None else ServiceConfig()
-        self.telemetry = TelemetryStore(window_s=TELEMETRY_WINDOW_S)
+        # With observability on, the hub's metrics log reads every sample here.
+        self.telemetry = TelemetryStore(TELEMETRY_WINDOW_S, keep_all=self.config.observability)
         # Telemetry handoff: a gauger that can consume the shared store
         # (the passive-telemetry alternate) gets it before first gauge.
         binder = getattr(self.pipeline.gauger, "bind_telemetry", None)
@@ -516,13 +517,13 @@ class PipelineService:
         """Aggregate statistics for everything completed so far."""
         summary = self.live_summary()
         if self.hub is not None:
-            summary.rollup_rows = self.hub.rollup_rows
+            summary.rollup_rows = self.hub.log.rollup_rows()
         return summary
 
     def live_summary(self) -> ServiceSummary:
-        """:meth:`summary` without ``rollup_rows``, which counts the
-        hub's rollup keys in one pass over the whole metrics log; what
-        a ``/metrics`` scrape reads, so a scrape never walks the log."""
+        """:meth:`summary` without ``rollup_rows``, which walks every
+        link's samples in the metrics log; what a ``/metrics`` scrape
+        reads, so a scrape never walks the log."""
         stats = self.scheduler.stats()
         if self.parallel_stats is not None:
             # A parallel drain ran outside the in-process scheduler;

@@ -1,12 +1,14 @@
-"""Shared bandwidth telemetry: bounded series + capacity estimators.
+"""Shared bandwidth telemetry: per-link series + capacity estimators.
 
 Every DC's :class:`~repro.net.monitor.WanMonitor` publishes its samples
 here, making the store the cluster-wide source of truth about observed
 WAN rates (each agent previously kept a private history nobody else
-could read).  On top of the raw series the store offers the estimators
-practical WAN tooling uses for circuit-capacity tracking: sliding-window
-percentiles (p50 for "typical achieved rate", p95 for "capacity when the
-link was pushed") and an EWMA for a smoothed instantaneous view.
+could read) and the only place a sample is stored: the observability
+warehouse's rollups read the same per-link lists.  On top of the raw
+series the store offers the estimators practical WAN tooling uses for
+circuit-capacity tracking: sliding-window percentiles (p50 for "typical
+achieved rate", p95 for "capacity when the link was pushed") and an
+EWMA for a smoothed instantaneous view.
 
 Samples where a link was idle (zero rate) are kept in the series — the
 experiment harness reads utilization off them — but are excluded from
@@ -25,9 +27,9 @@ toward zero instead of replaying the stale pre-outage capacity forever.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.net.matrix import BandwidthMatrix
 from repro.net.stats import percentile
@@ -85,29 +87,46 @@ class LinkEstimate:
 
 
 class LinkSeries:
-    """Bounded time series of (time, rate) samples for one link."""
+    """One link's samples in two parallel lists, in time order (the
+    window is cut by bisecting :attr:`times`, so an earlier sample is
+    refused).  Estimators read at most the last ``maxlen`` samples;
+    without ``keep_all`` the lists are trimmed to that, amortized."""
 
     def __init__(
         self,
         maxlen: int = DEFAULT_MAXLEN,
         ewma_alpha: float = DEFAULT_EWMA_ALPHA,
+        *,
+        keep_all: bool = False,
+        name: str = "link",
     ) -> None:
         if maxlen < 1:
             raise ValueError(f"maxlen must be ≥ 1: {maxlen}")
         if not 0.0 < ewma_alpha <= 1.0:
             raise ValueError(f"ewma_alpha must be in (0, 1]: {ewma_alpha}")
-        self.samples: deque[tuple[float, float]] = deque(maxlen=maxlen)
+        self.times: list[float] = []
+        self.rates: list[float] = []
+        self.maxlen = maxlen
         self.ewma_alpha = ewma_alpha
+        self.name = name
+        self._trim_at = math.inf if keep_all else 2 * maxlen
         self._ewma: float | None = None
 
     def add(self, time: float, rate_mbps: float) -> None:
         """Record one sample; updates the EWMA."""
-        self.samples.append((time, rate_mbps))
+        times = self.times
+        if times and time < times[-1]:
+            raise ValueError(f"{self.name}: sample at t={time!r} precedes t={times[-1]!r}")
+        times.append(time)
+        self.rates.append(rate_mbps)
         if self._ewma is None:
             self._ewma = rate_mbps
         else:
             a = self.ewma_alpha
             self._ewma = a * rate_mbps + (1.0 - a) * self._ewma
+        if len(times) > self._trim_at:
+            del times[: -self.maxlen]
+            del self.rates[: -self.maxlen]
 
     @property
     def ewma(self) -> float:
@@ -117,16 +136,15 @@ class LinkSeries:
     @property
     def last_time(self) -> float:
         """Time of the newest sample (``nan`` when empty)."""
-        return self.samples[-1][0] if self.samples else float("nan")
+        return self.times[-1] if self.times else float("nan")
 
     def window(self, window_s: float | None = None) -> list[float]:
-        """Rates inside the trailing window (all retained if ``None``)."""
-        if not self.samples:
-            return []
-        if window_s is None:
-            return [rate for _, rate in self.samples]
-        cutoff = self.samples[-1][0] - window_s
-        return [rate for t, rate in self.samples if t >= cutoff]
+        """Rates inside the trailing window (the last ``maxlen`` if ``None``)."""
+        times = self.times
+        lo = max(0, len(times) - self.maxlen)
+        if window_s is not None and times:
+            lo = bisect_left(times, times[-1] - window_s, lo)
+        return self.rates[lo:]
 
     def percentile(
         self,
@@ -170,6 +188,10 @@ class TelemetryStore:
     ``record`` has the signature monitors publish with
     (``on_sample(dc, time, rates)``), so a store instance can be handed
     directly to :class:`~repro.net.monitor.WanMonitor`.
+
+    ``keep_all`` (fixed at construction) keeps every sample for a
+    :class:`~repro.runtime.observability.warehouse.MetricsLog` to read;
+    otherwise memory stays bounded.  Estimates are the same either way.
     """
 
     def __init__(
@@ -177,36 +199,23 @@ class TelemetryStore:
         window_s: float = DEFAULT_WINDOW_S,
         maxlen: int = DEFAULT_MAXLEN,
         ewma_alpha: float = DEFAULT_EWMA_ALPHA,
+        *,
+        keep_all: bool = False,
     ) -> None:
         self.window_s = window_s
         self.maxlen = maxlen
         self.ewma_alpha = ewma_alpha
+        self.keep_all = keep_all
         self._series: dict[tuple[str, str], LinkSeries] = {}
         self.total_samples = 0
-        self._sinks: list[Callable[[str, float, dict[str, float]], None]] = []
 
     # -- ingestion ------------------------------------------------------
-
-    def attach(
-        self, sink: Callable[[str, float, dict[str, float]], None]
-    ) -> None:
-        """Forward every future :meth:`record` call to ``sink`` too.
-
-        ``sink`` has the same ``(dc, time, rates)`` signature monitors
-        publish with — this is how the observability warehouse's
-        :class:`~repro.runtime.observability.warehouse.MetricsLog`
-        receives a copy of every sample without the monitors knowing
-        it exists.
-        """
-        self._sinks.append(sink)
 
     def record(self, dc: str, time: float, rates_mbps: dict[str, float]) -> None:
         """Ingest one monitor tick: ``dc``'s outgoing rates at ``time``."""
         for dst, rate in rates_mbps.items():
             self.series(dc, dst).add(time, rate)
         self.total_samples += 1
-        for sink in self._sinks:
-            sink(dc, time, rates_mbps)
 
     # -- access ---------------------------------------------------------
 
@@ -216,13 +225,30 @@ class TelemetryStore:
         found = self._series.get(key)
         if found is None:
             found = self._series[key] = LinkSeries(
-                self.maxlen, self.ewma_alpha
+                self.maxlen,
+                self.ewma_alpha,
+                keep_all=self.keep_all,
+                name=f"{src}→{dst}",
             )
         return found
 
     def links(self) -> list[tuple[str, str]]:
         """All links that have ever been sampled, sorted."""
         return sorted(self._series)
+
+    def sampled(self) -> list[tuple[tuple[str, str], LinkSeries]]:
+        """Every link holding samples with its series, sorted by link."""
+        return sorted((key, series) for key, series in self._series.items() if series.times)
+
+    def read_window(
+        self, src: str, dst: str, window_s: float | None = None
+    ) -> tuple[float, list[float]]:
+        """One link's newest sample time and trailing-window rates (store
+        window unless given); ``(nan, [])`` if never sampled."""
+        found = self._series.get((src, dst))
+        if found is None:
+            return math.nan, []
+        return found.last_time, found.window(self.window_s if window_s is None else window_s)
 
     def estimate(
         self, src: str, dst: str, window_s: float | None = None
@@ -279,16 +305,5 @@ class TelemetryStore:
         """
         out = BandwidthMatrix.zeros(keys)
         for src, dst in out.pairs():
-            if (src, dst) in self._series:
-                out.set(
-                    src,
-                    dst,
-                    self.capacity_mbps(
-                        src,
-                        dst,
-                        percentile,
-                        window_s=window_s,
-                        active_only=active_only,
-                    ),
-                )
+            out.set(src, dst, self.capacity_mbps(src, dst, percentile, window_s, active_only))
         return out

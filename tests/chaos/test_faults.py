@@ -82,9 +82,7 @@ class TestRecalibrationBounds:
         corrupted = [e for e in injector.log if e[1] == "corrupt_telemetry"]
         assert len(corrupted) == 36
         src, dst, _ = corrupted[0][2]
-        peak = max(
-            rate for _, rate in service.telemetry.series(src, dst).samples
-        )
+        peak = max(service.telemetry.series(src, dst).window())
         assert peak >= ABSURD_RATE_MBPS * 0.5
         assert recalibrator.stalled_ticks == 2
         assert recalibrator.ticks > 0

@@ -148,12 +148,35 @@ class TestRollupMath:
         assert log.rollup("1m") is not first
 
     def test_record_matches_sample_sink_signature(self):
-        store = TelemetryStore()
         log = capped_log()
-        store.attach(log.record)
-        store.record("a", 5.0, {"b": 100.0, "c": 0.0})
+        monitor_sink = log.record
+        monitor_sink("a", 5.0, {"b": 100.0, "c": 0.0})
         assert log.size == 2
         assert log.links() == [("a", "b"), ("a", "c")]
+
+    def test_log_reads_the_store_it_views(self):
+        """A log over a store stores nothing itself: what the store
+        ingests is in the log, and no sample is held twice."""
+        store = TelemetryStore(keep_all=True)
+        log = MetricsLog(lambda src, dst: CAP, store)
+        store.record("a", 5.0, {"b": 100.0, "c": 0.0})
+        store.record("a", 65.0, {"b": 90.0})
+        assert log.size == 3
+        assert log.links() == [("a", "b"), ("a", "c")]
+        assert [row.samples for row in log.rollup("10m")] == [2, 1]
+        assert log.rollup_rows() == built_rows(log) == 3 + 2 + 2
+
+    def test_log_refuses_a_bounded_store(self):
+        with pytest.raises(ValueError, match="keeps every sample"):
+            MetricsLog(store=TelemetryStore())
+
+    def test_out_of_order_sample_refused(self):
+        log = capped_log()
+        log.observe(60.0, "a", "b", 10.0)
+        with pytest.raises(ValueError, match=r"a→b.*t=59\.9.*t=60\.0"):
+            log.observe(59.9, "a", "b", 10.0)
+        log.observe(59.9, "b", "a", 10.0)
+        assert log.size == 2
 
     def test_rollup_rows_spans_every_grain(self):
         log = capped_log()
@@ -188,21 +211,29 @@ def built_rows(log: MetricsLog) -> int:
     return sum(len(log.rollup(grain)) for grain in GRAINS)
 
 
+def sample_times(log: MetricsLog) -> list[float]:
+    """Every sample time the log holds, link by link."""
+    return [t for _, series in log.store.sampled() for t in series.times]
+
+
 class TestRollupRowCount:
     """``rollup_rows`` counts keys; it must equal the rows built."""
 
     LINKS = (("a", "b"), ("a", "c"), ("b", "a"), ("c", "b"))
 
     def _feed(self, log: MetricsLog, rng: random.Random, n: int) -> None:
-        """``n`` samples on interleaved links, many of them exactly on
-        (some just below) 1m/10m/1h bucket boundaries."""
+        """``n`` time-ordered samples on interleaved links, many of
+        them exactly on (some one ulp below) 1m/10m/1h bucket
+        boundaries.  A step below a boundary is skipped where it would
+        go back before the previous sample."""
         t = 0.0
         for _ in range(n):
+            previous = t
             t += rng.choice((0.0, 5.0, 17.5, 60.0, 600.0, 3600.0))
             if rng.random() < 0.4:
                 width = rng.choice(tuple(GRAINS.values()))
                 t = math.ceil(t / width) * width
-                if rng.random() < 0.25:
+                if rng.random() < 0.25 and math.nextafter(t, 0.0) >= previous:
                     t = math.nextafter(t, 0.0)
             src, dst = rng.choice(self.LINKS)
             log.observe(t, src, dst, rng.choice((0.0, 40.0, 95.0, 120.0)))
@@ -212,14 +243,20 @@ class TestRollupRowCount:
         rng = random.Random(seed)
         log = capped_log()
         self._feed(log, rng, rng.randrange(1, 300))
-        assert any(t % 3600.0 == 0.0 and t > 0 for t, *_ in log.entries)
+        assert any(t % 3600.0 == 0.0 and t > 0 for t in sample_times(log))
         assert log.rollup_rows() == built_rows(log)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bucket_start_is_numpys_floor(self, seed):
         log = capped_log()
         self._feed(log, random.Random(seed), 200)
-        for t, *_ in log.entries:
+        times = sample_times(log)
+        assert any(
+            math.nextafter(t, math.inf) % width == 0.0
+            for t in times
+            for width in GRAINS.values()
+        )
+        for t in times:
             for width in GRAINS.values():
                 assert bucket_start(t, width) == float(np.floor(t / width) * width)
                 assert bucket_start(t, width) <= t < bucket_start(t, width) + width
@@ -231,11 +268,9 @@ class TestRollupRowCount:
         self._feed(log, rng, 100)
         before = built_rows(log)  # memoizes every grain
         assert log.rollup_rows() == before
-        store = TelemetryStore()
-        store.attach(log.record)
-        last = log.entries[-1][0]
+        last = max(sample_times(log))
         for step in range(1, 40):
-            store.record("a", last + 60.0 * step, {"b": 50.0, "d": 0.0})
+            log.record("a", last + 60.0 * step, {"b": 50.0, "d": 0.0})
         assert log.rollup_rows() == built_rows(log) > before
 
     def test_count_matches_a_real_link_failure_run(self, observed_service):
@@ -247,7 +282,11 @@ class TestRollupRowCount:
         """Rollup and telemetry percentiles match ``np.percentile`` only
         up to a zero's sign (its unstable selection may pick either of
         tied -0.0/+0.0); the monitors must never publish -0.0."""
-        rates = [rate for *_, rate in observed_service.hub.log.entries]
+        rates = [
+            rate
+            for _, series in observed_service.hub.log.store.sampled()
+            for rate in series.rates
+        ]
         assert 0.0 in rates
         assert all(math.copysign(1.0, rate) == 1.0 for rate in rates)
 
@@ -258,9 +297,8 @@ class TestScenarioFlaps:
     TRIAD = ("us-east-1", "us-west-1", "ap-southeast-1")
 
     def _instrumented(self, net):
-        store = TelemetryStore()
-        log = MetricsLog(lambda src, dst: self.baseline)
-        store.attach(log.record)
+        store = TelemetryStore(keep_all=True)
+        log = MetricsLog(lambda src, dst: self.baseline, store)
         monitor = WanMonitor(
             net, "us-east-1", interval_s=5.0, on_sample=store.record
         )

@@ -49,11 +49,30 @@ class TestLinkSeries:
         assert series.percentile(100) == pytest.approx(1000.0)
 
     def test_bounded_history(self):
+        """A bounded series trims to ``maxlen`` (amortized, so it may
+        hold up to twice that) and never reads past ``maxlen``."""
         series = LinkSeries(maxlen=16)
         for t in range(100):
             series.add(float(t), float(t))
-        assert len(series.samples) == 16
-        assert series.samples[0][0] == 84.0
+        assert 16 <= len(series.times) == len(series.rates) <= 32
+        assert series.window() == [float(t) for t in range(84, 100)]
+        assert series.window(1e9) == series.window()
+
+    def test_keep_all_retains_every_sample_but_reads_maxlen(self):
+        series = LinkSeries(maxlen=16, keep_all=True)
+        for t in range(100):
+            series.add(float(t), float(t))
+        assert series.times == [float(t) for t in range(100)]
+        assert series.window() == [float(t) for t in range(84, 100)]
+        assert series.window(5.0) == [float(t) for t in range(94, 100)]
+
+    def test_equal_times_are_kept_in_order(self):
+        series = LinkSeries()
+        for rate in (1.0, 2.0, 3.0):
+            series.add(7.0, rate)
+        series.add(9.0, 4.0)
+        assert series.window(2.0) == [1.0, 2.0, 3.0, 4.0]
+        assert series.window(1.0) == [4.0]
 
     def test_ewma_tracks_recent_level(self):
         series = LinkSeries(ewma_alpha=0.5)
@@ -160,7 +179,7 @@ class TestTelemetryStore:
         for t in range(5, 150):
             store.record("a", float(t), {"b": 0.0})
         # Zeros were kept in the series, not dropped on ingest.
-        assert len(store.series("a", "b").samples) == 150
+        assert len(store.series("a", "b").rates) == 150
         # Active-only view: stale 800 Mbps (the documented trap).
         assert store.capacity_mbps("a", "b", 95.0) == pytest.approx(800.0)
         # Raw view: the outage zeros dominate and p95 collapses.
@@ -197,18 +216,18 @@ class TestTelemetryStore:
         assert active.get("a", "b") == pytest.approx(300.0)
         assert raw.get("a", "b") == pytest.approx(0.0)
 
-    def test_attached_sink_sees_every_record(self):
-        """attach() forwards (dc, time, rates) verbatim to sinks."""
+    def test_out_of_order_sample_refused(self):
+        """Each link's times must not go backwards: the window is cut
+        by bisecting them.  The error names the link and both times;
+        the refused sample is not stored, and other links are free."""
         store = TelemetryStore()
-        seen = []
-        store.record("a", 0.0, {"b": 10.0})  # before attach: not seen
-        store.attach(lambda dc, t, rates: seen.append((dc, t, rates)))
-        store.record("a", 1.0, {"b": 20.0})
-        store.record("c", 2.0, {"d": 0.0})
-        assert seen == [
-            ("a", 1.0, {"b": 20.0}),
-            ("c", 2.0, {"d": 0.0}),
-        ]
+        store.record("a", 10.0, {"b": 20.0})
+        with pytest.raises(ValueError, match=r"a→b.*t=9\.5.*t=10\.0"):
+            store.record("a", 9.5, {"b": 30.0})
+        assert store.series("a", "b").times == [10.0]
+        store.record("a", 9.5, {"c": 30.0})
+        store.record("a", 10.0, {"b": 40.0})  # equal times are fine
+        assert store.capacity_mbps("a", "b", 100.0) == 40.0
 
     def test_fed_by_live_monitor(self, triad, calm):
         """A WanMonitor with the store as sink publishes every tick."""
@@ -224,4 +243,4 @@ class TestTelemetryStore:
         # The store's latest matches the monitor's latest.
         assert store.series(
             "us-east-1", "us-west-1"
-        ).samples[-1][1] == pytest.approx(monitor.latest_rate("us-west-1"))
+        ).rates[-1] == pytest.approx(monitor.latest_rate("us-west-1"))
