@@ -27,7 +27,10 @@ Checks, over README.md and every ``docs/*.md``:
 7. **dotted references resolve** — every backticked name that starts
    ``repro.`` (`` `repro.runtime.JobRun` ``) must import and resolve
    attribute by attribute, so a moved or deleted module cannot linger
-   in prose.  The "Removed legacy spellings" section is exempt: it
+   in prose.  A backticked `` `Class.attr` `` whose ``Class`` is a
+   class defined under ``src/repro`` must name a method, a class or
+   dataclass field, or a ``self.attr`` assigned in the class (or a
+   base of it).  The "Removed legacy spellings" section is exempt: it
    lists names that are gone on purpose.
 
 Shell blocks and absolute/external URLs are left alone.  Exit code 0
@@ -97,6 +100,13 @@ HEADING = re.compile(r"^(#+)\s+(.*?)\s*$")
 
 #: A backticked span opening with a dotted ``repro.…`` name.
 DOTTED_REF = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`]*`")
+
+#: A backticked span opening with ``Class.attr`` (capitalized class).
+CLASS_ATTRIBUTE_REF = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)[^`]*`")
+
+#: The package whose classes :data:`CLASS_ATTRIBUTE_REF` names are
+#: checked against.
+PACKAGE = REPO / "src" / "repro"
 
 #: The section whose references name removed API on purpose.
 REMOVED_SECTION = "Removed legacy spellings"
@@ -173,13 +183,13 @@ def check_links(path: Path, failures: list[str]) -> int:
     return checked
 
 
-def dotted_references(text: str) -> list[str]:
-    """Backticked ``repro.…`` names in prose, in order of appearance.
+def prose_lines(text: str) -> list[str]:
+    """The lines of ``text`` whose references are checked.
 
     Fenced blocks are skipped, and so is the :data:`REMOVED_SECTION`
     section up to the next heading of the same or a higher level.
     """
-    references: list[str] = []
+    lines: list[str] = []
     exempt_level = 0
     for line in FENCED_BLOCK.sub("", text).splitlines():
         heading = HEADING.match(line)
@@ -190,8 +200,20 @@ def dotted_references(text: str) -> list[str]:
             if heading.group(2) == REMOVED_SECTION:
                 exempt_level = level
         elif not exempt_level:
-            references.extend(DOTTED_REF.findall(line))
-    return references
+            lines.append(line)
+    return lines
+
+
+def dotted_references(text: str) -> list[str]:
+    """Backticked ``repro.…`` names in prose, in order of appearance."""
+    return [name for line in prose_lines(text) for name in DOTTED_REF.findall(line)]
+
+
+def class_attribute_references(text: str) -> list[tuple[str, str]]:
+    """Backticked ``(Class, attr)`` pairs in prose, in order of
+    appearance (any capitalized name; :func:`check_class_attributes`
+    keeps those naming a ``repro`` class)."""
+    return [pair for line in prose_lines(text) for pair in CLASS_ATTRIBUTE_REF.findall(line)]
 
 
 def resolves(name: str) -> bool:
@@ -227,6 +249,73 @@ def check_references(path: Path, failures: list[str]) -> int:
                 f"removed? list it under \"{REMOVED_SECTION}\")"
             )
     return len(references)
+
+
+def self_attributes(node: ast.ClassDef) -> set[str]:
+    """Names assigned as ``self.name`` in the methods of ``node``."""
+    names: set[str] = set()
+    for child in ast.walk(node):
+        if isinstance(child, (ast.Assign, ast.AnnAssign)):
+            targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if (
+                        isinstance(leaf, ast.Attribute)
+                        and isinstance(leaf.value, ast.Name)
+                        and leaf.value.id == "self"
+                    ):
+                        names.add(leaf.attr)
+    return names
+
+
+def repro_classes() -> dict[str, list[tuple[str, set[str]]]]:
+    """Top-level classes defined under ``src/repro``, by name: each
+    as ``(module, self_attributes)``, read from the source."""
+    classes: dict[str, list[tuple[str, set[str]]]] = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, []).append((module, self_attributes(node)))
+    return classes
+
+
+def class_has(classes, module: str, name: str, attribute: str) -> bool:
+    """Whether ``module.name`` resolves ``attribute``: as an attribute
+    of the class (methods, properties, class-level fields, inherited
+    ones too), a dataclass field, or a ``self.attribute`` assigned in
+    the class or a ``repro`` base of it."""
+    cls = getattr(importlib.import_module(module), name)
+    if hasattr(cls, attribute) or attribute in getattr(cls, "__dataclass_fields__", {}):
+        return True
+    return any(
+        attribute in assigned
+        for base in cls.__mro__
+        for base_module, assigned in classes.get(base.__name__, ())
+        if base_module == base.__module__
+    )
+
+
+def check_class_attributes(path: Path, failures: list[str], classes=None) -> int:
+    """Every backticked ``Class.attr`` naming a ``repro`` class must
+    resolve on it (see :func:`class_has`).
+
+    Requires ``src/`` on ``sys.path`` (``main`` arranges this);
+    ``classes`` defaults to :func:`repro_classes`.
+    """
+    classes = classes if classes is not None else repro_classes()
+    checked = 0
+    for name, attribute in class_attribute_references(path.read_text()):
+        if name not in classes:
+            continue
+        checked += 1
+        if not any(class_has(classes, module, name, attribute) for module, _ in classes[name]):
+            failures.append(
+                f"{display(path)}: `{name}.{attribute}` names no attribute of "
+                f"{name} (moved or removed? list it under \"{REMOVED_SECTION}\")"
+            )
+    return checked
 
 
 def knob_rows(text: str) -> list[str]:
@@ -336,18 +425,21 @@ def main() -> int:
     """Run every check; print a summary; 0 iff clean."""
     sys.path.insert(0, str(REPO / "src"))
     failures: list[str] = []
-    blocks = links = references = 0
+    blocks = links = references = attributes = 0
     documents = iter_documents()
+    classes = repro_classes()
     for path in documents:
         blocks += check_code_blocks(path, failures)
         links += check_links(path, failures)
         references += check_references(path, failures)
+        attributes += check_class_attributes(path, failures, classes)
     fields = check_config_coverage(failures)
     metrics = check_metric_coverage(failures)
     print(
         f"checked {len(documents)} documents: {blocks} code blocks, "
         f"{links} intra-repo links, {references} dotted references, "
-        f"{fields} config fields, {metrics} metric names"
+        f"{attributes} class attributes, {fields} config fields, "
+        f"{metrics} metric names"
     )
     for failure in failures:
         print(f"FAIL: {failure}")

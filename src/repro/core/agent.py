@@ -25,10 +25,10 @@ from repro.sim.kernel import Process
 class LocalAgent:
     """One DC's WANify agent.
 
-    ``telemetry`` is any :data:`~repro.net.monitor.SampleSink` — in the
-    runtime service it is the shared
-    :class:`~repro.runtime.telemetry.TelemetryStore`, so the cluster's
-    drift detector sees what every agent's monitor sees.
+    ``telemetry`` is the monitor's :data:`~repro.net.monitor.SampleSink`
+    — in the runtime service the shared
+    :class:`~repro.runtime.telemetry.TelemetryStore`'s ``record``, so
+    the cluster's drift detector sees what every agent's monitor sees.
     """
 
     network: NetworkSimulator
@@ -43,16 +43,11 @@ class LocalAgent:
     _process: Process = field(init=False)
 
     def __post_init__(self) -> None:
-        on_sample = (
-            self.telemetry.record
-            if hasattr(self.telemetry, "record")
-            else self.telemetry
-        )
         self.monitor = WanMonitor(
             self.network,
             self.dc,
             interval_s=self.epoch_s,
-            on_sample=on_sample,
+            on_sample=self.telemetry,
         )
         self.optimizer = LocalOptimizer.from_plan(self.dc, self.plan)
         self.manager = ConnectionsManager(self.network, self.dc)
@@ -103,8 +98,8 @@ def deploy_agents(
 ) -> list[LocalAgent]:
     """Start one agent per DC in the plan; returns them for later stop().
 
-    ``telemetry`` (a store or bare callable) is shared by every agent's
-    monitor — the runtime service's cluster-wide sample feed.
+    ``telemetry`` (a sample sink) is shared by every agent's monitor —
+    the runtime service's cluster-wide sample feed.
     """
     return [
         LocalAgent(network, dc, plan, throttling, telemetry=telemetry)

@@ -550,12 +550,6 @@ class NetworkSimulator:
         self._progress()
         return {pair: stats for pair, stats in self._stats.items()}
 
-    def pair_mbits(self, src: str, dst: str) -> float:
-        """Payload delivered so far on one ordered pair (Mbit)."""
-        self._progress()
-        stats = self._stats.get((src, dst))
-        return stats.mbits if stats is not None else 0.0
-
     def reset_statistics(self) -> None:
         """Zero the accumulated per-pair statistics."""
         self._progress()

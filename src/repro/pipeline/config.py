@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.checks import (
-    check_autoscale, check_batch, check_concurrency, check_connections, check_datasets,
+    check_autoscale, check_concurrency, check_connections, check_datasets,
     check_deadline, check_estimators, check_kernel, check_min_difference, check_port,
     check_shards, check_threshold, check_workers,
 )
@@ -165,11 +165,6 @@ class ServiceConfig(PipelineConfig):
     #: means jobs carry no deadline (and SLO attainment reads 100%).
     slo_deadline_s: Optional[float] = config_field(
         None, help="per-job SLO deadline (s from submission; unset = none)", check=check_deadline
-    )
-    #: Submissions between admission-queue re-orderings — the batched
-    #: reallocation knob (1 = exact policy order on every admission).
-    admit_batch: int = config_field(
-        16, help="submissions between admission re-orderings", check=check_batch
     )
     #: Probe-dollar budget for drift-triggered re-plans; once the
     #: charged re-gauge cost reaches it, further re-plans are skipped.

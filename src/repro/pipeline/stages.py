@@ -32,6 +32,7 @@ from repro.core.predictor import WanPredictionModel
 from repro.net.dynamics import FluctuationModel
 from repro.net.matrix import BandwidthMatrix
 from repro.net.measurement import MeasurementReport, snapshot
+from repro.net.monitor import SampleSink
 from repro.net.topology import Topology
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.deploy import Deployment
@@ -113,7 +114,7 @@ class DeploymentStrategy(Protocol):
         at_time: float = 0.0,
         skew_weights: Optional[dict[str, float]] = None,
         rvec: Optional[dict[str, float]] = None,
-        telemetry: Optional[object] = None,
+        telemetry: Optional[SampleSink] = None,
     ) -> Deployment:
         """A ready-to-install deployment for the pipeline's state."""
         ...

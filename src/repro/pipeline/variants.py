@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.globalopt import static_range_plan, uniform_plan
 from repro.net.matrix import BandwidthMatrix
+from repro.net.monitor import SampleSink
 from repro.pipeline.deploy import Deployment
 from repro.pipeline.registry import register_variant
 
@@ -53,7 +54,7 @@ class VariantStrategy:
         at_time: float = 0.0,
         skew_weights: Optional[dict[str, float]] = None,
         rvec: Optional[dict[str, float]] = None,
-        telemetry: Optional[object] = None,
+        telemetry: Optional[SampleSink] = None,
     ) -> Deployment:
         """Resolve ``bw`` (predicting if absent), then build + configure."""
         if bw is None:
@@ -62,7 +63,7 @@ class VariantStrategy:
         return self.configure(deployment, telemetry)
 
     @staticmethod
-    def configure(deployment: Deployment, telemetry: Optional[object]) -> Deployment:
+    def configure(deployment: Deployment, telemetry: Optional[SampleSink]) -> Deployment:
         """Wire the forwarded sample sink (unset keeps the default)."""
         if telemetry is not None:
             deployment.telemetry = telemetry
@@ -92,7 +93,7 @@ class SingleConnection(VariantStrategy):
         at_time: float = 0.0,
         skew_weights: Optional[dict[str, float]] = None,
         rvec: Optional[dict[str, float]] = None,
-        telemetry: Optional[object] = None,
+        telemetry: Optional[SampleSink] = None,
     ) -> Deployment:
         """An empty deployment (deliberately skips prediction)."""
         deployment = Deployment(self.name, None, agents=self.agents, throttling=False)

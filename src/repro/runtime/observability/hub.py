@@ -74,7 +74,6 @@ _JOB_COUNTER = {
     "admit": "admitted",
     "finish": "completed",
     "preempt": "preempted",
-    "steal": "stolen",
 }
 
 
@@ -100,9 +99,7 @@ class ObservabilityHub:
             "admitted": 0,
             "completed": 0,
             "preempted": 0,
-            "stolen": 0,
             "drift": 0,
-            "gauges": 0,
         }
         #: Completed-job JCTs (seconds) — the latency histogram's feed.
         self.jct_samples: list[float] = []
@@ -203,7 +200,6 @@ class ObservabilityHub:
         )
 
     def _gauged(self, event: "GaugeEvent") -> None:
-        self.counters["gauges"] += 1
         self.trace.record(
             event.time,
             "gauge",

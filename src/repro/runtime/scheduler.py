@@ -274,7 +274,6 @@ def scheduler_args(config: ServiceConfig) -> dict[str, Any]:
             if config.slo_deadline_s is not None
             else None
         ),
-        admit_batch=config.admit_batch,
     )
 
 

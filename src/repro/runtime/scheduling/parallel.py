@@ -43,9 +43,8 @@ byte-identical to yesterday's service).
 A worker reads only the config fields that build its cluster
 (``regions``, ``vm``, ``profile``, ``seed``, ``scenario``, ``kernel``)
 and its scheduler (``max_concurrent``, ``policy``, ``scheduler``,
-``slo_deadline_s``, ``admit_batch``).  The service-loop fields (drift,
-recalibration, control plane, observability, variant, gauger) travel
-along unread.
+``slo_deadline_s``).  The service-loop fields (drift, recalibration,
+control plane, observability, variant, gauger) travel along unread.
 
 What partitioning gives up: shards no longer contend for one WAN (each
 worker simulates its own copy of the network), and there is no

@@ -286,11 +286,12 @@ class PipelineService:
     def _install(self, predicted: BandwidthMatrix) -> None:
         """Build and install the configured variant's deployment.
 
-        The shared telemetry store travels through the strategy's
-        ``build`` so custom registered variants see it at build time.
+        The shared telemetry store's ``record`` travels through the
+        strategy's ``build`` so custom registered variants see it at
+        build time.
         """
         deployment = self.pipeline.deployment(
-            self.config.variant, bw=predicted, telemetry=self.telemetry
+            self.config.variant, bw=predicted, telemetry=self.telemetry.record
         )
         deployment.install(self.network)
         self.deployment = deployment

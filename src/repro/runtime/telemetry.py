@@ -2,9 +2,9 @@
 
 Every DC's :class:`~repro.net.monitor.WanMonitor` publishes its samples
 here, making the store the cluster-wide source of truth about observed
-WAN rates (each agent previously kept a private history nobody else
-could read) and the only place a sample is stored: the observability
-warehouse's rollups read the same per-link lists.  On top of the raw
+WAN rates (a monitor itself keeps only its latest tick) and the only
+place a sample is stored: the observability warehouse's rollups read
+the same per-link lists.  On top of the raw
 series the store offers the estimators practical WAN tooling uses for
 circuit-capacity tracking: sliding-window percentiles (p50 for "typical
 achieved rate", p95 for "capacity when the link was pushed") and an
@@ -31,7 +31,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from repro.net.matrix import BandwidthMatrix
 from repro.net.stats import percentile
 
 #: Default sliding window for percentile estimators (seconds).  Matches
@@ -289,21 +288,3 @@ class TelemetryStore:
             self.window_s if window_s is None else window_s,
             active_only=active_only,
         )
-
-    def estimate_matrix(
-        self,
-        keys: tuple[str, ...],
-        percentile: float = 50.0,
-        window_s: float | None = None,
-        active_only: bool = True,
-    ) -> BandwidthMatrix:
-        """Percentile estimates for every ordered pair as a matrix.
-
-        Unsampled or idle pairs come out 0 — callers blend this with a
-        predicted matrix rather than consuming it raw.  ``window_s``
-        and ``active_only`` pass through to :meth:`capacity_mbps`.
-        """
-        out = BandwidthMatrix.zeros(keys)
-        for src, dst in out.pairs():
-            out.set(src, dst, self.capacity_mbps(src, dst, percentile, window_s, active_only))
-        return out

@@ -7,60 +7,100 @@ import pytest
 from repro.net.monitor import WanMonitor
 from repro.net.simulator import NetworkSimulator
 from repro.net.traffic_control import TrafficController
+from repro.runtime.telemetry import TelemetryStore
+
+
+def fed(net, interval_s=1.0):
+    """A monitor on ``us-east-1`` whose sink is a fresh telemetry store."""
+    store = TelemetryStore()
+    monitor = WanMonitor(net, "us-east-1", interval_s=interval_s, on_sample=store.record)
+    return monitor, store
+
+
+def ticks(net, interval_s=1.0):
+    """A monitor on ``us-east-1`` whose sink is a list of its ticks."""
+    published = []
+    monitor = WanMonitor(
+        net,
+        "us-east-1",
+        interval_s=interval_s,
+        on_sample=lambda dc, t, rates: published.append((dc, t, rates)),
+    )
+    return monitor, published
 
 
 class TestWanMonitor:
+    """The monitor keeps only its latest tick; percentiles of its ticks
+    are read from the :class:`TelemetryStore` its ``on_sample`` feeds."""
+
     def test_samples_outgoing_rates(self, triad, calm):
         net = NetworkSimulator(triad, fluctuation=calm)
-        monitor = WanMonitor(net, "us-east-1", interval_s=1.0)
+        monitor, published = ticks(net)
         net.start_transfer("us-east-1", "us-west-1", 1e6)
         net.sim.run(until=3.5)
-        assert len(monitor.samples) == 3
-        assert monitor.latest_rate("us-west-1") > 0
-        assert monitor.latest_rate("ap-southeast-1") == 0.0
+        assert len(published) == 3
+        assert monitor.latest()["us-west-1"] > 0
+        assert monitor.latest()["ap-southeast-1"] == 0.0
 
     def test_latest_empty_before_first_tick(self, triad, calm):
         net = NetworkSimulator(triad, fluctuation=calm)
         monitor = WanMonitor(net, "us-east-1", interval_s=5.0)
         assert monitor.latest() == {}
-        assert monitor.latest_rate("us-west-1") == 0.0
 
     def test_window_volume_tracks_increments(self, triad, calm):
         net = NetworkSimulator(triad, fluctuation=calm)
         monitor = WanMonitor(net, "us-east-1", interval_s=1.0)
         net.start_transfer("us-east-1", "us-west-1", 800.0)  # 100 MB
         net.sim.run()
-        first = monitor.window_volume_mb("us-west-1")
+        first = monitor.window_volumes_mb(["us-west-1"])["us-west-1"]
         assert first == pytest.approx(100.0, rel=0.02)
         # Second read with no new traffic → ~0.
-        assert monitor.window_volume_mb("us-west-1") == pytest.approx(
+        assert monitor.window_volumes_mb(["us-west-1"])["us-west-1"] == pytest.approx(
             0.0, abs=1e-6
         )
 
     def test_history_bounded(self, triad, calm):
+        """No container on the monitor grows with ticks: its memory is
+        the latest sample and one volume anchor per destination."""
         net = NetworkSimulator(triad, fluctuation=calm)
-        monitor = WanMonitor(net, "us-east-1", interval_s=1.0, history=5)
+        monitor, published = ticks(net)
+        net.start_transfer("us-east-1", "us-west-1", 1e6)
+
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(monitor).items()
+                if isinstance(value, (list, dict, tuple, set))
+            }
+
+        net.sim.run(until=2.0)
+        monitor.window_volumes_mb(triad.keys)
+        before = sizes()
         net.sim.run(until=20.0)
-        assert len(monitor.samples) == 5
+        monitor.window_volumes_mb(triad.keys)
+        assert len(published) == 20
+        assert sizes() == before
 
     def test_stop_ends_sampling(self, triad, calm):
         net = NetworkSimulator(triad, fluctuation=calm)
-        monitor = WanMonitor(net, "us-east-1", interval_s=1.0)
+        monitor, published = ticks(net)
         net.sim.run(until=2.5)
         monitor.stop()
         net.sim.run(until=10.0)
-        assert len(monitor.samples) == 2
+        assert len(published) == 2
 
     def test_history_ring_buffer_bounds_at_default_512(self, triad, calm):
-        """The default history=512 holds exactly the last 512 samples."""
+        """The store the monitor feeds reads back the last 512 ticks by
+        default."""
         net = NetworkSimulator(triad, fluctuation=calm)
-        monitor = WanMonitor(net, "us-east-1", interval_s=1.0)
-        assert monitor.history_limit == 512
+        _, store = fed(net)
         net.sim.run(until=600.0)
-        assert len(monitor.samples) == 512
-        # Oldest retained tick is 600 - 512 + 1 = 89.
-        assert monitor.samples[0].time == pytest.approx(89.0)
-        assert monitor.samples[-1].time == pytest.approx(600.0)
+        series = store.series("us-east-1", "us-west-1")
+        assert store.total_samples == 600
+        assert len(series.window()) == 512
+        # Oldest tick read back is 600 - 512 + 1 = 89.
+        assert series.times[-512] == pytest.approx(89.0)
+        assert series.times[-1] == pytest.approx(600.0)
 
     def test_window_volume_accumulates_and_resets_per_destination(
         self, triad, calm
@@ -71,21 +111,17 @@ class TestWanMonitor:
         net.start_transfer("us-east-1", "ap-southeast-1", 80.0)  # 10 MB
         net.sim.run()
         # Each destination accumulates independently…
-        assert monitor.window_volume_mb("us-west-1") == pytest.approx(
-            100.0, rel=0.02
-        )
-        assert monitor.window_volume_mb("ap-southeast-1") == pytest.approx(
-            10.0, rel=0.02
-        )
+        read = monitor.window_volumes_mb(["us-west-1"])
+        assert read == {"us-west-1": pytest.approx(100.0, rel=0.02)}
+        read = monitor.window_volumes_mb(["ap-southeast-1"])
+        assert read == {"ap-southeast-1": pytest.approx(10.0, rel=0.02)}
         # …and each read resets only its own anchor.
         net.start_transfer("us-east-1", "us-west-1", 80.0)
         net.sim.run()
-        assert monitor.window_volume_mb("us-west-1") == pytest.approx(
-            10.0, rel=0.02
-        )
-        assert monitor.window_volume_mb("ap-southeast-1") == pytest.approx(
-            0.0, abs=1e-6
-        )
+        read = monitor.window_volumes_mb(["us-west-1"])
+        assert read == {"us-west-1": pytest.approx(10.0, rel=0.02)}
+        read = monitor.window_volumes_mb(["ap-southeast-1"])
+        assert read == {"ap-southeast-1": pytest.approx(0.0, abs=1e-6)}
 
     def test_window_volume_is_the_pair_statistics_delta(self, triad, weather):
         """Each read is the pair's accumulated Mbit / 8 minus the last
@@ -103,7 +139,7 @@ class TestWanMonitor:
                 total_mb = (stats.mbits / 8.0) if stats else 0.0
                 expected = max(0.0, total_mb - anchors.get(dst, 0.0))
                 anchors[dst] = total_mb
-                got = monitor.window_volume_mb(dst)
+                got = monitor.window_volumes_mb([dst])[dst]
                 assert struct.pack("<d", got) == struct.pack("<d", expected)
                 reads += got > 0.0
         assert reads >= 4
@@ -143,74 +179,90 @@ class TestWanMonitor:
             read = together.window_volumes_mb(dsts)
             assert list(read) == dsts
             for dst in dsts:
-                one = apart.window_volume_mb(dst)
+                one = apart.window_volumes_mb([dst])[dst]
                 assert struct.pack("<d", read[dst]) == struct.pack("<d", one)
 
     def test_rate_percentile_empty_history(self, triad, calm):
         net = NetworkSimulator(triad, fluctuation=calm)
-        monitor = WanMonitor(net, "us-east-1", interval_s=1.0)
-        assert monitor.rate_percentile("us-west-1", 95.0) == 0.0
+        _, store = fed(net)
+        assert store.capacity_mbps("us-east-1", "us-west-1", 95.0) == 0.0
 
     def test_rate_percentile_single_sample(self, triad, calm):
         net = NetworkSimulator(triad, fluctuation=calm)
-        monitor = WanMonitor(net, "us-east-1", interval_s=1.0)
+        monitor, store = fed(net)
         net.start_transfer("us-east-1", "us-west-1", 1e6)
         net.sim.run(until=1.0)
-        only = monitor.latest_rate("us-west-1")
+        only = monitor.latest()["us-west-1"]
         assert only > 0
         for p in (0.0, 50.0, 100.0):
-            assert monitor.rate_percentile("us-west-1", p) == pytest.approx(
-                only
-            )
+            assert store.capacity_mbps("us-east-1", "us-west-1", p) == only
 
     def test_rate_percentile_all_equal_rates(self, triad, calm):
         net = NetworkSimulator(triad, fluctuation=calm)
-        monitor = WanMonitor(net, "us-east-1", interval_s=1.0)
+        _, store = fed(net)
         net.start_transfer("us-east-1", "us-west-1", 1e6)
         net.sim.run(until=20.0)
-        rates = {
-            s.rates_mbps["us-west-1"]
-            for s in monitor.samples
-        }
+        rates = set(store.series("us-east-1", "us-west-1").rates)
         assert len(rates) == 1  # calm weather → constant rate
-        assert monitor.rate_percentile("us-west-1", 50.0) == pytest.approx(
-            rates.pop()
-        )
+        assert store.capacity_mbps("us-east-1", "us-west-1", 50.0) == rates.pop()
 
     def test_rate_percentile_ignores_idle_samples(self, triad, calm):
         net = NetworkSimulator(triad, fluctuation=calm)
-        monitor = WanMonitor(net, "us-east-1", interval_s=1.0)
+        monitor, store = fed(net)
         net.sim.run(until=10.0)  # idle ticks only
         net.start_transfer("us-east-1", "us-west-1", 1e5)
         net.sim.run(until=12.0)
-        busy = monitor.latest_rate("us-west-1")
+        busy = monitor.latest()["us-west-1"]
         # Median over *active* samples is the busy rate, not ~0.
-        assert monitor.rate_percentile("us-west-1", 50.0) == pytest.approx(
-            busy
-        )
+        assert store.capacity_mbps("us-east-1", "us-west-1", 50.0) == pytest.approx(busy)
 
     def test_rate_percentile_validates_range(self, triad, calm):
         net = NetworkSimulator(triad, fluctuation=calm)
-        monitor = WanMonitor(net, "us-east-1", interval_s=1.0)
+        _, store = fed(net)
+        net.sim.run(until=1.0)
         with pytest.raises(ValueError):
-            monitor.rate_percentile("us-west-1", -1.0)
+            store.capacity_mbps("us-east-1", "us-west-1", -1.0)
 
     def test_on_sample_publishes_every_tick(self, triad, calm):
         net = NetworkSimulator(triad, fluctuation=calm)
-        published = []
-        monitor = WanMonitor(
-            net,
-            "us-east-1",
-            interval_s=1.0,
-            on_sample=lambda dc, t, rates: published.append((dc, t, rates)),
-        )
+        monitor, published = ticks(net)
         net.start_transfer("us-east-1", "us-west-1", 1e5)
         net.sim.run(until=3.0)
-        assert len(published) == len(monitor.samples) == 3
+        assert len(published) == 3
         dc, t, rates = published[-1]
         assert dc == "us-east-1"
         assert t == pytest.approx(3.0)
-        assert rates["us-west-1"] == monitor.latest_rate("us-west-1")
+        assert rates == monitor.latest()
+
+    def test_every_tick_reaches_the_sink_as_latest_returns_it(self, triad, weather):
+        """Each tick hands the sink the rates ``latest()`` returns from
+        then on, and neither the sink's dict nor ``latest()``'s result
+        is the monitor's own."""
+        net = NetworkSimulator(triad, fluctuation=weather)
+        seen = []
+        monitor = WanMonitor(
+            net,
+            "us-east-1",
+            interval_s=60.0,
+            on_sample=lambda dc, t, rates: seen.append((t, rates, monitor.latest())),
+        )
+        net.start_transfer("us-east-1", "us-west-1", 1e7)
+        net.start_transfer("us-east-1", "ap-southeast-1", 1e6)
+        for tick in range(1, 41):
+            net.sim.run(until=60.0 * tick)
+            assert len(seen) == tick
+            t, rates, latest = seen[-1]
+            assert t == 60.0 * tick
+            assert rates == latest == monitor.latest()
+            for dst, rate in rates.items():
+                assert struct.pack("<d", rate) == struct.pack("<d", latest[dst])
+        assert len({rates["us-west-1"] for _, rates, _ in seen}) > 2
+        kept = dict(seen[-1][1])
+        mutated = monitor.latest()
+        mutated["us-west-1"] = -1.0
+        mutated["eu-west-1"] = 5.0
+        seen[-1][1].clear()
+        assert monitor.latest() == kept
 
 
 class TestTrafficController:

@@ -123,7 +123,12 @@ class TestEnvLayer:
 
     def test_removed_knob_spelling_is_ignored(self):
         # Constants now; an old environment still starts the service.
-        env = {"WANIFY_EPOCH_S": "2", "WANIFY_MAX_REPLANS": "3", "WANIFY_THROTTLING": "off"}
+        env = {
+            "WANIFY_EPOCH_S": "2",
+            "WANIFY_MAX_REPLANS": "3",
+            "WANIFY_THROTTLING": "off",
+            "WANIFY_ADMIT_BATCH": "4",
+        }
         assert env_overrides(ServiceConfig, env) == {}
 
     def test_bad_bool_rejected(self):
@@ -257,7 +262,6 @@ class TestValueChecks:
             "shard_workers",
             "kernel",
             "slo_deadline_s",
-            "admit_batch",
             "drift_threshold",
             "metrics_port",
         }

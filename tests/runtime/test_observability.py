@@ -298,11 +298,8 @@ class TestScenarioFlaps:
 
     def _instrumented(self, net):
         store = TelemetryStore(keep_all=True)
-        log = MetricsLog(lambda src, dst: self.baseline, store)
-        monitor = WanMonitor(
-            net, "us-east-1", interval_s=5.0, on_sample=store.record
-        )
-        return log, monitor
+        WanMonitor(net, "us-east-1", interval_s=5.0, on_sample=store.record)
+        return MetricsLog(lambda src, dst: self.baseline, store)
 
     @property
     def baseline(self) -> float:
@@ -320,7 +317,7 @@ class TestScenarioFlaps:
             links=((0, 1),),
         )
         net = NetworkSimulator(triad, fluctuation=failure)
-        log, _ = self._instrumented(net)
+        log = self._instrumented(net)
         # ~17 s at the calm rate: ticks 5/10/15 active, idle by 20.
         net.start_transfer("us-east-1", "us-west-1", self.baseline * 17.0)
         net.sim.run(until=42.0)
@@ -347,7 +344,7 @@ class TestScenarioFlaps:
             hit_fraction=1.0,
         )
         net = NetworkSimulator(triad, fluctuation=crowd)
-        log, _ = self._instrumented(net)
+        log = self._instrumented(net)
         # Large enough to stay active through the whole 30–90 s crunch.
         net.start_transfer("us-east-1", "us-west-1", self.baseline * 80.0)
         net.sim.run(until=85.0)

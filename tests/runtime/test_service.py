@@ -10,6 +10,7 @@ import pytest
 
 from repro.net.profiles import network_profile
 from repro.runtime.scenarios import StepDrop
+from repro.runtime.scheduling import DEFAULT_BATCH
 from repro.runtime.service import (
     PipelineService,
     ServiceConfig,
@@ -173,9 +174,9 @@ class TestSchedulingService:
         return PipelineService.build(config)
 
     def test_scheduler_config_selects_admission_policy(self):
-        service = self._tiny(scheduler="priority", admit_batch=4)
+        service = self._tiny(scheduler="priority")
         assert service.scheduler.admission.name == "priority"
-        assert service.scheduler.reallocator.batch == 4
+        assert service.scheduler.reallocator.batch == DEFAULT_BATCH
         assert service.summary().scheduler == "priority"
 
     def test_default_config_stays_fifo(self):

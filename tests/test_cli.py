@@ -457,7 +457,7 @@ class TestBadKnobValues:
             ("serve", ("--metrics-port", "70000"), "port must be in [0, 65535]: 70000"),
             ("serve", ("--metrics-port=-3",), "port must be in [0, 65535]: -3"),
             ("serve", ("--drift-threshold=0",), "threshold must be positive: 0.0"),
-            ("serve", ("--admit-batch", "0"), "batch must be ≥ 1: 0"),
+            ("serve", ("--slo-deadline-s=nan",), "slo_deadline_s must be finite (got nan)"),
             ("predict", ("--datasets", "0"), "n_datasets must be ≥ 1"),
             ("predict", ("--max-connections", "0"), "max_connections must be ≥ 1"),
             ("predict", ("--estimators", "0"), "n_estimators must be ≥ 1"),

@@ -105,6 +105,32 @@ class TestDocsHealth:
         assert len(failures) == 1
         assert "`repro.core.interface`" in failures[0]
 
+    def test_checker_catches_stale_class_attribute(self, check_docs, tmp_path):
+        """A backticked ``Class.attr`` naming a ``repro`` class must name
+        a method, a field or a ``self`` attribute of it; other classes'
+        names and the removed-spellings section are not checked."""
+        page = tmp_path / "page.md"
+        page.write_text(
+            "`WanMonitor.latest()` and `WanMonitor.rate_percentile` read a\n"
+            "monitor; `LinkSeries.times` is assigned in `__init__`,\n"
+            "`Deployment.variant` is a field without a default and\n"
+            "`JobScheduler.reallocator` a `self` attribute.  `Path.exists`\n"
+            "is not ours.\n"
+            "```python\nWanMonitor.samples\n```\n"
+            "## Removed legacy spellings\n\n"
+            "| `ServiceConfig.admit_batch` | `JobScheduler(admit_batch=...)` |\n"
+        )
+        failures: list[str] = []
+        sys.path.insert(0, str(REPO / "src"))
+        try:
+            assert check_docs.check_class_attributes(page, failures) == 5
+        finally:
+            sys.path.remove(str(REPO / "src"))
+        assert failures == [
+            f"{page}: `WanMonitor.rate_percentile` names no attribute of WanMonitor "
+            '(moved or removed? list it under "Removed legacy spellings")'
+        ]
+
     def test_config_coverage_passes_on_shipped_operations_doc(
         self, check_docs
     ):

@@ -340,8 +340,8 @@ target = 0.5
         assert "seed = 11" in text
 
 
-#: A winner file as ``winning_toml`` wrote it before seven knobs became
-#: constants: every removed key is spelled out at its old default
+#: A winner file as ``winning_toml`` wrote it before eight knobs left
+#: the config: every removed key is spelled out at its old default
 #: (``max_replans`` defaulted to unset, so it was never written).
 OLD_WINNER = """\
 # Winning configuration from `wanify tune`
@@ -390,6 +390,7 @@ REMOVED_KEYS = (
     "epoch_s",
     "check_interval_s",
     "tune_target",
+    "admit_batch",
 )
 
 
