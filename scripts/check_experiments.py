@@ -13,10 +13,15 @@ that is meant to leave the simulated outcomes alone must leave every
 digest alone; one that moves a figure on purpose regenerates the file
 with ``--write`` and says why.
 
+``--render DIR`` also writes each rendering to ``DIR/<experiment id>.txt``,
+so the figures of two checkouts can be compared line by line with
+``diff -r``.
+
 Run locally (about half a minute)::
 
-    python scripts/check_experiments.py           # compare
-    python scripts/check_experiments.py --write   # regenerate the digests
+    python scripts/check_experiments.py                 # compare
+    python scripts/check_experiments.py --render out/   # compare, keep renderings
+    python scripts/check_experiments.py --write         # regenerate the digests
 
 Exit code 0 when every digest matches; 1 listing the experiments that
 differ, are missing from the file, or are no longer registered.
@@ -46,17 +51,28 @@ def environment() -> str:
     return f"python {python} numpy {numpy.__version__} scipy {scipy.__version__}"
 
 
-def render_digests() -> dict[str, str]:
-    """``{experiment id: sha256 of its fast rendering}`` in report order."""
+def render_all() -> dict[str, str]:
+    """``{experiment id: its fast rendering}`` in report order."""
     from repro.experiments.report import EXPERIMENTS
 
     out: dict[str, str] = {}
     for exp_id, _title, module in EXPERIMENTS:
         start = time.perf_counter()
-        body = module.render(module.run(fast=True))
-        out[exp_id] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        out[exp_id] = module.render(module.run(fast=True))
         print(f"[{exp_id}] {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return out
+
+
+def digest(body: str) -> str:
+    """The sha256 of one rendering."""
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+def write_renderings(directory: Path, bodies: dict[str, str]) -> None:
+    """Write each rendering to ``directory/<experiment id>.txt``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for exp_id, body in bodies.items():
+        (directory / f"{exp_id}.txt").write_text(body)
 
 
 def read_digests(path: Path) -> tuple[str, dict[str, str]]:
@@ -96,9 +112,16 @@ def compare(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="regenerate the digest file")
+    parser.add_argument(
+        "--render", type=Path, metavar="DIR", help="also write each rendering to DIR/<id>.txt"
+    )
     args = parser.parse_args(argv)
     sys.path.insert(0, str(REPO / "src"))
-    actual = render_digests()
+    bodies = render_all()
+    if args.render is not None:
+        write_renderings(args.render, bodies)
+        print(f"wrote {len(bodies)} renderings to {args.render}")
+    actual = {exp_id: digest(body) for exp_id, body in bodies.items()}
     if args.write:
         write_digests(DIGESTS, actual)
         print(f"wrote {len(actual)} digests to {DIGESTS.relative_to(REPO)}")

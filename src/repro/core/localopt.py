@@ -17,6 +17,7 @@ reducing the RTT bias"), then every epoch (5 s):
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 #: The paper's significance boundary, Mbps.
@@ -31,6 +32,11 @@ EPOCH_S = 5.0
 
 #: Minimum per-epoch transferred volume for mode toggles (§3.2.2).
 MIN_TRANSFER_MB = 1.0
+
+#: Epochs of :attr:`LocalOptimizer.history` kept per destination: about
+#: 85 minutes at :data:`EPOCH_S`.  Fig. 9's run records about 250; a
+#: long-lived deployment drops the oldest instead of growing forever.
+HISTORY_EPOCHS = 1024
 
 
 @dataclass
@@ -105,7 +111,11 @@ class LocalOptimizer:
         self.congestion_delta = congestion_delta
         self.similarity_band = similarity_band
         self.min_transfer_mb = min_transfer_mb
-        self.history: list[EpochRecord] = []
+        # Every epoch appends one record per destination, so this keeps
+        # the last HISTORY_EPOCHS epochs of each.
+        self.history: deque[EpochRecord] = deque(
+            maxlen=HISTORY_EPOCHS * len(windows)
+        )
 
     @classmethod
     def from_plan(cls, src: str, plan: "GlobalPlan") -> "LocalOptimizer":

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.localopt import AimdState, LocalOptimizer
+from repro.core.localopt import HISTORY_EPOCHS, AimdState, LocalOptimizer
 
 
 def make_state(**overrides) -> AimdState:
@@ -122,6 +122,16 @@ class TestOptimizerEpochs:
         opt.epoch(10.0, {"d1": 100.0, "d2": 700.0})
         assert len(opt.history) == 4
         assert {r.dst for r in opt.history} == {"d1", "d2"}
+
+    def test_history_keeps_the_last_epochs_of_each_destination(self):
+        opt = self.make_optimizer()
+        epochs = HISTORY_EPOCHS + 40
+        for n in range(1, epochs + 1):
+            opt.epoch(5.0 * n, {"d1": 100.0, "d2": 700.0})
+        assert len(opt.history) == 2 * HISTORY_EPOCHS
+        for dst in ("d1", "d2"):
+            times = [r.time for r in opt.history if r.dst == dst]
+            assert times == [5.0 * n for n in range(41, epochs + 1)]
 
     def test_from_plan_builds_states(self):
         from repro.core.globalopt import optimize_connections

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import localopt
 from repro.core.agent import LocalAgent, deploy_agents
 from repro.core.connections import ConnectionsManager
 from repro.core.globalopt import optimize_connections
@@ -91,6 +92,23 @@ class TestLocalAgent:
         assert len(agent.optimizer.history) > 0
         final = net.connections("us-east-1", "ap-southeast-1")
         assert final <= hi
+        agent.stop()
+
+    def test_long_run_keeps_history_bounded(self, triad, plan, calm, monkeypatch):
+        # A short bound stands in for HISTORY_EPOCHS, so the run outlives
+        # it many times over in a few hundred epochs.
+        monkeypatch.setattr(localopt, "HISTORY_EPOCHS", 6)
+        net = NetworkSimulator(triad, fluctuation=calm)
+        agent = LocalAgent(net, "us-east-1", plan)
+        net.start_transfer("us-east-1", "ap-southeast-1", 1e12)
+        net.start_transfer("us-east-1", "us-west-1", 1e12)
+        net.sim.run(until=300 * localopt.EPOCH_S)
+        history = agent.optimizer.history
+        assert len(history) == 6 * 2
+        # The oldest records went; the last six epochs of both remain.
+        last = max(r.time for r in history)
+        assert sorted({r.time for r in history})[0] == last - 5 * localopt.EPOCH_S
+        assert {r.dst for r in history} == {"ap-southeast-1", "us-west-1"}
         agent.stop()
 
     def test_deploy_agents_one_per_dc(self, triad, plan, calm):

@@ -62,13 +62,25 @@ class TestPipeline:
         # The service's telemetry sink reaches the strategy at build
         # time (not patched on afterwards), so custom variants see it
         # too.
-        _, pipeline = trained
+        topology, pipeline = trained
+        samples = []
 
-        def sink(sample):
-            pass
+        def sink(dc, time, rates):
+            samples.append((dc, time, rates))
 
         deployment = pipeline.deployment("wanify-tc", at_time=500.0, telemetry=sink)
         assert deployment.telemetry is sink
+        # One monitor tick calls the sink with the monitor's arguments,
+        # once per DC.
+        network = NetworkSimulator(topology, fluctuation=pipeline.weather)
+        deployment.install(network)
+        network.start_transfer("us-east-1", "us-west-1", 1e6)
+        network.sim.run(until=5.0)
+        deployment.teardown(network)
+        assert sorted(dc for dc, _, _ in samples) == sorted(topology.keys)
+        assert {time for _, time, _ in samples} == {5.0}
+        east = next(rates for dc, _, rates in samples if dc == "us-east-1")
+        assert east["us-west-1"] > 0.0
 
     def test_fresh_config_per_instance(self, triad):
         # A default config shared across constructions would alias any

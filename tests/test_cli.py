@@ -449,30 +449,89 @@ class TestBadKnobValues:
     PREDICT = ("predict", *REGIONS)
     FAST = ("--datasets", "4", "--estimators", "3")
 
+    # Explicit ids, so deleting a row renames no other.  They are the
+    # names pytest numbered these rows with before they had ids.
     @pytest.mark.parametrize(
         "command, flags, message",
         [
-            ("serve", ("--slo-deadline-s", "-5"), "deadline_s must be positive"),
-            ("serve", ("--drift-threshold=-1",), "threshold must be positive: -1.0"),
-            ("serve", ("--metrics-port", "70000"), "port must be in [0, 65535]: 70000"),
-            ("serve", ("--metrics-port=-3",), "port must be in [0, 65535]: -3"),
-            ("serve", ("--drift-threshold=0",), "threshold must be positive: 0.0"),
-            ("serve", ("--slo-deadline-s=nan",), "slo_deadline_s must be finite (got nan)"),
-            ("predict", ("--datasets", "0"), "n_datasets must be ≥ 1"),
-            ("predict", ("--max-connections", "0"), "max_connections must be ≥ 1"),
-            ("predict", ("--estimators", "0"), "n_estimators must be ≥ 1"),
+            pytest.param(
+                "serve",
+                ("--slo-deadline-s", "-5"),
+                "deadline_s must be positive",
+                id="serve-flags0-deadline_s must be positive",
+            ),
+            pytest.param(
+                "serve",
+                ("--drift-threshold=-1",),
+                "threshold must be positive: -1.0",
+                id="serve-flags1-threshold must be positive: -1.0",
+            ),
+            pytest.param(
+                "serve",
+                ("--metrics-port", "70000"),
+                "port must be in [0, 65535]: 70000",
+                id="serve-flags2-port must be in [0, 65535]: 70000",
+            ),
+            pytest.param(
+                "serve",
+                ("--metrics-port=-3",),
+                "port must be in [0, 65535]: -3",
+                id="serve-flags3-port must be in [0, 65535]: -3",
+            ),
+            pytest.param(
+                "serve",
+                ("--drift-threshold=0",),
+                "threshold must be positive: 0.0",
+                id="serve-flags4-threshold must be positive: 0.0",
+            ),
+            pytest.param(
+                "serve",
+                ("--slo-deadline-s=nan",),
+                "slo_deadline_s must be finite (got nan)",
+                id="serve-flags5-slo_deadline_s must be finite (got nan)",
+            ),
+            pytest.param(
+                "predict",
+                ("--datasets", "0"),
+                "n_datasets must be ≥ 1",
+                id="predict-flags6-n_datasets must be ≥ 1",
+            ),
+            pytest.param(
+                "predict",
+                ("--max-connections", "0"),
+                "max_connections must be ≥ 1",
+                id="predict-flags7-max_connections must be ≥ 1",
+            ),
+            pytest.param(
+                "predict",
+                ("--estimators", "0"),
+                "n_estimators must be ≥ 1",
+                id="predict-flags8-n_estimators must be ≥ 1",
+            ),
             # Shard counts below 1, in-process and partitioned drain.
-            ("serve", ("--scheduler-shards=0",), "shard count must be ≥ 1: 0"),
-            ("serve", ("--scheduler-shards=-3",), "shard count must be ≥ 1: -3"),
-            (
+            pytest.param(
+                "serve",
+                ("--scheduler-shards=0",),
+                "shard count must be ≥ 1: 0",
+                id="serve-flags9-shard count must be ≥ 1: 0",
+            ),
+            pytest.param(
+                "serve",
+                ("--scheduler-shards=-3",),
+                "shard count must be ≥ 1: -3",
+                id="serve-flags10-shard count must be ≥ 1: -3",
+            ),
+            pytest.param(
                 "serve",
                 ("--scheduler-shards=0", "--shard-workers", "1"),
                 "shard count must be ≥ 1: 0",
+                id="serve-flags11-shard count must be ≥ 1: 0",
             ),
-            (
+            pytest.param(
                 "serve",
                 ("--scheduler-shards=-3", "--shard-workers", "1"),
                 "shard count must be ≥ 1: -3",
+                id="serve-flags12-shard count must be ≥ 1: -3",
             ),
         ],
     )
