@@ -29,7 +29,8 @@ weather factor and the traffic-control limit (one
 :meth:`~NetworkSimulator.pair_capacity` call per pair, which reads the
 clock and the controller's limit table directly and calls the weather
 model's ``factor`` once), the congestion overload and the max-min
-solve itself, through the module-global ``allocate``.  Those three
+solve itself, through the module-global ``allocate``, which jumps from
+one freeze event to the next (at most one per flow).  Those three
 names carry the work on purpose: the benchmark's tracer attributes
 repricing, weather and solving by them.  Progress between solves is
 one walk of the in-flight store that also accrues each pair's

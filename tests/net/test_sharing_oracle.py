@@ -1,21 +1,27 @@
-"""Differential tests: the max-min solve against the copy kept before
-its flat-list rewrite.
+"""Differential tests: the max-min solve and the simulator's flush
+against the copies kept in ``oracle_sharing.py``.
 
-:func:`repro.net.sharing.allocate` runs the progressive filling on flat
-per-flow lists with an active list rebuilt only when flows freeze, and
-``NetworkSimulator._flush`` reads each pair's static data once.
-``oracle_sharing.py`` keeps both as they were.  Rates, finish times
-and per-pair statistics must match bit for bit (compared as packed
-doubles, so ``-0.0``/``0.0`` and NaN count too) on:
+:func:`repro.net.sharing.allocate` jumps from freeze event to freeze
+event; the oracle raises the level round by round.  Both compute the
+same weighted max-min allocation but round differently, so their rates
+are compared within :data:`RTOL` (relative, with no absolute slack: a
+zero must stay zero) on:
 
 * every solve of a short service drain under ``link-failure``, on
   either kernel (both solve with ``allocate``);
 * seeded random instances: 1–8 DCs, 0–60 flows, zero, tiny and
   infinite caps, zero, NaN, infinite and huge NIC caps, tied weights
   and saturated NICs;
-* the deferred-solve scripts of ``test_deferred_solve.py`` replayed
-  through the old ``_flush`` and ``pair_capacity``, under
-  ``FluctuationModel`` weather and once under ``link-failure``.
+* hand-picked edge instances.
+
+The largest relative difference observed on them is 1.5e-14 (random
+instances; 2.8e-15 on the drain solves, 0 on the edge instances).
+
+``NetworkSimulator._flush`` is still compared bit for bit (as packed
+doubles, so ``-0.0``/``0.0`` and NaN count too): the deferred-solve
+scripts of ``test_deferred_solve.py`` are replayed through the old
+``_flush`` and ``pair_capacity`` with the current ``allocate``, under
+``FluctuationModel`` weather and once under ``link-failure``.
 """
 
 import math
@@ -35,6 +41,17 @@ from repro.runtime.service import PipelineService, ServiceConfig, default_job_mi
 REGIONS = ("us-east-1", "us-west-1", "eu-west-1", "ap-southeast-1", "sa-east-1")
 RANDOM_INSTANCES = 10_000
 
+#: Largest relative difference allowed between ``allocate`` and the
+#: oracle: under 10× the largest observed (1.5e-14).
+RTOL = 1e-13
+
+#: Random instances on which the oracle stops short of max-min.  Its
+#: saturation test is absolute (remaining capacity ≤ 1e-9 Mbps), so on
+#: the generator's huge NICs (1e11–1e13 Mbps) the rounding residue of a
+#: round can stay above it; nothing freezes, and its no-progress guard
+#: ends the fill with the other live flows below their max-min rates.
+ORACLE_SHORT_FILLS = 12
+
 #: Weather clock at the start of the link-failure replay: its hit
 #: links are halfway down the scenario's 60 s ramp from t = 600 s, and
 #: have collapsed before the script's run (about 40 s) ends.
@@ -52,9 +69,15 @@ def _bits(value):
     return value
 
 
+def _close(actual, expected) -> bool:
+    return len(actual) == len(expected) and all(
+        abs(a - e) <= RTOL * abs(e) for a, e in zip(actual, expected)
+    )
+
+
 def _assert_same_rates(flows, egress, ingress):
     expected = oracle_allocate(flows, egress, ingress)
-    assert _bits(allocate(flows, egress, ingress)) == _bits(expected), (
+    assert _close(allocate(flows, egress, ingress), expected), (
         [(f.src, f.dst, f.weight, f.cap) for f in flows],
         egress,
         ingress,
@@ -143,8 +166,21 @@ def _random_instance(rng: random.Random) -> tuple[list[PairFlow], list, list]:
 
 def test_random_instances_match():
     rng = random.Random(2025)
+    short = 0
     for _ in range(RANDOM_INSTANCES):
-        _assert_same_rates(*_random_instance(rng))
+        flows, egress, ingress = _random_instance(rng)
+        expected = oracle_allocate(flows, egress, ingress)
+        actual = allocate(flows, egress, ingress)
+        if _close(actual, expected):
+            continue
+        # Where the oracle stopped short, the event-driven fill carries
+        # on from the same frozen flows: no rate falls, and one rises.
+        # (test_maxmin_certificate.py shows that the oracle's
+        # allocation is not max-min there and this one is.)
+        short += 1
+        assert max(c for c in egress + ingress if c < math.inf) >= 1e11
+        assert all(a >= e - RTOL * e for a, e in zip(actual, expected))
+    assert short == ORACLE_SHORT_FILLS
 
 
 @pytest.mark.parametrize(
@@ -170,12 +206,21 @@ def test_edge_instances_match(flows, egress, ingress):
     _assert_same_rates(flows, egress, ingress)
 
 
+class OracleFlushSimulator(OracleNetworkSimulator):
+    """The old ``_flush`` and ``pair_capacity`` around the current
+    ``allocate``, so the replays pin the flush and the pricing alone."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._solve = allocate
+
+
 @pytest.mark.parametrize("kernel", ("scalar", "vectorized"))
 @pytest.mark.parametrize("seed", range(4))
 def test_flush_replays_match(seed, kernel):
     """The deferred-solve scripts finish every transfer at the same
     instant, with the same per-pair statistics, through either flush."""
-    expected = _run(OracleNetworkSimulator, seed, kernel)
+    expected = _run(OracleFlushSimulator, seed, kernel)
     assert _bits(_run(simulator_module.NetworkSimulator, seed, kernel)) == _bits(
         expected
     )
@@ -186,7 +231,7 @@ def test_flush_replay_under_link_failure_matches(kernel):
     """A replay whose links collapse mid-script, through either flush."""
     weather = scenario("link-failure", seed=13)
     expected = _run(
-        OracleNetworkSimulator, 0, kernel, weather=weather, time_offset=LINK_FAILURE_OFFSET
+        OracleFlushSimulator, 0, kernel, weather=weather, time_offset=LINK_FAILURE_OFFSET
     )
     # Some links of the script's mesh have failed by the end.
     end = LINK_FAILURE_OFFSET + expected["now"]

@@ -227,3 +227,48 @@ class TestDocsHealth:
         assert len(failures) == 2
         assert "`brand_new_metric`" in failures[0]
         assert "`wanify_brand_new_total`" in failures[1]
+
+
+@pytest.fixture(scope="module")
+def check_experiments():
+    spec = importlib.util.spec_from_file_location(
+        "check_experiments", REPO / "scripts" / "check_experiments.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestExperimentRenderings:
+    """``scripts/check_experiments.py --render DIR`` keeps each rendering
+    for ``diff -r`` (run on two stand-in experiments, not the real 21)."""
+
+    def test_render_writes_one_file_per_experiment(
+        self, check_experiments, monkeypatch, tmp_path
+    ):
+        from types import SimpleNamespace
+
+        import repro.experiments.report as report
+
+        def experiment(text):
+            return SimpleNamespace(run=lambda fast: text, render=lambda result: result)
+
+        bodies = {"E-A": "figure a\n+1.0%", "E-B": "figure b ≥ 2"}
+        monkeypatch.setattr(
+            report, "EXPERIMENTS", [(key, key, experiment(b)) for key, b in bodies.items()]
+        )
+        digests = tmp_path / "digests.sha256"
+        check_experiments.write_digests(
+            digests, {key: check_experiments.digest(b) for key, b in bodies.items()}
+        )
+        monkeypatch.setattr(check_experiments, "REPO", tmp_path)
+        monkeypatch.setattr(check_experiments, "DIGESTS", digests)
+        out = tmp_path / "renderings"
+        assert check_experiments.main(["--render", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["E-A.txt", "E-B.txt"]
+        for key, body in bodies.items():
+            assert (out / f"{key}.txt").read_text() == body
+        # The comparison still runs: a moved figure fails it.
+        report.EXPERIMENTS[1] = ("E-B", "E-B", experiment("figure b ≥ 3"))
+        assert check_experiments.main(["--render", str(out)]) == 1
+        assert (out / "E-B.txt").read_text() == "figure b ≥ 3"
