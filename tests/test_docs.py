@@ -272,3 +272,67 @@ class TestExperimentRenderings:
         report.EXPERIMENTS[1] = ("E-B", "E-B", experiment("figure b ≥ 3"))
         assert check_experiments.main(["--render", str(out)]) == 1
         assert (out / "E-B.txt").read_text() == "figure b ≥ 3"
+
+
+@pytest.fixture(scope="module")
+def check_service_pin():
+    sys.path.insert(0, str(REPO / "scripts"))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "check_service_pin", REPO / "scripts" / "check_service_pin.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(REPO / "scripts"))
+    return module
+
+
+class TestServicePin:
+    """``scripts/check_service_pin.py`` compares what it measures with
+    the pin file (run on stand-in values, not the real workloads)."""
+
+    VALUES = {
+        "serve-online 1 fingerprint": "ab12",
+        "serve-online 1 jct_mean_s": repr(47.77278929302485),
+        "serve-online 1 sim.events": "2919",
+    }
+
+    def _run(self, module, monkeypatch, tmp_path, values, problems=(), argv=()):
+        monkeypatch.setattr(module, "measure", lambda: (dict(values), list(problems)))
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        monkeypatch.setattr(module, "PIN", tmp_path / "pin.txt")
+        return module.main(list(argv))
+
+    def test_write_then_compare_round_trips(self, check_service_pin, monkeypatch, tmp_path):
+        written = self._run(
+            check_service_pin, monkeypatch, tmp_path, self.VALUES, argv=["--write"]
+        )
+        assert written == 0
+        recorded, pinned = check_service_pin.read_pin(tmp_path / "pin.txt")
+        assert pinned == self.VALUES
+        assert recorded.startswith("python ") and " numpy " in recorded
+        assert self._run(check_service_pin, monkeypatch, tmp_path, self.VALUES) == 0
+
+    def test_a_moved_value_fails(self, check_service_pin, monkeypatch, tmp_path, capsys):
+        check_service_pin.write_pin(tmp_path / "pin.txt", self.VALUES)
+        moved = {**self.VALUES, "serve-online 1 jct_mean_s": repr(47.77278929302486)}
+        assert self._run(check_service_pin, monkeypatch, tmp_path, moved) == 1
+        out = capsys.readouterr().out
+        assert "FAIL serve-online 1 jct_mean_s: 47.77278929302485 -> 47.77278929302486" in out
+        missing = dict(list(self.VALUES.items())[:2])
+        assert self._run(check_service_pin, monkeypatch, tmp_path, missing) == 1
+        assert "serve-online 1 sim.events: no longer measured" in capsys.readouterr().out
+
+    def test_a_failed_repetition_fails_and_is_not_written(
+        self, check_service_pin, monkeypatch, tmp_path
+    ):
+        check_service_pin.write_pin(tmp_path / "pin.txt", self.VALUES)
+        problems = ["serve-online 1: 1 of 6 failed"]
+        assert self._run(check_service_pin, monkeypatch, tmp_path, self.VALUES, problems) == 1
+        before = (tmp_path / "pin.txt").read_text()
+        assert (
+            self._run(check_service_pin, monkeypatch, tmp_path, self.VALUES, problems, ["--write"])
+            == 1
+        )
+        assert (tmp_path / "pin.txt").read_text() == before
