@@ -5,8 +5,11 @@ transfer here and nowhere else: one bucket per ordered DC pair, in
 first-use order, plus one bucket for intra-DC (LAN) traffic that is
 always visited last.  Transfers multiplexed on one pair all share the
 pair's allocated rate *equally*, so progress accrual, rate
-assignment, next-completion ETA and finished scanning are per-bucket
-operations.
+assignment and finished scanning are per-bucket operations.  Rate
+assignment (:meth:`_Bucket.set_share`) also returns the bucket's
+next-completion ETA, found in the loop that writes the rates, so a
+solve needs no second walk of the store to schedule the next
+completion.
 
 A bucket holding more than its *threshold* transfers switches to numpy
 arrays: progress is ``transferred = minimum(size, transferred +
@@ -69,6 +72,8 @@ SMALL_BUCKET = 32
 #: (mirrors the simulator's completion scan).
 FINISH_EPS = 1e-6
 
+_INF = float("inf")
+
 
 class _Bucket:
     """One pair's (or the LAN's) transfers advancing at a shared rate.
@@ -84,8 +89,8 @@ class _Bucket:
     :meth:`set_share`.  The scalar kernel leaves a new transfer at
     ``rate_mbps = 0`` until the next reallocation assigns shares, so
     the catch-up progress inside that reallocation must not advance it
-    — fresh members are excluded from progress, aggregate rate, and
-    completion ETA until shares land.
+    — fresh members are excluded from progress and aggregate rate
+    until shares land.
 
     ``total`` caches :meth:`rate_total`, read on every progress.
     :meth:`set_share`, every removal and an admission that builds the
@@ -172,18 +177,36 @@ class _Bucket:
                 self._drop_arrays()
         self._refill()
 
-    def set_share(self, share: float) -> None:
-        """Install the per-transfer rate for the current allocation."""
+    def set_share(self, share: float) -> float:
+        """Install the per-transfer rate for the current allocation and
+        return the seconds until the bucket's next completion (inf when
+        idle).
+
+        The ETA is ``max(0, min(size - transferred)) / share`` over the
+        members, found in the loop that writes the rates (one ``min``
+        while array-backed).  Every member now moves at exactly
+        ``share``, and correctly rounded division by one positive
+        number is monotonic, so this equals the minimum of each
+        transfer's ``remaining / rate`` bit for bit.
+        """
         self.share = share
         self.fresh = 0
         transfers = self.transfers
         if self.size is None:
+            remaining = _INF
             for transfer in transfers:
                 transfer.rate_mbps = share
+                left = transfer.size_mbits - transfer.transferred_mbits
+                if left < remaining:
+                    remaining = left
             # The members' rates, summed in member order.
             self.total = sum([share] * len(transfers))
         else:
             self.total = share * len(transfers)
+            remaining = float((self.size - self.transferred).min())
+        if share <= 0 or not transfers:
+            return _INF
+        return (remaining if remaining > 0.0 else 0.0) / share
 
     def rate_total(self) -> float:
         """Aggregate instantaneous rate of the bucket (Mbps): the sum of
@@ -214,32 +237,6 @@ class _Bucket:
             )
             if finished is not None and max(0.0, size - done) <= FINISH_EPS:
                 finished.append(transfer)
-
-    def min_eta(self) -> float:
-        """Seconds until the bucket's next completion (inf when idle).
-
-        ``max(0, min(size - transferred)) / share`` over the members
-        that carry the share.  Every such member moves at exactly
-        ``share`` and fresh ones at 0, and correctly rounded division
-        by one positive number is monotonic, so this equals the
-        minimum of each rate-carrying transfer's ``remaining / rate``
-        bit for bit.
-        """
-        limit = len(self.transfers) - self.fresh
-        if self.share <= 0 or limit <= 0:
-            return float("inf")
-        if self.size is None:
-            remaining = min(
-                [
-                    t.size_mbits - t.transferred_mbits
-                    for t in self.transfers[:limit]
-                ]
-            )
-        else:
-            remaining = float(
-                (self.size[:limit] - self.transferred[:limit]).min()
-            )
-        return max(0.0, remaining) / self.share
 
     def finished(self) -> list["Transfer"]:
         """Members whose remaining payload is within the finish slop."""
@@ -367,13 +364,6 @@ class VectorKernel:
         for bucket in self._buckets():
             out.extend(bucket.finished())
         return out
-
-    def min_eta(self) -> float:
-        """Seconds until the next completion across all buckets."""
-        eta = float("inf")
-        for bucket in self._buckets():
-            eta = min(eta, bucket.min_eta())
-        return eta
 
     def sync_objects(self) -> None:
         """Flush array state back to the transfer objects (observers)."""

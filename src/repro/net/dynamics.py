@@ -155,7 +155,14 @@ class FluctuationModel:
         _, n0, n1, phase = entry
         noise = n0 * rest + n1 * frac
         diurnal = self.diurnal_amplitude * math.sin(angle + phase)
-        return float(min(max(1.0 + noise + diurnal, self.floor), self.ceiling))
+        # ``float(min(max(value, floor), ceiling))`` as comparisons: a
+        # NaN stays NaN, and a numpy ``t`` or field still gives a float.
+        value = 1.0 + noise + diurnal
+        if self.floor > value:
+            value = self.floor
+        if self.ceiling < value:
+            value = self.ceiling
+        return value if value.__class__ is float else float(value)
 
     def snapshot_jitter(self, i: int, j: int, t: float, window_s: float) -> float:
         """Extra multiplicative jitter for very short probes.

@@ -18,7 +18,9 @@ precisely why uniform parallelism fails to lift the weak links in
 Fig. 2(b) while heterogeneous connection counts succeed in Fig. 2(c).
 
 :func:`allocate` runs on every deferred solve of the WAN simulator, so
-it jumps from one freeze event to the next instead of raising the level
+it takes the flows as the parallel per-pair lists the simulator builds
+(sources, destinations, weights, caps), checks them in its first pass,
+and jumps from one freeze event to the next instead of raising the level
 in rounds that touch every flow.  The next level is the lower of the
 next flow-cap level (``cap / weight``, sorted once per solve) and the
 lowest NIC saturation level (``(NIC − rate frozen on it) / weight still
@@ -33,71 +35,60 @@ itself, independently of either implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 _EPS = 1e-9
 _INF = float("inf")
 
 
-@dataclass
-class PairFlow:
-    """An aggregate flow between a DC pair.
-
-    ``src``/``dst`` are topology indices; ``weight`` is the contention
-    weight; ``cap`` the flow's own ceiling in Mbps.
-    """
-
-    src: int
-    dst: int
-    weight: float
-    cap: float
-
-    def __post_init__(self) -> None:
-        # Written so NaN fails both tests: an infinite or NaN weight, or
-        # a NaN cap, would make the filling hand out garbage rates.
-        if not 0.0 < self.weight < _INF:
-            raise ValueError(
-                f"flow weight must be positive and finite: {self.weight}"
-            )
-        if not self.cap >= 0.0:
-            raise ValueError(f"flow cap must be ≥ 0 (inf allowed): {self.cap}")
-
-
 def allocate(
-    flows: list[PairFlow],
+    src: list[int],
+    dst: list[int],
+    weight: list[float],
+    cap: list[float],
     egress_caps: list[float],
     ingress_caps: list[float],
 ) -> list[float]:
-    """Allocate rates (Mbps) to ``flows``; returns rates in input order.
+    """Allocate rates (Mbps) to flows; returns rates in input order.
 
-    A flow with a cap of at most ``1e-9`` gets 0.  A NaN or infinite NIC
-    never saturates; a negative NIC (``-0.0`` too) gives its flows 0.
-    When no finite level is left, the unfrozen flows keep the rate of
-    the last finite level, so a lone unbounded flow gets 0.
+    Flow ``idx`` runs from DC ``src[idx]`` to DC ``dst[idx]`` (topology
+    indices) with contention weight ``weight[idx]`` and its own ceiling
+    ``cap[idx]`` in Mbps.  A weight outside ``(0, inf)`` or a NaN or
+    negative cap is a :class:`ValueError`.  A flow with a cap of at most
+    ``1e-9`` gets 0.  A NaN or infinite NIC never saturates; a negative
+    NIC (``-0.0`` too) gives its flows 0.  When no finite level is left,
+    the unfrozen flows keep the rate of the last finite level, so a lone
+    unbounded flow gets 0.
 
-    >>> flows = [PairFlow(0, 1, weight=1.0, cap=100.0)]
-    >>> allocate(flows, [50.0, 50.0], [50.0, 50.0])
+    >>> allocate([0], [1], [1.0], [100.0], [50.0, 50.0], [50.0, 50.0])
     [50.0]
     """
-    if not flows:
+    n = len(weight)
+    if not n:
         return []
-    n = len(flows)
     # Resources are the egress NICs, then the ingress NICs.
     n_egress = len(egress_caps)
     nics = [*egress_caps, *ingress_caps]
-    weight = [flow.weight for flow in flows]
-    cap = [flow.cap for flow in flows]
-    out_of = [flow.src for flow in flows]
-    into = [n_egress + flow.dst for flow in flows]
-    live = [c > _EPS for c in cap]
+    into = [n_egress + d for d in dst]
     # The flows through each NIC that can saturate (finite, not NaN);
     # a NIC's level is ``_INF`` once none of them is live.
     bounded = [nic < _INF for nic in nics]
     members: list[list[int]] = [[] for _ in nics]
+    live = [False] * n
+    cap_level = [_INF] * n
     for idx in range(n):
-        if live[idx]:
-            if bounded[out_of[idx]]:
-                members[out_of[idx]].append(idx)
+        w = weight[idx]
+        c = cap[idx]
+        # Written so NaN fails both tests: an infinite or NaN weight, or
+        # a NaN cap, would make the filling hand out garbage rates.
+        if not 0.0 < w < _INF:
+            raise ValueError(f"flow weight must be positive and finite: {w}")
+        if not c >= 0.0:
+            raise ValueError(f"flow cap must be ≥ 0 (inf allowed): {c}")
+        if c > _EPS:
+            live[idx] = True
+            if c < _INF:
+                cap_level[idx] = c / w
+            if bounded[src[idx]]:
+                members[src[idx]].append(idx)
             if bounded[into[idx]]:
                 members[into[idx]].append(idx)
     used = [0.0] * len(nics)
@@ -108,10 +99,6 @@ def allocate(
             for j in through:
                 total += weight[j]
             levels[r] = nics[r] / total
-    cap_level = [
-        c / w if alive and c < _INF else _INF
-        for c, w, alive in zip(cap, weight, live)
-    ]
     cap_order = sorted(range(n), key=cap_level.__getitem__)
     rates = [0.0] * n
     next_cap = 0
@@ -132,7 +119,7 @@ def allocate(
             rate = cap[idx]
             rates[idx] = rate
             live[idx] = False
-            touched = (out_of[idx], into[idx])
+            touched = (src[idx], into[idx])
             for r in touched:
                 used[r] += rate
         else:
@@ -149,7 +136,7 @@ def allocate(
                     rate = weight[j] * level
                     rates[j] = rate
                     live[j] = False
-                    other = into[j] if out_of[j] == r else out_of[j]
+                    other = into[j] if src[j] == r else src[j]
                     used[other] += rate
                     touched.append(other)
         # Re-price the NICs the frozen flows cross, summing the live
@@ -163,6 +150,10 @@ def allocate(
                     total += weight[j]
             levels[r] = (nics[r] - used[r]) / total if total else _INF
     for idx in range(n):
-        if live[idx]:
-            rates[idx] = weight[idx] * level
-    return [max(0.0, min(r, c)) for r, c in zip(rates, cap)]
+        rate = weight[idx] * level if live[idx] else rates[idx]
+        # ``max(0.0, min(rate, cap))`` as comparisons.
+        c = cap[idx]
+        if c < rate:
+            rate = c
+        rates[idx] = rate if rate > 0.0 else 0.0
+    return rates

@@ -72,7 +72,7 @@ from repro.net import tcp
 from repro.net.batch import SMALL_BUCKET, VectorKernel
 from repro.net.dynamics import FluctuationModel, StaticModel
 from repro.net.matrix import BandwidthMatrix
-from repro.net.sharing import PairFlow, allocate
+from repro.net.sharing import allocate
 from repro.net.topology import Topology
 from repro.net.traffic_control import TrafficController
 from repro.sim.kernel import Event, Simulator
@@ -104,6 +104,7 @@ CONGESTION_RTT_BIAS = 0.3
 _RTT_NORM_MS = 100.0
 
 _EPS = 1e-9
+_INF = float("inf")
 
 
 def _bucket_key(src: str, dst: str) -> object:
@@ -330,6 +331,10 @@ class NetworkSimulator:
         tag: str = "",
     ) -> Transfer:
         """Begin a transfer now; completion fires ``on_complete``."""
+        if not math.isfinite(size_mbits):
+            raise ValueError(
+                f"transfer size for {src}→{dst} must be finite: {size_mbits}"
+            )
         if size_mbits < 0:
             raise ValueError(f"negative transfer size: {size_mbits}")
         self.topology.index(src)
@@ -379,7 +384,9 @@ class NetworkSimulator:
         (weather and traffic control included, contention excluded)."""
         i, j, _rtt, cap, _weight = self._routes[src, dst, connections]
         cap *= self.fluctuation.factor(i, j, self.sim.now + self.time_offset)
-        return min(cap, self._limits.get((src, dst), math.inf))
+        # ``min(cap, limit)`` as a comparison; no limit is an infinite one.
+        limit = self._limits.get((src, dst), _INF)
+        return limit if limit < cap else cap
 
     def _progress(self, collect: bool = False) -> list[Transfer]:
         """Advance all active transfers to the current time.
@@ -427,56 +434,74 @@ class NetworkSimulator:
         routes = self._routes
         nics = self._nics
         n = len(nics)
-        # One pass reads each pair's route (indices, RTT, weight) for
-        # its connection count and prices it now.  Per-VM congestion:
-        # a DC juggling many active streams loses effective NIC
-        # throughput (see tcp.vm_efficiency), so connections are
-        # tallied per DC.
+        # One pass reads each pair's count and route (indices, RTT,
+        # weight) and prices it now, into parallel per-pair lists.
+        # Per-VM congestion: a DC juggling many active streams loses
+        # effective NIC throughput (see tcp.vm_efficiency), so
+        # connections are tallied per DC.
+        src: list[int] = []
+        dst: list[int] = []
+        rtt: list[float] = []
+        weight: list[float] = []
+        cap: list[float] = []
         caps_by_src = [0.0] * n
         out_conns = [0] * n
         in_conns = [0] * n
-        specs = []
-        for src, dst in pairs:
-            k = counts[src, dst]
-            route = routes[src, dst, k]
-            cap = self.pair_capacity(src, dst, k)
-            specs.append((route, cap))
-            i = route[0]
-            caps_by_src[i] += cap
+        for pair in pairs:
+            k = counts[pair]
+            a, b = pair
+            i, j, pair_rtt, _agg, pair_weight = routes[a, b, k]
+            pair_cap = self.pair_capacity(a, b, k)
+            src.append(i)
+            dst.append(j)
+            rtt.append(pair_rtt)
+            weight.append(pair_weight)
+            cap.append(pair_cap)
+            caps_by_src[i] += pair_cap
             out_conns[i] += k
-            in_conns[route[1]] += k
-        flows = []
-        for (i, j, rtt, _agg, weight), cap in specs:
-            # Congestion RTT bias: overloaded senders squeeze their
-            # long-RTT flows harder than fair weighting would.
-            egress_cap = nics[i][0]
-            overload = max(0.0, caps_by_src[i] / max(egress_cap, _EPS) - 1.0)
-            if overload > 0:
-                weight /= 1.0 + (
-                    CONGESTION_RTT_BIAS * overload * rtt / _RTT_NORM_MS
-                )
-            flows.append(PairFlow(i, j, weight=weight, cap=cap))
-        # Counted per VM so association (more VMs per DC) raises the knee.
+            in_conns[j] += k
+        # Each DC's overload (``caps / max(NIC, eps) − 1``) and NICs,
+        # counted per VM so association (more VMs per DC) raises the
+        # knee.
+        overload = []
         egress = []
         ingress = []
         for i, (egress_cap, ingress_cap, vms) in enumerate(nics):
+            overload.append(
+                caps_by_src[i] / (_EPS if _EPS > egress_cap else egress_cap) - 1.0
+            )
             egress.append(egress_cap * tcp.vm_efficiency(out_conns[i] // vms))
             ingress.append(ingress_cap * tcp.vm_efficiency(in_conns[i] // vms))
+        # Congestion RTT bias: overloaded senders squeeze their
+        # long-RTT flows harder than fair weighting would.
+        for idx, i in enumerate(src):
+            excess = overload[i]
+            if excess > 0:
+                weight[idx] /= 1.0 + (
+                    CONGESTION_RTT_BIAS * excess * rtt[idx] / _RTT_NORM_MS
+                )
         # Through the module global, so a patched ``allocate`` applies
         # to live simulators too.
-        rates = allocate(flows, egress, ingress)
+        rates = allocate(src, dst, weight, cap, egress, ingress)
+        # Each bucket's share comes back with its next completion.
+        eta = _INF
         for pair, rate in zip(pairs, rates):
             bucket = buckets[pair]
-            bucket.set_share(rate / len(bucket.transfers))
-        self._inflight.lan.set_share(LAN_MBPS)
-        self._schedule_completion()
+            bucket_eta = bucket.set_share(rate / len(bucket.transfers))
+            if bucket_eta < eta:
+                eta = bucket_eta
+        lan_eta = self._inflight.lan.set_share(LAN_MBPS)
+        if lan_eta < eta:
+            eta = lan_eta
+        self._schedule_completion(eta)
 
-    def _schedule_completion(self) -> None:
+    def _schedule_completion(self, eta: float) -> None:
+        """Re-arm the completion event ``eta`` seconds from now (none
+        when ``eta`` is infinite)."""
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
-        eta = self._inflight.min_eta()
-        if eta < float("inf"):
+        if eta < _INF:
             self._completion_event = self.sim.schedule(
                 eta, self._on_completion, priority=1
             )

@@ -133,7 +133,12 @@ class ScenarioModel:
         if i == j:
             return 1.0
         combined = self.base.factor(i, j, t) * self.shape(i, j, t)
-        return float(max(combined, FACTOR_FLOOR))
+        # ``float(max(combined, FACTOR_FLOOR))`` as a comparison: a NaN
+        # stays NaN, and a shape returning a numpy scalar or an int
+        # still gives a float.
+        if FACTOR_FLOOR > combined:
+            return FACTOR_FLOOR
+        return combined if combined.__class__ is float else float(combined)
 
     def snapshot_jitter(
         self, i: int, j: int, t: float, window_s: float

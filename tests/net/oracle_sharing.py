@@ -12,12 +12,19 @@ the topology on every call (before the route table), so a pricing bug
 in ``repro.net`` cannot hide behind a shared method.  All three are
 copied unchanged; ``test_sharing_oracle.py`` requires the current code
 to match them bit for bit.  Do not edit them to follow ``repro.net``.
+
+The code they call that has since left ``repro.net`` is copied here
+unchanged too: :class:`PairFlow`, the validated per-flow record the
+old ``allocate`` took, and the no-argument ``_schedule_completion``,
+which walked every bucket after the shares were set for the earliest
+completion (:func:`_min_eta`, once ``_Bucket.min_eta``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.net import tcp
-from repro.net.sharing import PairFlow
 from repro.net.simulator import (
     _EPS,
     _RTT_NORM_MS,
@@ -25,6 +32,59 @@ from repro.net.simulator import (
     LAN_MBPS,
     NetworkSimulator,
 )
+
+_INF = float("inf")
+
+
+@dataclass
+class PairFlow:
+    """An aggregate flow between a DC pair.
+
+    ``src``/``dst`` are topology indices; ``weight`` is the contention
+    weight; ``cap`` the flow's own ceiling in Mbps.
+    """
+
+    src: int
+    dst: int
+    weight: float
+    cap: float
+
+    def __post_init__(self) -> None:
+        # Written so NaN fails both tests: an infinite or NaN weight, or
+        # a NaN cap, would make the filling hand out garbage rates.
+        if not 0.0 < self.weight < _INF:
+            raise ValueError(
+                f"flow weight must be positive and finite: {self.weight}"
+            )
+        if not self.cap >= 0.0:
+            raise ValueError(f"flow cap must be ≥ 0 (inf allowed): {self.cap}")
+
+
+def _min_eta(bucket) -> float:
+    """Seconds until the bucket's next completion (inf when idle).
+
+    ``max(0, min(size - transferred)) / share`` over the members
+    that carry the share.  Every such member moves at exactly
+    ``share`` and fresh ones at 0, and correctly rounded division
+    by one positive number is monotonic, so this equals the
+    minimum of each rate-carrying transfer's ``remaining / rate``
+    bit for bit.
+    """
+    limit = len(bucket.transfers) - bucket.fresh
+    if bucket.share <= 0 or limit <= 0:
+        return float("inf")
+    if bucket.size is None:
+        remaining = min(
+            [
+                t.size_mbits - t.transferred_mbits
+                for t in bucket.transfers[:limit]
+            ]
+        )
+    else:
+        remaining = float(
+            (bucket.size[:limit] - bucket.transferred[:limit]).min()
+        )
+    return max(0.0, remaining) / bucket.share
 
 
 def allocate(
@@ -113,8 +173,8 @@ def allocate(
 
 
 class OracleNetworkSimulator(NetworkSimulator):
-    """The simulator with the old ``_flush``, ``pair_capacity`` and
-    ``allocate``."""
+    """The simulator with the old ``_flush``, ``pair_capacity``,
+    ``_schedule_completion`` and ``allocate``."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -185,3 +245,15 @@ class OracleNetworkSimulator(NetworkSimulator):
             bucket.set_share(rate / len(bucket.transfers))
         self._inflight.lan.set_share(LAN_MBPS)
         self._schedule_completion()
+
+    def _schedule_completion(self) -> None:
+        if self._completion_event is not None:
+            self._completion_event.cancel()
+            self._completion_event = None
+        eta = float("inf")
+        for bucket in self._inflight._buckets():
+            eta = min(eta, _min_eta(bucket))
+        if eta < float("inf"):
+            self._completion_event = self.sim.schedule(
+                eta, self._on_completion, priority=1
+            )

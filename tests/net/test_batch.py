@@ -10,14 +10,13 @@ from repro.net.batch import _Bucket
 from repro.net.simulator import Transfer
 
 
-def _bucket(threshold, sizes, progress, share):
+def _bucket(threshold, sizes, progress):
     """A bucket of transfers with the given sizes and progress."""
     bucket = _Bucket(threshold)
     for size, done in zip(sizes, progress):
         transfer = Transfer("a", "b", size)
         transfer.transferred_mbits = done
         bucket.add(transfer)
-    bucket.set_share(share)
     return bucket
 
 
@@ -35,26 +34,18 @@ def _packed(value):
 
 
 class TestScalarMinEta:
-    def test_fresh_members_are_excluded(self):
-        bucket = _bucket(math.inf, [900.0, 500.0, 700.0], [100.0, 20.0, 0.0], 3.0)
-        # Admitted after the share landed: rate 0, and the nearest
-        # finish of all, so counting it would move the ETA.
-        fresh = Transfer("a", "b", 1.0)
-        bucket.add(fresh)
-        assert bucket.fresh == 1 and fresh.rate_mbps == 0.0
-        assert _packed(bucket.min_eta()) == _packed(480.0 / 3.0)
-        assert _packed(bucket.min_eta()) == _packed(_per_transfer_eta(bucket))
+    """The next-completion ETA that :meth:`_Bucket.set_share` returns."""
 
     def test_zero_share_is_idle(self):
-        bucket = _bucket(math.inf, [900.0, 500.0], [0.0, 0.0], 0.0)
-        assert bucket.min_eta() == math.inf
+        bucket = _bucket(math.inf, [900.0, 500.0], [0.0, 0.0])
+        assert bucket.set_share(0.0) == math.inf
 
     def test_empty_bucket_is_idle(self):
-        assert _Bucket(math.inf).min_eta() == math.inf
+        assert _Bucket(math.inf).set_share(5.0) == math.inf
 
     def test_overshoot_clamps_to_zero(self):
-        bucket = _bucket(math.inf, [5.0, 9.0], [5.0 + 1e-9, 1.0], 2.0)
-        assert _packed(bucket.min_eta()) == _packed(0.0)
+        bucket = _bucket(math.inf, [5.0, 9.0], [5.0 + 1e-9, 1.0])
+        assert _packed(bucket.set_share(2.0)) == _packed(0.0)
 
     def test_bit_equal_to_per_transfer_minimum(self):
         """Random states, scalar against the per-transfer rule and the
@@ -65,11 +56,12 @@ class TestScalarMinEta:
             sizes = [rng.uniform(1e-3, 5e3) for _ in range(n)]
             progress = [size * rng.random() for size in sizes]
             share = rng.choice([rng.uniform(1e-3, 1e3), rng.random() * 1e-7])
-            scalar = _bucket(math.inf, sizes, progress, share)
-            array = _bucket(0, sizes, progress, share)
-            eta = scalar.min_eta()
+            scalar = _bucket(math.inf, sizes, progress)
+            array = _bucket(0, sizes, progress)
+            assert array.size is not None
+            eta = scalar.set_share(share)
             assert _packed(eta) == _packed(_per_transfer_eta(scalar))
-            assert _packed(eta) == _packed(array.min_eta())
+            assert _packed(eta) == _packed(array.set_share(share))
 
 
 def _uncached_rate_total(bucket):

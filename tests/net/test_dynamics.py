@@ -222,3 +222,35 @@ class TestInstanceCaches:
 
 def _packed(value: float) -> bytes:
     return struct.pack("<d", value)
+
+
+class TestClamp:
+    """``factor`` clamps by comparisons; it must return what
+    ``float(min(max(value, floor), ceiling))`` did, as a float."""
+
+    BOUNDS = [
+        (0.35, 1.65),
+        (1.0, 1.0),
+        (1.2, 0.8),  # a floor above the ceiling: the ceiling wins
+        (0, 2),  # ints
+        (np.float64(0.9), np.float64(1.05)),
+        (float("nan"), 1.1),
+        (0.9, float("nan")),
+        (float("nan"), float("nan")),
+        (-float("inf"), float("inf")),
+    ]
+
+    @pytest.mark.parametrize("floor, ceiling", BOUNDS)
+    @pytest.mark.parametrize("amplitude", [0.3, np.float64(0.3), float("nan"), 0])
+    def test_same_double_as_min_max(self, floor, ceiling, amplitude):
+        fields = dict(seed=4, sigma=0.4, diurnal_amplitude=amplitude)
+        model = FluctuationModel(floor=floor, ceiling=ceiling, **fields)
+        unclamped = FluctuationModel(floor=-np.inf, ceiling=np.inf, **fields)
+        rng = np.random.default_rng(3)
+        times = [float(t) for t in rng.uniform(0.0, DAY_S, 40)]
+        for t in times + [np.float64(t) for t in times[:5]]:
+            for i, j in ((0, 1), (2, 7), (5, 4)):
+                got = model.factor(i, j, t)
+                expected = float(min(max(unclamped.factor(i, j, t), floor), ceiling))
+                assert type(got) is float
+                assert _packed(got) == _packed(expected), (floor, ceiling, t)

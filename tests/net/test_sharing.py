@@ -2,35 +2,58 @@
 properties on feasibility and bottleneck tightness."""
 
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.sharing import PairFlow, allocate
+from repro.net.sharing import allocate
 
 EPS = 1e-6
+
+
+class PairFlow(NamedTuple):
+    """One flow of a test instance; :func:`solve` hands ``allocate``
+    the instance's flows as its parallel lists."""
+
+    src: int
+    dst: int
+    weight: float
+    cap: float
+
+
+def solve(flows, egress, ingress):
+    """``allocate`` on ``flows`` given as :class:`PairFlow` rows."""
+    return allocate(
+        [f.src for f in flows],
+        [f.dst for f in flows],
+        [f.weight for f in flows],
+        [f.cap for f in flows],
+        egress,
+        ingress,
+    )
 
 
 class TestBasics:
     def test_single_flow_hits_its_cap(self):
         flows = [PairFlow(0, 1, weight=1.0, cap=100.0)]
-        assert allocate(flows, [1000, 1000], [1000, 1000]) == [100.0]
+        assert solve(flows, [1000, 1000], [1000, 1000]) == [100.0]
 
     def test_single_flow_limited_by_egress(self):
         flows = [PairFlow(0, 1, weight=1.0, cap=1e9)]
-        assert allocate(flows, [50, 1000], [1000, 1000]) == [50.0]
+        assert solve(flows, [50, 1000], [1000, 1000]) == [50.0]
 
     def test_single_flow_limited_by_ingress(self):
         flows = [PairFlow(0, 1, weight=1.0, cap=1e9)]
-        assert allocate(flows, [1000, 1000], [1000, 30]) == [30.0]
+        assert solve(flows, [1000, 1000], [1000, 30]) == [30.0]
 
     def test_equal_weights_share_equally(self):
         flows = [
             PairFlow(0, 1, weight=1.0, cap=1e9),
             PairFlow(0, 2, weight=1.0, cap=1e9),
         ]
-        rates = allocate(flows, [100, 0, 0], [0, 1000, 1000])
+        rates = solve(flows, [100, 0, 0], [0, 1000, 1000])
         assert rates[0] == pytest.approx(50.0)
         assert rates[1] == pytest.approx(50.0)
 
@@ -39,7 +62,7 @@ class TestBasics:
             PairFlow(0, 1, weight=3.0, cap=1e9),
             PairFlow(0, 2, weight=1.0, cap=1e9),
         ]
-        rates = allocate(flows, [100, 0, 0], [0, 1000, 1000])
+        rates = solve(flows, [100, 0, 0], [0, 1000, 1000])
         assert rates[0] == pytest.approx(75.0)
         assert rates[1] == pytest.approx(25.0)
 
@@ -48,48 +71,47 @@ class TestBasics:
             PairFlow(0, 1, weight=3.0, cap=10.0),
             PairFlow(0, 2, weight=1.0, cap=1e9),
         ]
-        rates = allocate(flows, [100, 0, 0], [0, 1000, 1000])
+        rates = solve(flows, [100, 0, 0], [0, 1000, 1000])
         assert rates[0] == pytest.approx(10.0)
         assert rates[1] == pytest.approx(90.0)
 
     def test_zero_cap_flow_gets_zero(self):
         flows = [PairFlow(0, 1, weight=1.0, cap=0.0)]
-        assert allocate(flows, [100, 100], [100, 100]) == [0.0]
+        assert solve(flows, [100, 100], [100, 100]) == [0.0]
 
     def test_empty_input(self):
-        assert allocate([], [100], [100]) == []
+        assert allocate([], [], [], [], [100], [100]) == []
 
     def test_invalid_weight_rejected(self):
-        with pytest.raises(ValueError):
-            PairFlow(0, 1, weight=0.0, cap=1.0)
+        with pytest.raises(ValueError, match="positive and finite: 0.0"):
+            allocate([0], [1], [0.0], [1.0], [100.0] * 2, [100.0] * 2)
 
     def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError):
-            PairFlow(0, 1, weight=1.0, cap=-1.0)
+        with pytest.raises(ValueError, match=r"cap must be ≥ 0 \(inf allowed\): -1.0"):
+            allocate([0], [1], [1.0], [-1.0], [100.0] * 2, [100.0] * 2)
 
     @pytest.mark.parametrize("weight", [math.inf, math.nan, -math.inf, -1.0])
     def test_non_finite_or_negative_weight_rejected(self, weight):
         # An infinite weight left a 50 Mbps NIC idle and a NaN one
-        # handed out more than the NIC carries; both now fail at once.
+        # handed out more than the NIC carries; both fail at once, also
+        # behind a valid flow and on a flow whose zero cap freezes it.
         with pytest.raises(ValueError, match="positive and finite"):
-            PairFlow(0, 1, weight=weight, cap=100.0)
+            allocate([0, 0], [1, 1], [1.0, weight], [100.0, 0.0], [50.0] * 2, [50.0] * 2)
 
     def test_nan_cap_rejected(self):
         with pytest.raises(ValueError, match="cap"):
-            PairFlow(0, 1, weight=1.0, cap=math.nan)
+            allocate([0, 0], [1, 1], [1.0, 1.0], [100.0, math.nan], [50.0] * 2, [50.0] * 2)
 
     def test_infinite_cap_allowed(self):
         flows = [PairFlow(0, 1, weight=1.0, cap=math.inf)]
-        assert allocate(flows, [50.0, 50.0], [50.0, 50.0]) == [50.0]
+        assert solve(flows, [50.0, 50.0], [50.0, 50.0]) == [50.0]
 
     def test_cross_traffic_uses_distinct_resources(self):
         flows = [
             PairFlow(0, 1, weight=1.0, cap=1e9),
             PairFlow(2, 3, weight=1.0, cap=1e9),
         ]
-        rates = allocate(
-            flows, [100, 0, 200, 0], [0, 100, 0, 200]
-        )
+        rates = solve(flows, [100, 0, 200, 0], [0, 100, 0, 200])
         assert rates[0] == pytest.approx(100.0)
         assert rates[1] == pytest.approx(200.0)
 
@@ -131,7 +153,7 @@ caps_strategy = st.lists(
 )
 def test_allocation_is_feasible(flows, egress, ingress):
     """No flow exceeds its cap; no resource is oversubscribed."""
-    rates = allocate(flows, egress, ingress)
+    rates = solve(flows, egress, ingress)
     assert len(rates) == len(flows)
     used_egress = [0.0] * N_DCS
     used_ingress = [0.0] * N_DCS
@@ -153,7 +175,7 @@ def test_allocation_is_feasible(flows, egress, ingress):
 def test_every_flow_is_bottlenecked(flows, egress, ingress):
     """Pareto efficiency: each flow is stopped by its cap or by a
     saturated resource (no free capacity left on its path)."""
-    rates = allocate(flows, egress, ingress)
+    rates = solve(flows, egress, ingress)
     used_egress = [0.0] * N_DCS
     used_ingress = [0.0] * N_DCS
     for flow, rate in zip(flows, rates):
@@ -174,9 +196,7 @@ def test_every_flow_is_bottlenecked(flows, egress, ingress):
     caps_strategy,
 )
 def test_allocation_deterministic(flows, egress, ingress):
-    assert allocate(flows, egress, ingress) == allocate(
-        flows, egress, ingress
-    )
+    assert solve(flows, egress, ingress) == solve(flows, egress, ingress)
 
 
 @st.composite
@@ -235,8 +255,8 @@ def test_new_flow_on_shared_nic_never_raises_existing_rates(data):
     stated globally.
     """
     flows, egress, ingress = data
-    before = allocate(flows[:-1], egress, ingress)
-    after = allocate(flows, egress, ingress)
+    before = solve(flows[:-1], egress, ingress)
+    after = solve(flows, egress, ingress)
     for old, new in zip(before, after):
         assert new <= old + 1e-6
 
@@ -245,8 +265,8 @@ def test_new_flow_on_shared_nic_never_raises_existing_rates(data):
 @given(data=flow_sets())
 def test_allocation_is_deterministic(data):
     flows, egress, ingress = data
-    first = allocate(flows, egress, ingress)
-    second = allocate(flows, egress, ingress)
+    first = solve(flows, egress, ingress)
+    second = solve(flows, egress, ingress)
     assert first == second
 
 
@@ -260,7 +280,7 @@ def test_weights_are_scale_invariant(data, scale):
         PairFlow(f.src, f.dst, weight=f.weight * scale, cap=f.cap)
         for f in flows
     ]
-    base = allocate(flows, egress, ingress)
-    rescaled = allocate(scaled, egress, ingress)
+    base = solve(flows, egress, ingress)
+    rescaled = solve(scaled, egress, ingress)
     for a, b in zip(base, rescaled):
         assert a == pytest.approx(b, rel=1e-6, abs=1e-6)

@@ -17,11 +17,16 @@ zero must stay zero) on:
 The largest relative difference observed on them is 1.5e-14 (random
 instances; 2.8e-15 on the drain solves, 0 on the edge instances).
 
+``allocate`` takes the flows as parallel lists; the instances here
+are lists of the oracle's ``PairFlow`` records, and :func:`solve`
+hands them to ``allocate`` column by column.
+
 ``NetworkSimulator._flush`` is still compared bit for bit (as packed
 doubles, so ``-0.0``/``0.0`` and NaN count too): the deferred-solve
 scripts of ``test_deferred_solve.py`` are replayed through the old
-``_flush`` and ``pair_capacity`` with the current ``allocate``, under
-``FluctuationModel`` weather and once under ``link-failure``.
+``_flush``, ``pair_capacity`` and ``_schedule_completion`` with the
+current ``allocate``, under ``FluctuationModel`` weather and once under
+``link-failure``.
 """
 
 import math
@@ -29,12 +34,12 @@ import random
 import struct
 
 import pytest
-from oracle_sharing import OracleNetworkSimulator
+from oracle_sharing import OracleNetworkSimulator, PairFlow
 from oracle_sharing import allocate as oracle_allocate
 from test_deferred_solve import _run
 
 import repro.net.simulator as simulator_module
-from repro.net.sharing import PairFlow, allocate
+from repro.net.sharing import allocate
 from repro.runtime.scenarios import scenario
 from repro.runtime.service import PipelineService, ServiceConfig, default_job_mix
 
@@ -58,6 +63,19 @@ ORACLE_SHORT_FILLS = 12
 LINK_FAILURE_OFFSET = 625.0
 
 
+def solve(flows, egress, ingress):
+    """``allocate`` on ``flows`` given as oracle :class:`PairFlow`
+    records."""
+    return allocate(
+        [f.src for f in flows],
+        [f.dst for f in flows],
+        [f.weight for f in flows],
+        [f.cap for f in flows],
+        egress,
+        ingress,
+    )
+
+
 def _bits(value):
     """``value`` with every float replaced by its packed IEEE bytes."""
     if isinstance(value, float):
@@ -77,7 +95,7 @@ def _close(actual, expected) -> bool:
 
 def _assert_same_rates(flows, egress, ingress):
     expected = oracle_allocate(flows, egress, ingress)
-    assert _close(allocate(flows, egress, ingress), expected), (
+    assert _close(solve(flows, egress, ingress), expected), (
         [(f.src, f.dst, f.weight, f.cap) for f in flows],
         egress,
         ingress,
@@ -88,9 +106,10 @@ def _recorded_solves(monkeypatch, kernel: str) -> list[tuple]:
     """Every solve a short service drain runs on ``kernel``."""
     calls = []
 
-    def record(flows, egress, ingress):
-        calls.append((list(flows), list(egress), list(ingress)))
-        return allocate(flows, egress, ingress)
+    def record(src, dst, weight, cap, egress, ingress):
+        flows = [PairFlow(*flow) for flow in zip(src, dst, weight, cap)]
+        calls.append((flows, list(egress), list(ingress)))
+        return allocate(src, dst, weight, cap, egress, ingress)
 
     monkeypatch.setattr(simulator_module, "allocate", record)
     config = ServiceConfig(
@@ -170,7 +189,7 @@ def test_random_instances_match():
     for _ in range(RANDOM_INSTANCES):
         flows, egress, ingress = _random_instance(rng)
         expected = oracle_allocate(flows, egress, ingress)
-        actual = allocate(flows, egress, ingress)
+        actual = solve(flows, egress, ingress)
         if _close(actual, expected):
             continue
         # Where the oracle stopped short, the event-driven fill carries
@@ -207,12 +226,13 @@ def test_edge_instances_match(flows, egress, ingress):
 
 
 class OracleFlushSimulator(OracleNetworkSimulator):
-    """The old ``_flush`` and ``pair_capacity`` around the current
-    ``allocate``, so the replays pin the flush and the pricing alone."""
+    """The old ``_flush``, ``pair_capacity`` and
+    ``_schedule_completion`` around the current ``allocate``, so the
+    replays pin the flush and the pricing alone."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._solve = allocate
+        self._solve = solve
 
 
 @pytest.mark.parametrize("kernel", ("scalar", "vectorized"))

@@ -1,9 +1,11 @@
 """Tests for the flow-level network simulator."""
 
 import math
+import struct
 
 import pytest
 
+from repro.net.dynamics import FluctuationModel
 from repro.net.simulator import LAN_MBPS, NetworkSimulator, Transfer
 
 
@@ -87,6 +89,20 @@ class TestTransfers:
         net = make_sim(triad)
         with pytest.raises(ValueError):
             net.start_transfer("us-east-1", "us-west-1", -1.0)
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
+    def test_non_finite_size_rejected(self, triad, calm, size):
+        # A NaN size took a share, "completed" at t=0 with a NaN
+        # payload; an infinite one never completed, stranding its job.
+        net = make_sim(triad, calm)
+        with pytest.raises(ValueError, match="us-east-1→us-west-1 must be finite") as info:
+            net.start_transfer("us-east-1", "us-west-1", size)
+        assert "\n" not in str(info.value)
+        assert net.active_transfers() == []
+        done = []
+        net.start_transfer("us-east-1", "us-west-1", 100.0, on_complete=done.append)
+        net.sim.run()
+        assert len(done) == 1 and done[0].transferred_mbits == 100.0
 
     def test_transfers_share_pair_rate_equally(self, triad, calm):
         net = make_sim(triad, calm)
@@ -218,6 +234,27 @@ class TestThrottling:
         net.tc.clear_limit("us-east-1", "us-west-1")
         net.sim.run(until=2.0)
         assert net.current_rate("us-east-1", "us-west-1") > capped * 2
+
+    def test_pair_capacity_is_min_of_priced_cap_and_limit(self, triad):
+        """The limit is applied by a comparison; it must return what
+        ``min(cap × factor, limit)`` did."""
+        net = make_sim(triad, FluctuationModel(seed=3))
+        net.sim.run(until=250.0)
+        i, j = triad.index("us-east-1"), triad.index("us-west-1")
+        for k in (1, 4, 12):
+            priced = net._routes["us-east-1", "us-west-1", k][3] * net.fluctuation.factor(
+                i, j, net.sim.now
+            )
+            for limit in (None, priced * 2, priced, priced / 3, 7):
+                if limit is None:
+                    net.tc.clear_limit("us-east-1", "us-west-1")
+                    expected = min(priced, math.inf)
+                else:
+                    net.tc.set_limit("us-east-1", "us-west-1", limit)
+                    expected = min(priced, limit)
+                got = net.pair_capacity("us-east-1", "us-west-1", k)
+                assert type(got) is type(expected)
+                assert struct.pack("<d", got) == struct.pack("<d", expected)
 
 
 class TestObservation:

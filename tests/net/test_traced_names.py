@@ -29,9 +29,9 @@ class _Spy:
         pair_capacity = NetworkSimulator.pair_capacity
         factor = FluctuationModel.factor
 
-        def spy_allocate(flows, egress, ingress):
-            self.flows.append(len(flows))
-            return allocate(flows, egress, ingress)
+        def spy_allocate(src, dst, weight, cap, egress, ingress):
+            self.flows.append(len(weight))
+            return allocate(src, dst, weight, cap, egress, ingress)
 
         def spy_pair_capacity(net, src, dst, connections):
             self.priced.append((src, dst))

@@ -278,3 +278,33 @@ class TestLinkEntries:
         assert (repr(model), hash(model)) == before
         assert "_links" not in before[0]
         assert dataclasses.replace(model)._links == {}
+
+
+@dataclasses.dataclass(frozen=True)
+class _FixedShape(ScenarioModel):
+    """A shape that returns ``value`` on every link."""
+
+    value: object = 1.0
+
+    def shape(self, i, j, t):
+        return self.value
+
+
+class TestFactorFloor:
+    """``ScenarioModel.factor`` floors by a comparison; it must return
+    what ``float(max(base × shape, FACTOR_FLOOR))`` did, as a float."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.0, 0.5, 1e-3, 0.0, -0.0, -2.0, float("nan"), float("inf"), np.float64(0.7),
+         np.float64(1e-4), 1, 0, True],
+    )
+    def test_same_double_as_max(self, value):
+        base = FluctuationModel(seed=8)
+        model = _FixedShape(base, 8, value=value)
+        for t in (10.0, 700.0, np.float64(1234.5)):
+            for i, j in ((0, 1), (3, 2)):
+                got = model.factor(i, j, t)
+                expected = float(max(base.factor(i, j, t) * value, FACTOR_FLOOR))
+                assert type(got) is float
+                assert struct.pack("<d", got) == struct.pack("<d", expected), (value, t)
