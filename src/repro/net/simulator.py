@@ -32,10 +32,14 @@ model's ``factor`` once), the congestion overload and the max-min
 solve itself, through the module-global ``allocate``, which jumps from
 one freeze event to the next (at most one per flow).  Those three
 names carry the work on purpose: the benchmark's tracer attributes
-repricing, weather and solving by them.  Progress between solves is
-one walk of the in-flight store that also accrues each pair's
-statistics and, at a completion, collects the finishers; observers
-read a DC's outgoing rates with one flush
+repricing, weather and solving by them.  A solve is one pass over the
+sorted pairs into parallel per-pair lists (sources, destinations,
+RTTs, weights, caps), which ``allocate`` takes as they are; writing
+each bucket's share returns that bucket's next completion, so the
+completion event is re-armed without a second walk of the store.
+Progress between solves is one walk of the in-flight store that also
+accrues each pair's statistics and, at a completion, collects the
+finishers; observers read a DC's outgoing rates with one flush
 (:meth:`~NetworkSimulator.outgoing_rates`).
 
 Model summary (see DESIGN.md §5):
@@ -449,9 +453,9 @@ class NetworkSimulator:
         in_conns = [0] * n
         for pair in pairs:
             k = counts[pair]
-            a, b = pair
-            i, j, pair_rtt, _agg, pair_weight = routes[a, b, k]
-            pair_cap = self.pair_capacity(a, b, k)
+            from_dc, to_dc = pair
+            i, j, pair_rtt, _agg, pair_weight = routes[from_dc, to_dc, k]
+            pair_cap = self.pair_capacity(from_dc, to_dc, k)
             src.append(i)
             dst.append(j)
             rtt.append(pair_rtt)
