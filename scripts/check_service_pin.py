@@ -20,7 +20,7 @@ mismatch is reported next to any failure.  A change meant to leave the
 service's outcomes alone must pass unchanged; one that moves them on
 purpose regenerates the file with ``--write`` and says why.
 
-Run locally (about half a minute)::
+Run locally (about ten seconds)::
 
     python scripts/check_service_pin.py           # compare
     python scripts/check_service_pin.py --write   # regenerate the pin file
@@ -81,9 +81,9 @@ def _traced_rep(workload, state, tracer_module):
     return outcome, counts
 
 
-def measure(seeds=SEEDS) -> tuple[dict[str, str], list[str]]:
+def measure() -> tuple[dict[str, str], list[str]]:
     """``({"<workload> <seed> <name>": value text}, problems)`` for
-    every workload at ``seeds``."""
+    every workload at :data:`SEEDS`."""
     sys.path.insert(0, str(REPO / "src"))
     sys.path.insert(0, str(REPO / "perfbench"))
     import tracer
@@ -92,7 +92,7 @@ def measure(seeds=SEEDS) -> tuple[dict[str, str], list[str]]:
     values: dict[str, str] = {}
     problems: list[str] = []
     for name, workload in WORKLOADS.items():
-        for seed in seeds:
+        for seed in SEEDS:
             start = time.perf_counter()
             state = workload.setup(seed)
             counts: dict[str, int] = {}

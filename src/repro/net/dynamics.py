@@ -155,8 +155,8 @@ class FluctuationModel:
         _, n0, n1, phase = entry
         noise = n0 * rest + n1 * frac
         diurnal = self.diurnal_amplitude * math.sin(angle + phase)
-        # ``float(min(max(value, floor), ceiling))`` as comparisons: a
-        # NaN stays NaN, and a numpy ``t`` or field still gives a float.
+        # Must equal ``float(min(max(value, floor), ceiling))`` bit for
+        # bit: a NaN stays NaN, and a numpy ``t`` or field gives a float.
         value = 1.0 + noise + diurnal
         if self.floor > value:
             value = self.floor

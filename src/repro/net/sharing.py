@@ -151,7 +151,7 @@ def allocate(
             levels[r] = (nics[r] - used[r]) / total if total else _INF
     for idx in range(n):
         rate = weight[idx] * level if live[idx] else rates[idx]
-        # ``max(0.0, min(rate, cap))`` as comparisons.
+        # ``max(0.0, min(rate, cap))``: a NaN rate gives 0.
         c = cap[idx]
         if c < rate:
             rate = c

@@ -388,7 +388,7 @@ class NetworkSimulator:
         (weather and traffic control included, contention excluded)."""
         i, j, _rtt, cap, _weight = self._routes[src, dst, connections]
         cap *= self.fluctuation.factor(i, j, self.sim.now + self.time_offset)
-        # ``min(cap, limit)`` as a comparison; no limit is an infinite one.
+        # ``min(cap, limit)``, with no limit an infinite one.
         limit = self._limits.get((src, dst), _INF)
         return limit if limit < cap else cap
 

@@ -133,9 +133,9 @@ class ScenarioModel:
         if i == j:
             return 1.0
         combined = self.base.factor(i, j, t) * self.shape(i, j, t)
-        # ``float(max(combined, FACTOR_FLOOR))`` as a comparison: a NaN
-        # stays NaN, and a shape returning a numpy scalar or an int
-        # still gives a float.
+        # Must equal ``float(max(combined, FACTOR_FLOOR))`` bit for bit:
+        # a NaN stays NaN, and a shape returning a numpy scalar or an
+        # int gives a float.
         if FACTOR_FLOOR > combined:
             return FACTOR_FLOOR
         return combined if combined.__class__ is float else float(combined)
