@@ -34,21 +34,23 @@ class ConnectionsManager:
     def apply(self, desired: dict[str, int]) -> PoolDelta:
         """Set per-destination counts; returns the aggregate churn."""
         delta = PoolDelta()
+        src = self.src
+        network = self.network
         for dst, count in desired.items():
-            if dst == self.src:
+            if dst == src:
                 continue
             if count < 1:
                 raise ValueError(
                     f"connection count must be ≥ 1: {count} for {dst}"
                 )
-            current = self.network.connections(self.src, dst)
+            current = network.connections(src, dst)
             if count == current:
                 continue
             if count > current:
                 delta.added += count - current
             else:
                 delta.removed += current - count
-            self.network.set_connections(self.src, dst, count)
+            network.set_connections(src, dst, count)
         self.total_added += delta.added
         self.total_removed += delta.removed
         return delta

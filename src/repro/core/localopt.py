@@ -33,6 +33,8 @@ EPOCH_S = 5.0
 #: Minimum per-epoch transferred volume for mode toggles (§3.2.2).
 MIN_TRANSFER_MB = 1.0
 
+_INF = float("inf")
+
 #: Epochs of :attr:`LocalOptimizer.history` kept per destination: about
 #: 85 minutes at :data:`EPOCH_S`.  Fig. 9's run records about 250; a
 #: long-lived deployment drops the oldest instead of growing forever.
@@ -83,9 +85,10 @@ class AimdState:
         self.mode = "steady"
 
 
-@dataclass
+@dataclass(slots=True)
 class EpochRecord:
-    """One epoch's observation for one destination (Fig. 9 data)."""
+    """One epoch's observation for one destination (Fig. 9 data);
+    slotted, as a long run keeps thousands."""
 
     time: float
     dst: str
@@ -151,12 +154,13 @@ class LocalOptimizer:
         (None → assume large, i.e. always eligible).
         """
         decisions: dict[str, int] = {}
+        record = self.history.append
         for dst, state in self.states.items():
             monitored = monitored_mbps.get(dst, 0.0)
             volume = (
-                window_volume_mb.get(dst, float("inf"))
+                window_volume_mb.get(dst, _INF)
                 if window_volume_mb is not None
-                else float("inf")
+                else _INF
             )
             if volume < self.min_transfer_mb:
                 state.hold()
@@ -172,7 +176,7 @@ class LocalOptimizer:
             else:
                 state.hold()
             decisions[dst] = state.connections
-            self.history.append(
+            record(
                 EpochRecord(
                     now, dst, monitored, state.target_bw,
                     state.connections, state.mode,

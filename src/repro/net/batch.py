@@ -20,9 +20,9 @@ operations in the same order — and the transfer objects stay
 authoritative.  The simulator's ``kernel`` knob picks only the
 threshold: :data:`SMALL_BUCKET` for ``"vectorized"``, infinite for
 ``"scalar"``, so a scalar bucket never leaves per-object arithmetic.
-:data:`SMALL_BUCKET` is 32, the measured break-even between the two
-(see its comment): numpy's per-call overhead, not the arithmetic,
-dominates a bucket of a few transfers, so the arrays start at 33.
+:data:`SMALL_BUCKET` is 32 (its comment gives the measured costs):
+numpy's per-call overhead, not the arithmetic, dominates a bucket of a
+few transfers, so the arrays start at 33.
 Both kernels solve rates with :func:`repro.net.sharing.allocate`, so
 a vectorized run is bit-identical to a scalar one — the parity
 contract ``tests/net/test_batch_parity.py`` enforces.
@@ -31,10 +31,19 @@ Progress is one walk of the store: :meth:`VectorKernel.progress` and
 :meth:`VectorKernel.advance` advance each bucket, collect the finishers
 (``advance``) and accrue the pair's statistics in the same pass.  Each
 bucket caches its aggregate rate, which that walk reads per pair; the
-cache is refilled with the same expression (the members' rates summed
+cache is refilled with the same expression (the members' rates added
 in member order, or the share times the rate-carrying members while
 array-backed) after a new share, a removal, and an admission that
-builds the arrays or brings a rate.
+builds the arrays or brings a rate.  :meth:`_Bucket.set_share` adds
+that total in the loop that writes the rates.
+
+The per-transfer arithmetic runs at every event, so it calls no
+builtins: ``min(size, …)``, the finish test ``max(0.0, remaining) <=
+FINISH_EPS`` and the pair's minimum rate are comparisons that give the
+same doubles and the same finishers, NaN and ``-0.0`` included.  An
+array bucket drops its head member (the next to finish when sizes
+grow along the bucket) by slicing a view, not by two ``np.delete``
+copies.
 
 While a bucket is array-backed its transfer objects' ``rate_mbps`` /
 ``transferred_mbits`` fields go stale by design; the simulator calls
@@ -60,12 +69,18 @@ __all__ = [
 #: The vectorized kernel's threshold: buckets at or below this many
 #: transfers stay on per-object arithmetic — numpy array overhead only
 #: pays off beyond it.  Measured per bucket (2-vCPU Xeon, Python
-#: 3.11.7, numpy 2.4.6): a step (progress, finished scan, share, ETA)
-#: costs about 6 / 17 / 20 / 48 µs on objects against a flat 9–14 µs
-#: on arrays at 8 / 16 / 32 / 64 transfers, so arrays win from about
-#: 16; a step that also evicts and admits one transfer (``np.delete``
-#: and ``np.append``, 15–20 µs more on arrays) breaks even at about
-#: 40–48.  32 sits between the two.
+#: 3.11.7, numpy 2.4.6, best of 40 rounds): a step (progress with the
+#: finished scan, then share and ETA) costs about 1.4 / 2.3 / 4.2 /
+#: 6.0 / 7.7 µs on objects against a flat 5.4–6.1 µs on arrays at
+#: 8 / 16 / 32 / 48 / 64 transfers, so arrays win from about 45; a
+#: step that also evicts a middle member and admits one (``np.delete``
+#: and ``np.append``, about 12 µs more on arrays) breaks even near 128,
+#: and one that evicts the head (a view) near 64.  32 was set between
+#: the two break-evens of the per-object walk with builtin calls (16
+#: and 40–48); it now sits below both.  No benchmark workload fills a
+#: bucket past 16, and the crowded-pair parity test's crowd (80) is
+#: sized to pass twice this threshold, so moving it means resizing
+#: that test.
 SMALL_BUCKET = 32
 
 #: Remaining-payload slop below which a transfer counts as finished
@@ -117,7 +132,12 @@ class _Bucket:
 
     def _refill(self) -> None:
         if self.size is None:
-            self.total = sum([t.rate_mbps for t in self.transfers])
+            # The members' rates added in member order, from the int 0
+            # (what ``set_share`` does in its loop).
+            total = 0
+            for transfer in self.transfers:
+                total += transfer.rate_mbps
+            self.total = total
         else:
             self.total = self.share * (len(self.transfers) - self.fresh)
 
@@ -171,8 +191,14 @@ class _Bucket:
             transfer.transferred_mbits = float(self.transferred[index])
             if not was_fresh:
                 transfer.rate_mbps = self.share
-            self.size = np.delete(self.size, index)
-            self.transferred = np.delete(self.transferred, index)
+            if index:
+                self.size = np.delete(self.size, index)
+                self.transferred = np.delete(self.transferred, index)
+            else:
+                # The head, which a drain in size order removes every
+                # time: a view, not two copies.
+                self.size = self.size[1:]
+                self.transferred = self.transferred[1:]
             if len(self.transfers) <= self.threshold:
                 self._drop_arrays()
         self._refill()
@@ -194,13 +220,14 @@ class _Bucket:
         transfers = self.transfers
         if self.size is None:
             remaining = _INF
+            total = 0
             for transfer in transfers:
                 transfer.rate_mbps = share
+                total += share
                 left = transfer.size_mbits - transfer.transferred_mbits
                 if left < remaining:
                     remaining = left
-            # The members' rates, summed in member order.
-            self.total = sum([share] * len(transfers))
+            self.total = total
         else:
             self.total = share * len(transfers)
             remaining = float((self.size - self.transferred).min())
@@ -232,10 +259,16 @@ class _Bucket:
             return
         for transfer in self.transfers:
             size = transfer.size_mbits
-            done = transfer.transferred_mbits = min(
-                size, transfer.transferred_mbits + transfer.rate_mbps * dt
-            )
-            if finished is not None and max(0.0, size - done) <= FINISH_EPS:
+            done = transfer.transferred_mbits + transfer.rate_mbps * dt
+            # ``min(size, done)``, which keeps ``size`` unless ``done``
+            # is smaller (a NaN ``done`` included).
+            if not done < size:
+                done = size
+            transfer.transferred_mbits = done
+            # ``max(0.0, size - done) <= FINISH_EPS``: the clamp only
+            # ever turns a remainder that is not above the slop (NaN,
+            # -0.0, negative) into 0.0, which is below it.
+            if finished is not None and not size - done > FINISH_EPS:
                 finished.append(transfer)
 
     def finished(self) -> list["Transfer"]:
@@ -247,10 +280,11 @@ class _Bucket:
                 return []
             transfers = self.transfers
             return [transfers[i] for i in indices]
+        # ``max(0.0, remaining) <= FINISH_EPS``, as in :meth:`progress`.
         return [
             t
             for t in self.transfers
-            if max(0.0, t.size_mbits - t.transferred_mbits) <= FINISH_EPS
+            if not t.size_mbits - t.transferred_mbits > FINISH_EPS
         ]
 
     def sync_objects(self) -> None:
@@ -336,8 +370,10 @@ class VectorKernel:
             pair = stats[key]
             pair.mbits += rate * dt
             pair.active_seconds += dt
-            if rate > 0:
-                pair.min_rate_mbps = min(pair.min_rate_mbps, rate)
+            # ``min(pair.min_rate_mbps, rate)`` for a positive rate: it
+            # keeps the old minimum unless the rate is smaller.
+            if 0 < rate < pair.min_rate_mbps:
+                pair.min_rate_mbps = rate
         self.lan.progress(dt, finished)
 
     def progress(self, dt: float, stats: dict[Hashable, "PairStats"]) -> None:

@@ -6,7 +6,9 @@ rates on a fixed interval and keeps only the latest tick, from which
 agents read the current per-destination bandwidth.  Every tick is also
 published through ``on_sample``; the runtime service's
 :class:`~repro.runtime.telemetry.TelemetryStore` is the one place
-samples are kept.
+samples are kept.  An agent's per-epoch window volumes read only the
+monitored DC's pairs, after one progress of the simulator
+(:meth:`~repro.net.simulator.NetworkSimulator.sent_mbits`).
 """
 
 from __future__ import annotations
@@ -61,18 +63,20 @@ class WanMonitor:
 
     def window_volumes_mb(self, dsts: Iterable[str]) -> dict[str, float]:
         """Megabytes sent to each of ``dsts`` since the last read for
-        that pair, from one read of the simulator's pair statistics.
+        that pair, from one read of just those pairs' statistics
+        (:meth:`~repro.net.simulator.NetworkSimulator.sent_mbits`).
 
         Feeds the §3.2.2 rule that pairs moving < 1 MB skip AIMD mode
         toggles.
         """
-        stats = self.network.pair_statistics()
+        dsts = list(dsts)
         anchors = self._volume_anchor
         out = {}
-        for dst in dsts:
-            pair = stats.get((self.dc, dst))
-            total_mb = (pair.mbits if pair is not None else 0.0) / 8.0
-            out[dst] = max(0.0, total_mb - anchors.get(dst, 0.0))
+        for dst, mbits in zip(dsts, self.network.sent_mbits(self.dc, dsts)):
+            total_mb = mbits / 8.0
+            # ``max(0.0, window)``: -0.0 and NaN read 0.0 too.
+            window = total_mb - anchors.get(dst, 0.0)
+            out[dst] = window if window > 0.0 else 0.0
             anchors[dst] = total_mb
         return out
 

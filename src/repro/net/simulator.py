@@ -37,10 +37,15 @@ sorted pairs into parallel per-pair lists (sources, destinations,
 RTTs, weights, caps), which ``allocate`` takes as they are; writing
 each bucket's share returns that bucket's next completion, so the
 completion event is re-armed without a second walk of the store.
-Progress between solves is one walk of the in-flight store that also
-accrues each pair's statistics and, at a completion, collects the
-finishers; observers read a DC's outgoing rates with one flush
-(:meth:`~NetworkSimulator.outgoing_rates`).
+A DC side with no active connections skips the per-VM efficiency
+call (``vm_efficiency(0)`` is 1.0).  Progress between solves is one
+walk of the in-flight store that also accrues each pair's statistics
+and, at a completion, collects the finishers, clamping by comparisons
+rather than ``min``/``max`` calls; observers read a DC's outgoing
+rates with one flush (:meth:`~NetworkSimulator.outgoing_rates`) and
+its delivered volumes with one progress
+(:meth:`~NetworkSimulator.sent_mbits`).  :class:`Transfer` and
+:class:`PairStats` are slotted.
 
 Model summary (see DESIGN.md §5):
 
@@ -67,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -159,7 +164,7 @@ class _RouteTable(dict):
         return route
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Transfer:
     """One data transfer between DCs (or within one DC).
 
@@ -167,6 +172,7 @@ class Transfer:
     instantaneous fluid rate, updated by the simulator's solve at the
     end of each instant that changed it.  Transfers compare by
     identity: two transfers with equal fields are still two transfers.
+    Slotted: the fields above are all a transfer has.
     """
 
     src: str
@@ -183,7 +189,9 @@ class Transfer:
     @property
     def remaining_mbits(self) -> float:
         """Payload still to deliver."""
-        return max(0.0, self.size_mbits - self.transferred_mbits)
+        # ``max(0.0, remaining)``: NaN and -0.0 read 0.0 too.
+        remaining = self.size_mbits - self.transferred_mbits
+        return remaining if remaining > 0.0 else 0.0
 
     @property
     def done(self) -> bool:
@@ -191,9 +199,9 @@ class Transfer:
         return self.cancelled or self.remaining_mbits <= _EPS
 
 
-@dataclass
+@dataclass(slots=True)
 class PairStats:
-    """Accumulated statistics for one ordered DC pair."""
+    """Accumulated statistics for one ordered DC pair (slotted)."""
 
     mbits: float = 0.0
     active_seconds: float = 0.0
@@ -474,8 +482,16 @@ class NetworkSimulator:
             overload.append(
                 caps_by_src[i] / (_EPS if _EPS > egress_cap else egress_cap) - 1.0
             )
-            egress.append(egress_cap * tcp.vm_efficiency(out_conns[i] // vms))
-            ingress.append(ingress_cap * tcp.vm_efficiency(in_conns[i] // vms))
+            # An idle side keeps its NIC: ``vm_efficiency(0)`` is 1.0,
+            # and ``x * 1.0`` is ``x``.
+            conns = out_conns[i]
+            egress.append(
+                egress_cap * tcp.vm_efficiency(conns // vms) if conns else egress_cap
+            )
+            conns = in_conns[i]
+            ingress.append(
+                ingress_cap * tcp.vm_efficiency(conns // vms) if conns else ingress_cap
+            )
         # Congestion RTT bias: overloaded senders squeeze their
         # long-RTT flows harder than fair weighting would.
         for idx, i in enumerate(src):
@@ -579,6 +595,22 @@ class NetworkSimulator:
         """Accumulated per-pair stats (bytes, active time, min rate)."""
         self._progress()
         return {pair: stats for pair, stats in self._stats.items()}
+
+    def sent_mbits(self, src: str, dsts: Iterable[str]) -> list[float]:
+        """Megabits delivered so far from ``src`` to each of ``dsts``,
+        in order (0.0 for a pair with no statistics), after one
+        progress.
+
+        Reads only the pairs asked for: a WANify agent's epoch needs
+        its own DC's row, not a copy of :meth:`pair_statistics`.
+        """
+        self._progress()
+        get = self._stats.get
+        out = []
+        for dst in dsts:
+            pair = get((src, dst))
+            out.append(pair.mbits if pair is not None else 0.0)
+        return out
 
     def reset_statistics(self) -> None:
         """Zero the accumulated per-pair statistics."""

@@ -212,8 +212,13 @@ class TelemetryStore:
 
     def record(self, dc: str, time: float, rates_mbps: dict[str, float]) -> None:
         """Ingest one monitor tick: ``dc``'s outgoing rates at ``time``."""
+        # Each link is looked up once; :meth:`series` only creates.
+        known = self._series
         for dst, rate in rates_mbps.items():
-            self.series(dc, dst).add(time, rate)
+            found = known.get((dc, dst))
+            if found is None:
+                found = self.series(dc, dst)
+            found.add(time, rate)
         self.total_samples += 1
 
     # -- access ---------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.localopt import HISTORY_EPOCHS, AimdState, LocalOptimizer
+from repro.core.localopt import HISTORY_EPOCHS, AimdState, EpochRecord, LocalOptimizer
 
 
 def make_state(**overrides) -> AimdState:
@@ -183,3 +183,11 @@ def test_sustained_congestion_converges_to_minimum(n_epochs):
     if n_epochs >= 3:
         assert state.connections == state.min_connections
         assert state.target_bw == state.min_bw
+
+
+def test_epoch_record_is_slotted():
+    record = EpochRecord(5.0, "b", 120.0, 200.0, 3, "increase")
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.note = "x"
+    assert record == EpochRecord(5.0, "b", 120.0, 200.0, 3, "increase")

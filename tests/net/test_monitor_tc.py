@@ -1,5 +1,6 @@
 """Tests for WanMonitor and TrafficController."""
 
+import math
 import struct
 
 import pytest
@@ -8,6 +9,7 @@ from repro.net.monitor import WanMonitor
 from repro.net.simulator import NetworkSimulator
 from repro.net.traffic_control import TrafficController
 from repro.runtime.telemetry import TelemetryStore
+from repro.sim.kernel import Simulator
 
 
 def fed(net, interval_s=1.0):
@@ -181,6 +183,58 @@ class TestWanMonitor:
             for dst in dsts:
                 one = apart.window_volumes_mb([dst])[dst]
                 assert struct.pack("<d", read[dst]) == struct.pack("<d", one)
+
+    def test_window_volumes_read_only_their_pairs(self, triad, weather, monkeypatch):
+        """An epoch's read goes through ``sent_mbits`` and never copies
+        every pair's statistics."""
+        net = NetworkSimulator(triad, fluctuation=weather)
+        monitor = WanMonitor(net, "us-east-1", interval_s=1.0)
+        net.start_transfer("us-east-1", "us-west-1", 5000.0)
+
+        def copy_all():
+            raise AssertionError("pair_statistics() copied")
+
+        monkeypatch.setattr(net, "pair_statistics", copy_all)
+        net.sim.run(until=4.0)
+        read = monitor.window_volumes_mb(dst for dst in ("us-west-1", "ap-southeast-1"))
+        assert read["us-west-1"] > 0.0 and read["ap-southeast-1"] == 0.0
+
+    def test_window_clamp_same_as_max(self, monkeypatch):
+        """The window is clamped by a comparison; it must return what
+        ``max(0.0, total - anchor)`` did, read after read, for negative,
+        -0.0, NaN and infinite windows and a destination asked twice."""
+        sent = {}
+
+        class Totals:
+            sim = Simulator()
+
+            def sent_mbits(self, src, dsts):
+                return [sent.get(dst, 0.0) for dst in dsts]
+
+        monitor = WanMonitor(Totals(), "a", interval_s=1.0)
+        anchors = {}
+        script = [
+            {"b": 8.0, "c": -0.0},
+            {"b": 0.0, "c": 0.0},  # totals reset: a negative window
+            {"b": -0.0, "c": -8.0},  # -0.0 - 0.0 is -0.0
+            {"b": float("nan"), "c": 16.0},
+            {"b": 24.0, "c": math.inf},  # against a NaN anchor
+            {"b": math.inf, "c": math.inf},  # inf - inf
+            {"b": 3.0, "c": 5e-324},
+        ]
+        for totals in script:
+            sent.update(totals)
+            dsts = ["b", "c", "b"]
+            expected = {}
+            for dst in dsts:
+                total_mb = sent[dst] / 8.0
+                expected[dst] = max(0.0, total_mb - anchors.get(dst, 0.0))
+                anchors[dst] = total_mb
+            got = monitor.window_volumes_mb(dsts)
+            assert list(got) == list(expected)
+            for dst in expected:
+                assert type(got[dst]) is float
+                assert struct.pack("<d", got[dst]) == struct.pack("<d", expected[dst])
 
     def test_rate_percentile_empty_history(self, triad, calm):
         net = NetworkSimulator(triad, fluctuation=calm)

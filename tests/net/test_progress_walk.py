@@ -22,7 +22,12 @@ from repro.runtime.scenarios import scenario
 
 def _rate_total(bucket) -> float:
     if bucket.size is None:
-        return sum(t.rate_mbps for t in bucket.transfers)
+        # Added left to right, as ``sum`` did up to Python 3.11 and the
+        # store does on every version (3.12's ``sum`` compensates).
+        total = 0
+        for transfer in bucket.transfers:
+            total += transfer.rate_mbps
+        return total
     return bucket.share * (len(bucket.transfers) - bucket.fresh)
 
 

@@ -3,10 +3,14 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 
+from repro.net import simulator as simulator_module
+from repro.net import tcp
 from repro.net.dynamics import FluctuationModel
-from repro.net.simulator import LAN_MBPS, NetworkSimulator, Transfer
+from repro.net.simulator import LAN_MBPS, NetworkSimulator, PairStats, Transfer
+from repro.net.topology import Topology
 
 
 def make_sim(topology, fluctuation=None) -> NetworkSimulator:
@@ -300,3 +304,145 @@ class TestObservation:
             net.sim.run(until=t)
             rates.append(net.current_rate("us-east-1", "ap-southeast-1"))
         assert len(set(round(r, 1) for r in rates)) > 1
+
+
+def _same(a, b) -> bool:
+    """Equal as packed doubles and of one type."""
+    return type(a) is type(b) and struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class TestRemainingClamp:
+    """``Transfer.remaining_mbits`` clamps by a comparison; it must
+    return what ``max(0.0, size - transferred)`` did, NaN and -0.0
+    included (both read 0.0)."""
+
+    CASES = [
+        (10.0, 4.0),
+        (10.0, 10.0),
+        (10.0, 10.0 - 1e-6),
+        (10.0, math.nextafter(10.0, 11.0)),  # a hair past the size
+        (10.0, 12.5),  # negative remainder
+        (-0.0, 0.0),  # -0.0 remainder
+        (0.0, 0.0),
+        (7, 3),  # ints stay ints
+        (7, 9),
+        (float("nan"), 1.0),
+        (math.inf, 1.0),
+        (math.inf, math.inf),
+        (5.0, -math.inf),
+        (np.float64(3.5), 1.0),
+    ]
+
+    @pytest.mark.parametrize("size, done", CASES)
+    def test_same_as_max(self, size, done):
+        transfer = Transfer("a", "b", size)
+        transfer.transferred_mbits = done
+        assert _same(transfer.remaining_mbits, max(0.0, size - done))
+
+    @pytest.mark.parametrize("size, done", CASES)
+    def test_done_follows(self, size, done):
+        transfer = Transfer("a", "b", size)
+        transfer.transferred_mbits = done
+        assert transfer.done is (max(0.0, size - done) <= 1e-9)
+
+
+class TestSlotted:
+    """``Transfer`` and ``PairStats`` are slotted: their fields are all
+    an instance has."""
+
+    @pytest.mark.parametrize("instance", [Transfer("a", "b", 1.0), PairStats()])
+    def test_no_ad_hoc_attributes(self, instance):
+        assert not hasattr(instance, "__dict__")
+        with pytest.raises(AttributeError):
+            instance.note = "x"
+
+    def test_transfers_still_compare_by_identity(self):
+        a, b = Transfer("a", "b", 1.0), Transfer("a", "b", 1.0)
+        assert a != b and a == a
+        assert len({a, b}) == 2
+
+    def test_pair_stats_keep_value_equality(self):
+        assert PairStats(1.0, 2.0) == PairStats(1.0, 2.0)
+        assert PairStats().avg_rate_mbps == 0.0
+
+
+class TestIdleNicSkip:
+    """A solve skips ``tcp.vm_efficiency`` for a DC side with no active
+    connections: ``vm_efficiency(0)`` is 1.0 and ``x * 1.0`` is ``x``."""
+
+    @pytest.mark.parametrize(
+        "cap",
+        [1200.0, 0.0, -0.0, 1e308, math.inf, float("nan"), np.float64(2500.0), 5e-324],
+    )
+    def test_times_idle_efficiency_is_the_cap(self, cap):
+        assert tcp.vm_efficiency(0) == 1.0
+        assert _same(cap * tcp.vm_efficiency(0), cap)
+
+    def test_solve_sees_the_nics_it_saw(self, monkeypatch):
+        """The NIC lists ``allocate`` receives equal the old expression
+        (``cap × vm_efficiency(conns // vms)`` on every side), with busy
+        sides past the VM knee, busy ones below it and idle ones."""
+        keys = ("us-east-1", "us-west-1", "ap-southeast-1", "eu-west-1")
+        topology = Topology.build(keys, "t2.medium", vms_per_dc={**dict.fromkeys(keys, 1), "us-west-1": 2})
+        net = NetworkSimulator(topology, fluctuation=FluctuationModel(seed=2))
+        seen = []
+        real = simulator_module.allocate
+
+        def spy(src, dst, weight, cap, egress, ingress):
+            seen.append((list(src), list(dst), list(egress), list(ingress)))
+            return real(src, dst, weight, cap, egress, ingress)
+
+        monkeypatch.setattr(simulator_module, "allocate", spy)
+        net.set_connections("us-east-1", "us-west-1", 40)  # past the knee
+        net.set_connections("us-west-1", "ap-southeast-1", 30)  # 2 VMs: 15 each
+        net.start_transfer("us-east-1", "us-west-1", 5e4)
+        net.start_transfer("us-west-1", "ap-southeast-1", 3e4)
+        net.sim.run(until=1.0)
+        net.start_transfer("us-east-1", "ap-southeast-1", 2e4)
+        net.sim.run()
+        assert len(seen) >= 3
+        idle = busy_knee = 0
+        for src, dst, egress, ingress in seen:
+            out_conns = [0] * len(keys)
+            in_conns = [0] * len(keys)
+            for i, j in zip(src, dst):
+                k = net.connections(keys[i], keys[j])
+                out_conns[i] += k
+                in_conns[j] += k
+            for i, dc in enumerate(topology.dcs):
+                vms = max(1, dc.num_vms)
+                want_out = dc.egress_cap_mbps * tcp.vm_efficiency(out_conns[i] // vms)
+                want_in = dc.ingress_cap_mbps * tcp.vm_efficiency(in_conns[i] // vms)
+                assert _same(egress[i], want_out) and _same(ingress[i], want_in)
+                idle += (out_conns[i] == 0) + (in_conns[i] == 0)
+                busy_knee += tcp.vm_efficiency(out_conns[i] // vms) < 1.0
+        assert idle > 0 and busy_knee > 0
+
+
+class TestSentMbits:
+    """``NetworkSimulator.sent_mbits`` reads just the asked pairs after
+    one progress, as ``pair_statistics()`` reports them."""
+
+    def test_matches_pair_statistics(self, triad, weather):
+        net = make_sim(triad, weather)
+        net.start_transfer("us-east-1", "us-west-1", 4e5)
+        net.start_transfer("us-east-1", "ap-southeast-1", 1e5)
+        net.start_transfer("us-west-1", "us-east-1", 1e5)
+        for until in (3.0, 17.5, 40.0):
+            net.sim.run(until=until)
+            dsts = ["ap-southeast-1", "us-west-1", "us-east-1", "nowhere"]
+            got = net.sent_mbits("us-east-1", dsts)
+            stats = net.pair_statistics()
+            want = [
+                stats[("us-east-1", dst)].mbits if ("us-east-1", dst) in stats else 0.0
+                for dst in dsts
+            ]
+            assert [struct.pack("<d", v) for v in got] == [
+                struct.pack("<d", v) for v in want
+            ]
+            assert got[0] > 0 and got[1] > 0 and got[2] == 0.0
+
+    def test_creates_no_statistics(self, triad, calm):
+        net = make_sim(triad, calm)
+        assert net.sent_mbits("us-east-1", iter(["us-west-1"])) == [0.0]
+        assert net.pair_statistics() == {}
