@@ -107,8 +107,8 @@ from repro.pipeline import (
 __version__ = "1.4.0"
 
 #: Runtime-service names resolved lazily (PEP 562) — they pull in the
-#: GDA engine and scipy, which ``import repro`` alone should not pay
-#: for.
+#: GDA engine, which ``import repro`` alone should not pay for.  scipy
+#: loads later still, at the first placement LP.
 _LAZY_EXPORTS = {
     "DriftDetector": "repro.runtime.drift",
     "JobScheduler": "repro.runtime.scheduler",

@@ -19,8 +19,6 @@ substitutions preserve the behaviours the experiments rely on.
 
 from __future__ import annotations
 
-from unittest import mock
-
 from repro.experiments import common
 from repro.net import simulator as simulator_mod
 from repro.net import tcp
@@ -43,6 +41,10 @@ def _uniform_vs_single(at_time: float) -> tuple[float, float]:
 
 def run(fast: bool = True, at_time: float = common.EVAL_TIME) -> dict:
     """Measure the three ablations."""
+    # ``unittest.mock`` costs ~8 MB; ``python -m repro list`` and every
+    # other experiment import this module without running it.
+    from unittest import mock
+
     # Baseline (full model).
     single_min, uniform_min = _uniform_vs_single(at_time)
 

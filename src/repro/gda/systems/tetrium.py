@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import StageSpec
@@ -203,6 +202,10 @@ def solve_placement_lp(
         )
         for k in keys
     ] + [(0.0, None), (0.0, None)]
+    # Imported here, not at module level: scipy adds ~49 MB and ~0.5 s
+    # to every process that imports the policies but never places.
+    from scipy.optimize import linprog
+
     result = linprog(
         c,
         A_ub=np.array(rows),

@@ -176,7 +176,12 @@ class FluctuationModel:
             return 1.0
         scale = self.sigma * 0.6 * (1.0 - window_s / 20.0)
         rng = _link_hash(self.seed ^ 0x5EED, i, j, int(t * 1000) % (1 << 31))
-        return float(np.clip(1.0 + rng.normal(0.0, scale), 0.5, 1.5))
+        jitter = 1.0 + rng.normal(0.0, scale)
+        if jitter < 0.5:
+            return 0.5
+        if jitter > 1.5:
+            return 1.5
+        return jitter
 
 
 @dataclass(frozen=True)

@@ -110,11 +110,22 @@ def _aux_features(
             if src != dst
         )
         base = 0.15 + 0.02 * incoming / max(1, topology.dc(dst).num_vms)
-        memory_util[dst] = float(np.clip(base + rng.normal(0, 0.02), 0.05, 0.98))
+        util = base + rng.normal(0, 0.02)
+        # ``np.clip`` by comparisons: the same double, NaN included.
+        if util < 0.05:
+            util = 0.05
+        elif util > 0.98:
+            util = 0.98
+        memory_util[dst] = util
     for src in topology.keys:
         flows = sum(1 for dst in topology.keys if dst != src)
         base = 0.10 + 0.05 * flows / max(1, topology.dc(src).num_vms)
-        cpu_load[src] = float(np.clip(base + rng.normal(0, 0.03), 0.02, 1.0))
+        load = base + rng.normal(0, 0.03)
+        if load < 0.02:
+            load = 0.02
+        elif load > 1.0:
+            load = 1.0
+        cpu_load[src] = load
     for src, dst in matrix.pairs():
         rtt = topology.rtt_ms(src, dst)
         loss = topology.tcp.loss_rate_estimate(rtt)

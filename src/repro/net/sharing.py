@@ -26,9 +26,11 @@ next flow-cap level (``cap / weight``, sorted once per solve) and the
 lowest NIC saturation level (``(NIC − rate frozen on it) / weight still
 unfrozen on it``); only the NICs that a freezing flow crosses are
 re-priced, and each flow's rate is written once, when it freezes — a
-cap-bound flow gets exactly its cap.  The rates agree with the round-by-
-round filling kept in ``tests/net/oracle_sharing.py`` to within a few
-units in the 14th significant digit, not bit for bit;
+cap-bound flow gets exactly its cap.  When no NIC can saturate (each
+one's live caps sum below it), every flow would freeze at its cap, so
+:func:`allocate` returns the caps without filling.  The rates agree with
+the round-by-round filling kept in ``tests/net/oracle_sharing.py`` to
+within a few units in the 14th significant digit, not bit for bit;
 ``tests/net/test_maxmin_certificate.py`` checks the max-min property
 itself, independently of either implementation.
 """
@@ -37,6 +39,8 @@ from __future__ import annotations
 
 _EPS = 1e-9
 _INF = float("inf")
+#: A NIC whose live caps sum to at most this share of it cannot saturate.
+_HEADROOM = 1.0 - 1e-9
 
 
 def allocate(
@@ -72,6 +76,8 @@ def allocate(
     # a NIC's level is ``_INF`` once none of them is live.
     bounded = [nic < _INF for nic in nics]
     members: list[list[int]] = [[] for _ in nics]
+    # Whether every live flow has a finite cap level.
+    capped = True
     live = [False] * n
     cap_level = [_INF] * n
     for idx in range(n):
@@ -86,11 +92,29 @@ def allocate(
         if c > _EPS:
             live[idx] = True
             if c < _INF:
-                cap_level[idx] = c / w
+                cl = c / w
+                cap_level[idx] = cl
+                if cl == _INF:
+                    capped = False
+            else:
+                capped = False
             if bounded[src[idx]]:
                 members[src[idx]].append(idx)
             if bounded[into[idx]]:
                 members[into[idx]].append(idx)
+    # No NIC can saturate: its level stays at or above the lowest cap
+    # level on it (the margin covers rounding), and ties go to the cap,
+    # so the fill below would freeze every flow at exactly its cap.
+    if capped:
+        for r, through in enumerate(members):
+            if through:
+                demand = 0.0
+                for j in through:
+                    demand += cap[j]
+                if not demand <= nics[r] * _HEADROOM:
+                    break
+        else:
+            return [c if c > _EPS else 0.0 for c in cap]
     used = [0.0] * len(nics)
     levels = [_INF] * len(nics)
     for r, through in enumerate(members):

@@ -21,8 +21,6 @@ parsing, the build fails before an operator's scraper does.
 from __future__ import annotations
 
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterable, Optional
 
 from repro.checks import check_port
@@ -296,6 +294,11 @@ class MetricsEndpoint:
         on_scrape: Optional[Callable[[], None]] = None,
     ) -> None:
         check_port(port)
+        # The HTTP stack loads with the first endpoint, not with the hub:
+        # most runs never open one.
+        import threading
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):

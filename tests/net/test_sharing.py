@@ -115,6 +115,23 @@ class TestBasics:
         assert rates[0] == pytest.approx(100.0)
         assert rates[1] == pytest.approx(200.0)
 
+    def test_caps_returned_exactly_when_no_nic_can_saturate(self):
+        flows = [
+            PairFlow(0, 1, weight=1.0, cap=30.0),
+            PairFlow(0, 2, weight=3.0, cap=0.1 + 0.2),
+            PairFlow(1, 2, weight=2.0, cap=1e-10),
+        ]
+        assert solve(flows, [100.0] * 3, [100.0] * 3) == [30.0, 0.1 + 0.2, 0.0]
+
+    def test_nic_at_its_demand_still_gives_the_caps(self):
+        flows = [PairFlow(0, 1, weight=1.0, cap=30.0), PairFlow(0, 2, weight=2.0, cap=20.0)]
+        assert solve(flows, [50.0] * 3, [100.0] * 3) == pytest.approx([30.0, 20.0])
+
+    def test_weights_summing_past_the_largest_double(self):
+        # The live weight on the NIC overflows to inf, but the caps fit.
+        flows = [PairFlow(0, 1, weight=1e308, cap=1.0)] * 2
+        assert solve(flows, [10.0, 10.0], [10.0, 10.0]) == [1.0, 1.0]
+
 
 def test_simulator_alias_is_the_one_solver():
     import repro.net.simulator as simulator_module
@@ -187,6 +204,20 @@ def test_every_flow_is_bottlenecked(flows, egress, ingress):
         egress_full = used_egress[flow.src] >= egress[flow.src] - tol
         ingress_full = used_ingress[flow.dst] >= ingress[flow.dst] - tol
         assert at_cap or egress_full or ingress_full
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(flow_strategy, min_size=1, max_size=12), st.floats(1.0, 4.0))
+def test_flows_get_their_caps_under_nic_headroom(flows, headroom):
+    """Where every NIC carries less than it can, each flow gets
+    exactly its cap, and a cap of at most 1e-9 gets 0."""
+    egress = [1.0] * N_DCS
+    ingress = [1.0] * N_DCS
+    for flow in flows:
+        egress[flow.src] += flow.cap * headroom
+        ingress[flow.dst] += flow.cap * headroom
+    rates = solve(flows, egress, ingress)
+    assert rates == [f.cap if f.cap > 1e-9 else 0.0 for f in flows]
 
 
 @settings(max_examples=60, deadline=None)
