@@ -22,8 +22,9 @@ Checks, over README.md and every ``docs/*.md``:
 6. **metric coverage** — every ``ServiceSummary.to_row()`` name must
    appear (backticked) in docs/OPERATIONS.md, and every ``/metrics``
    family the hub renders must appear in a table row of
-   docs/OBSERVABILITY.md.  Both lists come from the ``metric_field``
-   declarations on ``ServiceSummary`` plus the hub's own families;
+   docs/OBSERVABILITY.md.  The row names come from the ``metric_field``
+   declarations on ``ServiceSummary``, the families from
+   ``REQUIRED_METRIC_FAMILIES`` (the hub's table plus those fields);
 7. **dotted references resolve** — every backticked name that starts
    ``repro.`` (`` `repro.runtime.JobRun` ``) must import and resolve
    attribute by attribute, so a moved or deleted module cannot linger
@@ -72,13 +73,6 @@ FIRST_CELL = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
 #: The observability guide — its family table lists every family.
 OBSERVABILITY = "docs/OBSERVABILITY.md"
-
-#: The hub module; every ``"wanify_…"`` literal in it is a family it
-#: renders by hand.
-HUB_SOURCE = "src/repro/runtime/observability/hub.py"
-
-#: A quoted family name in the hub source.
-FAMILY_LITERAL = re.compile(r'"(wanify_[a-z0-9_]+)"')
 
 #: A backticked family in a doc table cell (``{labels}`` suffix allowed).
 FAMILY_CELL = re.compile(r"`(wanify_[a-z0-9_]+)(?:\{[^}`]*\})?`")
@@ -374,15 +368,12 @@ def check_config_coverage(failures: list[str]) -> int:
 
 
 def rendered_families(summary=None) -> set[str]:
-    """Every family ``render_prometheus`` emits: those declared on
-    ``ServiceSummary`` fields plus the hub's hand-rendered ones."""
+    """Every family ``render_prometheus`` emits
+    (``REQUIRED_METRIC_FAMILIES``), plus any ``summary`` declares."""
     from repro.runtime.observability.hub import REQUIRED_METRIC_FAMILIES
-    from repro.runtime.summary import ServiceSummary
 
-    summary = summary if summary is not None else ServiceSummary()
-    declared = {name for name, _, _ in summary.families()}
-    spelled = set(FAMILY_LITERAL.findall((REPO / HUB_SOURCE).read_text()))
-    return set(REQUIRED_METRIC_FAMILIES) | declared | spelled
+    declared = set() if summary is None else {name for name, _, _ in summary.families()}
+    return set(REQUIRED_METRIC_FAMILIES) | declared
 
 
 def check_metric_coverage(failures: list[str], summary=None) -> int:

@@ -7,8 +7,9 @@ its stdout, fetches ``/metrics``, and strictly parses the response with
 :func:`repro.runtime.observability.parse_prometheus_text`.  The check
 fails if the text does not parse, if any family in
 :data:`~repro.runtime.observability.REQUIRED_METRIC_FAMILIES` is
-missing, or if the completed-jobs counter does not match the workload —
-i.e. if the service stopped being observable.
+missing, if the scrape returns a family that list does not declare, or
+if the completed-jobs counter does not match the workload — i.e. if the
+service stopped being observable or a family landed undeclared.
 """
 
 from __future__ import annotations
@@ -98,6 +99,13 @@ def main() -> int:
         ]
         if missing:
             print(f"smoke_metrics: missing families: {', '.join(missing)}")
+            return 1
+        undeclared = sorted(set(families) - set(REQUIRED_METRIC_FAMILIES))
+        if undeclared:
+            print(
+                "smoke_metrics: families not in REQUIRED_METRIC_FAMILIES: "
+                f"{', '.join(undeclared)}"
+            )
             return 1
         completed = families["wanify_jobs_completed_total"]["samples"]
         if completed != [("wanify_jobs_completed_total", {}, 2.0)]:

@@ -24,7 +24,8 @@ and jumps from one freeze event to the next instead of raising the level
 in rounds that touch every flow.  The next level is the lower of the
 next flow-cap level (``cap / weight``, sorted once per solve) and the
 lowest NIC saturation level (``(NIC − rate frozen on it) / weight still
-unfrozen on it``); only the NICs that a freezing flow crosses are
+unfrozen on it``, with the weights scaled by their maximum when their
+sum overflows to inf); only the NICs that a freezing flow crosses are
 re-priced, and each flow's rate is written once, when it freezes — a
 cap-bound flow gets exactly its cap.  When no NIC can saturate (each
 one's live caps sum below it), every flow would freeze at its cap, so
@@ -41,6 +42,16 @@ _EPS = 1e-9
 _INF = float("inf")
 #: A NIC whose live caps sum to at most this share of it cannot saturate.
 _HEADROOM = 1.0 - 1e-9
+
+
+def _overflow_level(free: float, weights: list[float]) -> float:
+    """``free / sum(weights)`` for weights whose sum overflows to inf:
+    summed scaled by their maximum, the level stays finite."""
+    top = max(weights)
+    total = 0.0
+    for w in weights:
+        total += w / top
+    return free / total / top
 
 
 def allocate(
@@ -122,7 +133,10 @@ def allocate(
             total = 0.0
             for j in through:
                 total += weight[j]
-            levels[r] = nics[r] / total
+            if total < _INF:
+                levels[r] = nics[r] / total
+            else:
+                levels[r] = _overflow_level(nics[r], [weight[j] for j in through])
     cap_order = sorted(range(n), key=cap_level.__getitem__)
     rates = [0.0] * n
     next_cap = 0
@@ -172,7 +186,11 @@ def allocate(
             for j in members[r]:
                 if live[j]:
                     total += weight[j]
-            levels[r] = (nics[r] - used[r]) / total if total else _INF
+            if total < _INF:
+                levels[r] = (nics[r] - used[r]) / total if total else _INF
+            else:
+                live_weights = [weight[j] for j in members[r] if live[j]]
+                levels[r] = _overflow_level(nics[r] - used[r], live_weights)
     for idx in range(n):
         rate = weight[idx] * level if live[idx] else rates[idx]
         # ``max(0.0, min(rate, cap))``: a NaN rate gives 0.

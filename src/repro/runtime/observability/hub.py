@@ -18,8 +18,8 @@ lightweight callbacks through every decision-making component:
   ``on_scale`` (when the control plane exists),
 * the gauger's :class:`~repro.pipeline.stages.GaugeLedger` ``on_gauge``.
 
-Every hook is observation-only — the hub records and counts, never
-steers — so enabling observability cannot change a run's numbers.
+Every hook is observation-only — the hub records, never steers — so
+enabling observability cannot change a run's numbers.
 
 :meth:`render_prometheus` turns the live state into Prometheus text
 (the families in :data:`REQUIRED_METRIC_FAMILIES` are always present),
@@ -29,7 +29,8 @@ and :meth:`serve_metrics` exposes it over HTTP for ``wanify serve
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.runtime.observability.prometheus import (
     MetricsEndpoint,
@@ -46,35 +47,91 @@ if TYPE_CHECKING:
     from repro.runtime.scheduler import JobTicket
     from repro.runtime.service import PipelineService
 
+#: What a labelled family's reader returns: ``{labels: value}``, each
+#: key the sample's ``(label, value)`` pairs.
+Samples = dict[tuple[tuple[str, str], ...], float]
+
+
+def _traced(kind: str) -> Callable[["ObservabilityHub"], int]:
+    """Reader of the trace's all-time count of ``kind`` events."""
+    return lambda hub: hub.trace.totals.get(kind, 0)
+
+
+def _caps_held(hub: "ObservabilityHub") -> int:
+    governor = getattr(hub.service.control, "governor", None)
+    return len(governor.held) if governor is not None else 0
+
+
+def _arm_pulls(hub: "ObservabilityHub") -> Samples:
+    switcher = getattr(hub.service.control, "switcher", None)
+    arms = switcher.arm_stats() if switcher is not None else {}
+    return {(("arm", name),): stats["pulls"] for name, stats in arms.items()}
+
+
+def _shard_queues(hub: "ObservabilityHub") -> Samples:
+    shards = getattr(hub.service.scheduler, "shards", [])
+    return {(("shard", str(index)),): len(shard.queued) for index, shard in enumerate(shards)}
+
+
+def _link_estimates(hub: "ObservabilityHub") -> Samples:
+    telemetry = hub.service.telemetry
+    samples: Samples = {}
+    for src, dst in telemetry.links():
+        estimate = telemetry.estimate(src, dst)
+        for stat in ("p50", "p95", "ewma"):
+            samples[("src", src), ("dst", dst), ("stat", stat)] = getattr(estimate, stat)
+    return samples
+
+
+def _recal_capacity(hub: "ObservabilityHub") -> Samples:
+    if hub.service.recalibrator is None:
+        return {}
+    current = hub.service.recalibrator.current
+    return {(("src", src), ("dst", dst)): current.get(src, dst) for src, dst in current.pairs()}
+
+
+#: The hub's own ``/metrics`` families, ``(name, help, reader)``: the
+#: live state no :class:`~repro.runtime.summary.ServiceSummary` field
+#: carries.  A reader takes the hub and returns the value, or
+#: :data:`Samples` for a labelled gauge; a ``_total`` name makes a
+#: counter (as on ``metric_field``).  The event counters read the
+#: trace's per-kind totals, which survive ring eviction.
+HUB_FAMILIES: tuple[tuple[str, str, Callable[..., object]], ...] = (
+    ("wanify_jobs_submitted_total", "Jobs submitted to the scheduler.", _traced("submit")),
+    ("wanify_jobs_admitted_total", "Jobs admitted to a run slot (re-admissions included).",
+     _traced("admit")),
+    ("wanify_jobs_completed_total", "Jobs run to completion.", _traced("finish")),
+    ("wanify_jobs_preempted_total", "Preemptions executed by the control plane.",
+     _traced("preempt")),
+    ("wanify_drift_events_total", "Drift events fired by the detector.", _traced("drift")),
+    ("wanify_jobs_running", "Jobs currently in flight.",
+     lambda hub: len(hub.service.scheduler.running)),
+    ("wanify_jobs_queued", "Jobs waiting for admission.",
+     lambda hub: len(hub.service.scheduler.queued)),
+    ("wanify_max_concurrent", "Current concurrency bound (autoscaled when enabled).",
+     lambda hub: hub.service.scheduler.max_concurrent),
+    ("wanify_governor_caps_held", "Bandwidth-governor caps currently in force.", _caps_held),
+    ("wanify_metrics_log_entries", "Samples in the append-only metrics log.",
+     lambda hub: hub.log.size),
+    ("wanify_tuner_arm_pulls", "Bandit pulls per tuner arm (label: arm).", _arm_pulls),
+    ("wanify_shard_jobs_queued", "Queued jobs per scheduler shard (label: shard).",
+     _shard_queues),
+    ("wanify_link_estimate_mbps", "Per-link telemetry estimates (labels: src, dst, stat).",
+     _link_estimates),
+    ("wanify_recal_capacity_mbps", "Recalibrated per-link capacity (labels: src, dst).",
+     _recal_capacity),
+)
+
+#: The job-latency histogram ``(name, help)``, fed by ``jct_samples``.
+LATENCY_FAMILY = ("wanify_job_latency_seconds", "Job completion time from submission (JCT).")
+
 #: Metric families :meth:`ObservabilityHub.render_prometheus` always
 #: emits — the contract the CI smoke scrape asserts: the hub's own
 #: families, then every family declared on a
 #: :class:`~repro.runtime.summary.ServiceSummary` field.
 REQUIRED_METRIC_FAMILIES: tuple[str, ...] = (
-    "wanify_jobs_submitted_total",
-    "wanify_jobs_admitted_total",
-    "wanify_jobs_completed_total",
-    "wanify_jobs_preempted_total",
-    "wanify_drift_events_total",
-    "wanify_jobs_running",
-    "wanify_jobs_queued",
-    "wanify_max_concurrent",
-    "wanify_governor_caps_held",
-    "wanify_metrics_log_entries",
-    "wanify_tuner_arm_pulls",
-    "wanify_scheduler_shards",
-    "wanify_link_estimate_mbps",
-    "wanify_recal_capacity_mbps",
-    "wanify_job_latency_seconds",
-) + SUMMARY_FAMILIES
-
-#: Scheduler event kind → hub counter key.
-_JOB_COUNTER = {
-    "submit": "submitted",
-    "admit": "admitted",
-    "finish": "completed",
-    "preempt": "preempted",
-}
+    *(name for name, _, _ in HUB_FAMILIES), LATENCY_FAMILY[0], *SUMMARY_FAMILIES
+)
 
 
 class ObservabilityHub:
@@ -94,13 +151,6 @@ class ObservabilityHub:
 
         self.log = MetricsLog(capacity_of, service.telemetry)
         self.trace = EventTrace()
-        self.counters: dict[str, int] = {
-            "submitted": 0,
-            "admitted": 0,
-            "completed": 0,
-            "preempted": 0,
-            "drift": 0,
-        }
         #: Completed-job JCTs (seconds) — the latency histogram's feed.
         self.jct_samples: list[float] = []
         self.metrics_scrapes = 0
@@ -128,9 +178,6 @@ class ObservabilityHub:
         return self.service.sim.now
 
     def _job_event(self, kind: str, ticket: "JobTicket") -> None:
-        counter = _JOB_COUNTER.get(kind)
-        if counter is not None:
-            self.counters[counter] += 1
         detail: dict[str, object] = {"tenant": tenant_of(ticket)}
         if kind == "admit":
             detail["wait_s"] = ticket.waited_s
@@ -142,7 +189,6 @@ class ObservabilityHub:
         self.trace.record(self._now, kind, ticket.job.name, **detail)
 
     def _drift_fired(self, event: "ReplanEvent") -> None:
-        self.counters["drift"] += 1
         self.trace.record(
             event.time,
             "drift",
@@ -221,117 +267,23 @@ class ObservabilityHub:
         """The service's live state in Prometheus text format.
 
         A fresh registry is built per call, so the text always reflects
-        the moment of the scrape.  Families declared on a
-        :class:`~repro.runtime.summary.ServiceSummary` field are read
-        off one ``service.live_summary()`` (no pass over the log) rather
-        than double-counted through hooks; the rest come from the hub's own counters and
-        the live scheduler, telemetry and recalibrator state.
+        the moment of the scrape.  One loop renders the
+        :data:`HUB_FAMILIES` rows and the families declared on
+        :class:`~repro.runtime.summary.ServiceSummary` fields, read off
+        one ``service.live_summary()`` (no pass over the log); the JCT
+        histogram follows.
         """
-        service = self.service
-        scheduler = service.scheduler
         registry = MetricsRegistry()
-
-        def counter(name: str, help_text: str, value: float) -> None:
-            registry.counter(name, help_text).set_total(value)
-
-        counter(
-            "wanify_jobs_submitted_total",
-            "Jobs submitted to the scheduler.",
-            self.counters["submitted"],
-        )
-        counter(
-            "wanify_jobs_admitted_total",
-            "Jobs admitted to a run slot (re-admissions included).",
-            self.counters["admitted"],
-        )
-        counter(
-            "wanify_jobs_completed_total",
-            "Jobs run to completion.",
-            self.counters["completed"],
-        )
-        counter(
-            "wanify_jobs_preempted_total",
-            "Preemptions executed by the control plane.",
-            self.counters["preempted"],
-        )
-        counter(
-            "wanify_drift_events_total",
-            "Drift events fired by the detector.",
-            self.counters["drift"],
-        )
-        for name, help_text, value in service.live_summary().families():
+        own = ((name, help_text, read(self)) for name, help_text, read in HUB_FAMILIES)
+        for name, help_text, value in chain(own, self.service.live_summary().families()):
             if name.endswith("_total"):
-                counter(name, help_text, value)
+                put = registry.counter(name, help_text).set_total
             else:
-                registry.gauge(name, help_text).set(value)
-
-        registry.gauge(
-            "wanify_jobs_running", "Jobs currently in flight."
-        ).set(len(scheduler.running))
-        registry.gauge(
-            "wanify_jobs_queued", "Jobs waiting for admission."
-        ).set(len(scheduler.queued))
-        registry.gauge(
-            "wanify_max_concurrent",
-            "Current concurrency bound (autoscaled when enabled).",
-        ).set(scheduler.max_concurrent)
-        governor = (
-            service.control.governor if service.control is not None else None
-        )
-        registry.gauge(
-            "wanify_governor_caps_held",
-            "Bandwidth-governor caps currently in force.",
-        ).set(len(governor.held) if governor is not None else 0)
-        registry.gauge(
-            "wanify_metrics_log_entries",
-            "Samples in the append-only metrics log.",
-        ).set(self.log.size)
-        switcher = (
-            service.control.switcher if service.control is not None else None
-        )
-        pulls = registry.gauge(
-            "wanify_tuner_arm_pulls",
-            "Bandit pulls per tuner arm (label: arm).",
-        )
-        if switcher is not None:
-            for arm_name, stats in switcher.arm_stats().items():
-                pulls.set(stats["pulls"], arm=arm_name)
-
-        registry.gauge(
-            "wanify_scheduler_shards",
-            "Scheduler shards serving the run (1 = single queue).",
-        ).set(getattr(scheduler, "shard_count", 1))
-        shard_queue = registry.gauge(
-            "wanify_shard_jobs_queued",
-            "Queued jobs per scheduler shard (label: shard).",
-        )
-        for index, shard in enumerate(getattr(scheduler, "shards", [])):
-            shard_queue.set(len(shard.queued), shard=str(index))
-
-        estimates = registry.gauge(
-            "wanify_link_estimate_mbps",
-            "Per-link telemetry estimates (labels: src, dst, stat).",
-        )
-        for src, dst in service.telemetry.links():
-            estimate = service.telemetry.estimate(src, dst)
-            estimates.set(estimate.p50, src=src, dst=dst, stat="p50")
-            estimates.set(estimate.p95, src=src, dst=dst, stat="p95")
-            estimates.set(estimate.ewma, src=src, dst=dst, stat="ewma")
-
-        recalibrator = service.recalibrator
-        recal_capacity = registry.gauge(
-            "wanify_recal_capacity_mbps",
-            "Recalibrated per-link capacity (labels: src, dst).",
-        )
-        if recalibrator is not None:
-            current = recalibrator.current
-            for src, dst in current.pairs():
-                recal_capacity.set(current.get(src, dst), src=src, dst=dst)
-
-        latency = registry.histogram(
-            "wanify_job_latency_seconds",
-            "Job completion time from submission (JCT).",
-        )
+                put = registry.gauge(name, help_text).set
+            samples = value if isinstance(value, dict) else {(): value}
+            for labels, sample in samples.items():
+                put(sample, **dict(labels))
+        latency = registry.histogram(*LATENCY_FAMILY)
         for jct in self.jct_samples:
             latency.observe(jct)
         return registry.render()

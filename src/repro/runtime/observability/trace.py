@@ -11,8 +11,9 @@ missed by 40 s").
 
 The ring is deliberately bounded (4096 events by default):
 tracing must never become the memory leak it exists to diagnose.  The
-``recorded`` counter keeps counting past evictions, so
-``dropped = recorded - len(events())`` is always honest.
+``recorded`` counter and the per-kind ``totals`` keep counting past
+evictions, so ``dropped = recorded - len(events())`` is always honest
+and the hub's event counters on ``/metrics`` read ``totals``.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ class EventTrace:
         self._ring: deque[TraceEvent] = deque(maxlen=capacity)
         #: Events ever recorded (keeps counting after ring eviction).
         self.recorded = 0
+        #: Events ever recorded per kind (also past ring eviction).
+        self.totals: dict[str, int] = {}
 
     def record(
         self, time: float, kind: str, subject: str = "", **detail: Any
@@ -99,6 +102,7 @@ class EventTrace:
         event = TraceEvent(time=time, kind=kind, subject=subject, detail=detail)
         self._ring.append(event)
         self.recorded += 1
+        self.totals[kind] = self.totals.get(kind, 0) + 1
         return event
 
     @property

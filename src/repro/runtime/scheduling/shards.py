@@ -1,15 +1,26 @@
 """Tenant-sharded scheduling with work-stealing between shards.
 
-One :class:`~repro.runtime.scheduler.JobScheduler` serializes admission
-for every tenant: each submission, preemption, and finish walks one
-shared queue, and at thousands of queued jobs the policy re-ordering —
-even batched — is the service bottleneck.  The
+One :class:`~repro.runtime.scheduler.JobScheduler` admits every tenant
+from one shared queue under one concurrency bound.  The
 :class:`ShardedScheduler` splits that queue into N independent shards,
 each a full ``JobScheduler`` running the same admission policy over its
 own slice of the concurrency budget.  Submissions hash to a shard by
 *tenant* (stable CRC-32 of the tenant name — Python's ``hash()`` is
 salted per process and would break seeded reproducibility), so one
 tenant's flood re-orders only its own shard's queue.
+
+Sharding is an admission policy, not a free speedup, and it can change
+outcomes.  Batched re-ordering keeps one queue's policy cheap: on two
+DCs one queue drains 1.4–2.8× faster than four shards with identical
+outcomes.  Where tenants are homed on their own region pairs, per-shard
+admission keeps each shard's running jobs on its tenants' pairs: on the
+2000-job homed-tenant burst of ``benchmarks/test_bench_parallel.py``
+(32 slots, deadline-EDF, 2 vCPUs) four shards drained in about 1.0 s
+against 4.3 s, with a mean JCT of 111.7 s against 127.4 s and 4004
+rate solves against 29314.  With arrivals spread in time the outcomes
+match one queue's; a budget below one slot per shard still gives every
+shard a slot (:func:`split_concurrency`), which raises the effective
+bound.
 
 Static tenant hashing alone strands capacity: a shard whose tenants go
 quiet idles while another's queue grows.  Work-stealing closes the gap

@@ -139,7 +139,11 @@ class ServiceSummary:
         sweep=True,
         row="tuner_arms_explored",
     )
-    scheduler_shards: int = metric_field(1, "Scheduler shards that served the run.")
+    scheduler_shards: int = metric_field(
+        1,
+        "Scheduler shards serving the run (1 = single queue).",
+        family="wanify_scheduler_shards",
+    )
     work_steals: int = metric_field(
         0,
         "Queued tickets moved between shards by work-stealing.",

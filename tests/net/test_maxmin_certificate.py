@@ -111,6 +111,41 @@ def test_random_instances_certified(solver):
     assert failed == (ORACLE_SHORT_FILLS if solver == "oracle" else 0)
 
 
+#: Instances whose live weight on a NIC sums past the largest double:
+#: priced at ``nic / inf``, their flows froze at 0.
+OVERFLOWING_WEIGHTS = {
+    "two-huge": ([PairFlow(0, 1, 1e308, 100.0)] * 2, [10.0, 10.0], [10.0, 10.0]),
+    "huge-and-light": (
+        [PairFlow(0, 1, 1e308, 100.0), PairFlow(0, 1, 1e308, 100.0), PairFlow(0, 1, 1.0, 100.0)],
+        [10.0, 10.0],
+        [10.0, 10.0],
+    ),
+    # The capped flow freezes first; the NIC is re-priced on the rest.
+    "reprice-after-cap": (
+        [PairFlow(0, 1, 1e308, 1.0), PairFlow(0, 1, 1e308, 100.0), PairFlow(0, 1, 1e308, 100.0)],
+        [10.0, 10.0],
+        [10.0, 10.0],
+    ),
+    "uncapped-two-nics": (
+        [
+            PairFlow(0, 1, 1.5e308, math.inf),
+            PairFlow(0, 2, 1e308, math.inf),
+            PairFlow(1, 2, 1e308, math.inf),
+        ],
+        [30.0, 20.0, math.inf],
+        [math.inf, 40.0, 25.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_WEIGHTS)
+def test_overflowing_weight_sums_certified(name):
+    flows, egress, ingress = OVERFLOWING_WEIGHTS[name]
+    rates = solve(flows, egress, ingress)
+    assert violations(flows, egress, ingress, rates) == []
+    assert min(rates) > 0.0
+
+
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_recorded_drain_solves_certified(monkeypatch, solver):
     calls = _recorded_solves(monkeypatch, "scalar")

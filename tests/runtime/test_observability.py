@@ -369,6 +369,21 @@ class TestEventTrace:
         assert len(events) == 4
         assert events[0].subject == "job-2"
 
+    def test_per_kind_totals_stay_exact_past_eviction(self):
+        trace = EventTrace(capacity=4)
+        kinds = ["submit", "admit", "submit", "drift", "finish",
+                 "submit", "admit", "finish", "finish", "preempt"]
+        for t, kind in enumerate(kinds):
+            trace.record(float(t), kind, f"job-{t}")
+        assert trace.dropped == 6
+        assert trace.totals == {
+            "submit": 3, "admit": 2, "drift": 1, "finish": 3, "preempt": 1
+        }
+        assert sum(trace.totals.values()) == trace.recorded == 10
+        # The ring keeps only the last four; the totals do not shrink.
+        assert [e.kind for e in trace.events()] == kinds[-4:]
+        assert trace.events("drift") == []
+
     def test_kind_filter_and_timeline(self):
         trace = EventTrace()
         trace.record(1.0, "submit", "job-a")
@@ -483,8 +498,8 @@ class TestServiceIntegration:
         hub = observed_service.hub
         assert hub is not None
         assert hub.log.size > 0
-        assert hub.counters["submitted"] == 4
-        assert hub.counters["completed"] == 4
+        assert hub.trace.totals["submit"] == 4
+        assert hub.trace.totals["finish"] == 4
         kinds = {e.kind for e in hub.trace.events()}
         assert {"submit", "admit", "finish"} <= kinds
         assert len(hub.jct_samples) == 4
@@ -612,9 +627,9 @@ class TestServiceIntegration:
         assert hub.endpoint is None
 
     def test_drift_and_replan_handlers(self, observed_service):
-        """The drift/replan hooks record counters + trace events."""
+        """The drift/replan hooks record trace events, which count."""
         hub = observed_service.hub
-        before = hub.counters["drift"]
+        before = hub.trace.totals.get("drift", 0)
         event = ReplanEvent(
             time=100.0,
             src="us-east-1",
@@ -627,7 +642,7 @@ class TestServiceIntegration:
         )
         hub._drift_fired(event)
         hub.replan_recorded(event)
-        assert hub.counters["drift"] == before + 1
+        assert hub.trace.totals["drift"] == before + 1
         assert hub.trace.events("drift")[-1].subject == "us-east-1→eu-west-1"
         replan = hub.trace.events("replan")[-1]
         assert replan.detail["probe_cost_usd"] == pytest.approx(0.01)

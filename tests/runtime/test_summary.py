@@ -112,6 +112,7 @@ REQUIRED_SET = frozenset(
         "wanify_policy_switches_total",
         "wanify_tuner_arm_pulls",
         "wanify_scheduler_shards",
+        "wanify_shard_jobs_queued",
         "wanify_work_steals_total",
         "wanify_shard_workers",
         "wanify_parallel_wall_seconds",
@@ -142,7 +143,7 @@ def assert_families_mirror_summary(service):
     families = parse_prometheus_text(service.hub.render_prometheus())
     summary = service.summary()
     declared = _declared_families()
-    assert len(declared) == 13
+    assert len(declared) == 14
     for attr, family, help_text in declared:
         assert families[family]["type"] == (
             "counter" if family.endswith("_total") else "gauge"
@@ -194,6 +195,26 @@ class TestDeclarations:
         assert len(REQUIRED_METRIC_FAMILIES) == len(REQUIRED_SET)
         assert set(SUMMARY_FAMILIES) <= REQUIRED_SET
         assert [f for _, f, _ in _declared_families()] == list(SUMMARY_FAMILIES)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_fresh_scrape_renders_exactly_the_required_families(self, shards):
+        """Both directions: nothing required is missing, and nothing
+        rendered is undeclared (a hand-rendered family cannot slip past
+        the smoke scrape)."""
+        config = ServiceConfig(
+            regions=REGIONS[:3],
+            n_training_datasets=4,
+            n_estimators=3,
+            scheduler_shards=shards,
+        )
+        service = PipelineService.build(config)
+        try:
+            rendered = parse_prometheus_text(service.hub.render_prometheus())
+        finally:
+            service.stop()
+            service.hub.close()
+        assert set(rendered) - set(REQUIRED_METRIC_FAMILIES) == set()
+        assert set(REQUIRED_METRIC_FAMILIES) - set(rendered) == set()
 
     def test_metric_field_factory_default_is_per_instance(self):
         @dataclasses.dataclass
