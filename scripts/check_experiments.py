@@ -5,13 +5,12 @@ Renders each entry of ``repro.experiments.report.EXPERIMENTS`` with
 ``fast=True`` and compares the sha256 of its rendering against the
 committed digest in ``benchmarks/experiments_fast.sha256`` (one
 ``<sha256>  <experiment id>`` line each, in report order, after a
-``# python … numpy … scipy …`` line naming the versions that rendered
-them).  Renderings are bit-identical only under those versions — the
-experiments run numpy arithmetic and scipy's ``linprog`` — so CI pins
-them, and a mismatch is reported next to any failure.  A change
-that is meant to leave the simulated outcomes alone must leave every
-digest alone; one that moves a figure on purpose regenerates the file
-with ``--write`` and says why.
+``# python … numpy …`` line naming the versions that rendered them).
+Renderings are bit-identical only under those versions — the
+experiments run numpy arithmetic — so CI pins them, and a mismatch is
+reported next to any failure.  A change that is meant to leave the
+simulated outcomes alone must leave every digest alone; one that moves
+a figure on purpose regenerates the file with ``--write`` and says why.
 
 ``--render DIR`` also writes each rendering to ``DIR/<experiment id>.txt``,
 so the figures of two checkouts can be compared line by line with
@@ -43,12 +42,11 @@ DIGESTS = REPO / "benchmarks" / "experiments_fast.sha256"
 
 def environment() -> str:
     """The versions a rendering depends on, as the digest file records
-    them: the Python minor version and the exact numpy and scipy."""
+    them: the Python minor version and the exact numpy."""
     import numpy
-    import scipy
 
     python = ".".join(map(str, sys.version_info[:2]))
-    return f"python {python} numpy {numpy.__version__} scipy {scipy.__version__}"
+    return f"python {python} numpy {numpy.__version__}"
 
 
 def render_all() -> dict[str, str]:

@@ -13,7 +13,7 @@ calls moves them.  Neither perfbench file is changed; the script only
 imports them.
 
 The pin file holds one ``<workload> <seed> <name> <value>`` line per
-value, after a ``# python … numpy … scipy …`` line naming the versions
+value, after a ``# python … numpy …`` line naming the versions
 that wrote it, like ``benchmarks/experiments_fast.sha256``: the forest
 and the solver's floats are bit-exact only under those versions, so a
 mismatch is reported next to any failure.  A change meant to leave the

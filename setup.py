@@ -21,7 +21,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "wanify = repro.cli:main",

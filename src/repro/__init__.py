@@ -107,8 +107,7 @@ from repro.pipeline import (
 __version__ = "1.4.0"
 
 #: Runtime-service names resolved lazily (PEP 562) — they pull in the
-#: GDA engine, which ``import repro`` alone should not pay for.  scipy
-#: loads later still, at the first placement LP.
+#: GDA engine, which ``import repro`` alone should not pay for.
 _LAZY_EXPORTS = {
     "DriftDetector": "repro.runtime.drift",
     "JobScheduler": "repro.runtime.scheduler",

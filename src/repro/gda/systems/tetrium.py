@@ -11,7 +11,12 @@ relaxation as a linear program:
 
 where BW comes from whatever matrix the experiment supplies — Tetrium's
 published system measures it statically with iPerf; WANify swaps in
-predicted runtime values.
+predicted runtime values.  Each DC's NIC caps add aggregate ingress and
+egress rows, and each ``p_j`` is capped at a multiple of its
+slots-proportional share.  Kimchi adds a transfer-cost term to the
+objective and Iridium drops ``T_cmp``; all three solve the LP with the
+dense dual simplex of :mod:`repro.gda.systems.simplex`, which needs
+nothing beyond numpy.
 
 Tetrium also places *data*: following the §2.2 narrative ("prior works
 choose to migrate input data out of AP SE to the nearby DCs"), the
@@ -23,12 +28,14 @@ runtime may be the wrong one, exactly the paper's point.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import StageSpec
+from repro.gda.systems import simplex
 from repro.gda.systems.base import PlacementPolicy
 from repro.pipeline.registry import register_policy
 from repro.net.matrix import BandwidthMatrix
@@ -98,6 +105,127 @@ def _fan_out_migration(
     ]
 
 
+@dataclass(frozen=True)
+class PlacementLp:
+    """The numbers one placement LP is built from, in cluster key order.
+
+    ``data_mb`` is each DC's input; ``link_mb_s`` the believed MB/s from
+    row to column DC (rescaled to :data:`REFERENCE_MEAN_BW` and floored
+    at :data:`_MIN_BW_MBPS`); ``ingress_mb_s``/``egress_mb_s`` each DC's
+    NIC caps; ``compute_s`` the seconds each DC would take to run the
+    whole stage (``None`` for a network-only objective); ``cost`` the
+    objective seconds per unit of fraction placed at each DC (Kimchi's
+    transfer dollars); ``cap`` the largest fraction each DC may take.
+    """
+
+    data_mb: np.ndarray
+    link_mb_s: np.ndarray
+    ingress_mb_s: np.ndarray
+    egress_mb_s: np.ndarray
+    compute_s: Optional[np.ndarray]
+    cost: np.ndarray
+    cap: np.ndarray
+
+    def solve(self) -> Optional[tuple[float, np.ndarray]]:
+        """``(objective, fractions)`` at the optimum, or ``None``.
+
+        Solved as an equivalent LP with one row per kind and DC, in
+        the columns ``p_0 … p_{n-1}, T_net[, T_cmp]``: a DC's link and
+        ingress rows all bound ``p_j`` by a multiple of ``T_net``, so
+        only the tightest multiple is kept (``A_j p_j ≤ T_net``); each
+        sending DC's egress row is ``D_i (1 − p_i) ≤ T_net``; each
+        compute row is ``K_j p_j ≤ T_cmp``; and ``Σ p = 1``.  A NIC with
+        no capacity keeps the full rows' meaning: a DC that would receive
+        through it takes nothing (``p_j ≤ 0``), and a DC that sends
+        through it keeps all its data (``p_i ≥ 1``).
+        """
+        n = len(self.data_mb)
+        load = self.data_mb * TRANSFER_OVERHEAD
+        senders = np.flatnonzero(self.data_mb > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            need = load[:, None] / self.link_mb_s
+            inbound = (self.data_mb.sum() - self.data_mb) * TRANSFER_OVERHEAD
+            ingress = inbound / self.ingress_mb_s
+            egress = load[senders] / self.egress_mb_s[senders]
+        np.fill_diagonal(need, 0.0)
+        closed_in = self.ingress_mb_s == 0.0
+        ingress[closed_in] = 0.0
+        closed_out = self.egress_mb_s[senders] == 0.0
+        egress[closed_out] = 1.0
+        network_only = self.compute_s is None
+        k = len(senders)
+        t_net, t_cmp = n, n + 1
+        rows = n + k + (0 if network_only else n) + 1
+        a = np.zeros((rows, n + (1 if network_only else 2)))
+        b = np.zeros(rows)
+        # A_j p_j ≤ T_net, A_j the largest link or ingress multiple.
+        a[:n, :n] = np.diag(np.maximum(need[senders].max(axis=0), ingress))
+        a[:n, t_net] = -1.0
+        # D_i (1 − p_i) ≤ T_net for each sending DC.
+        a[n + np.arange(k), senders] = -egress
+        a[n : n + k, t_net] = np.where(closed_out, 0.0, -1.0)
+        b[n : n + k] = -egress
+        if not network_only:
+            # K_j p_j ≤ T_cmp.
+            a[n + k : -1, :n] = np.diag(self.compute_s)
+            a[n + k : -1, t_cmp] = -1.0
+        a[-1, :n] = 1.0
+        b[-1] = 1.0
+        equal = np.zeros(rows, dtype=bool)
+        equal[-1] = True
+        c = np.concatenate([self.cost, np.ones(a.shape[1] - n)])
+        cap = np.where(closed_in & (inbound > 0), 0.0, self.cap)
+        upper = np.concatenate([cap, np.full(a.shape[1] - n, np.inf)])
+        solution = simplex.solve(c, a, b, equal, upper)
+        if solution is None:
+            return None
+        return solution.objective, solution.x[:n]
+
+
+def placement_lp(
+    data_mb_by_dc: dict[str, float],
+    bw: BandwidthMatrix,
+    cluster: GeoCluster,
+    cpu_s_per_mb: float,
+    network_cost_weight: float = 0.0,
+    price_per_gb: float = 0.02,
+    network_only: bool = False,
+    spread_factor: float = SPREAD_FACTOR,
+) -> PlacementLp:
+    """The LP :func:`solve_placement_lp` solves for these inputs."""
+    keys = list(cluster.keys)
+    data = np.array([data_mb_by_dc.get(k, 0.0) for k in keys])
+    total = data.sum()
+    mean_bw = float(bw.off_diagonal().mean())
+    bw_scale = REFERENCE_MEAN_BW / mean_bw if mean_bw > 0 else 1.0
+    index = [bw.index(k) for k in keys]
+    believed = bw.values[np.ix_(index, index)]
+    link_mb_s = np.maximum(believed * bw_scale, _MIN_BW_MBPS) / 8.0
+    dcs = [cluster.topology.dc(k) for k in keys]
+    slots = [cluster.slots(k) for k in keys]
+    speeds = [cluster.speed(k) for k in keys]
+    rates = [s * v for s, v in zip(slots, speeds)]
+    cost = np.zeros(len(keys))
+    if network_cost_weight > 0:
+        cost = network_cost_weight * price_per_gb * (total - data) / 1024.0
+    total_slots = sum(rates)
+    cap = [
+        min(1.0, spread_factor * s * v / total_slots)
+        for s, v in zip(slots, speeds)
+    ]
+    return PlacementLp(
+        data_mb=data,
+        link_mb_s=link_mb_s,
+        ingress_mb_s=np.array([dc.ingress_cap_mbps / 8.0 for dc in dcs]),
+        egress_mb_s=np.array([dc.egress_cap_mbps / 8.0 for dc in dcs]),
+        compute_s=(
+            None if network_only else total * cpu_s_per_mb / np.array(rates)
+        ),
+        cost=cost,
+        cap=np.array(cap),
+    )
+
+
 def solve_placement_lp(
     data_mb_by_dc: dict[str, float],
     bw: BandwidthMatrix,
@@ -121,106 +249,29 @@ def solve_placement_lp(
     objective resists piling work onto two well-connected DCs.
     """
     keys = list(cluster.keys)
-    n = len(keys)
-    data = np.array([data_mb_by_dc.get(k, 0.0) for k in keys])
-    total = data.sum()
-    if total <= 0:
-        return {k: 1.0 / n for k in keys}
-
-    mean_bw = float(bw.off_diagonal().mean())
-    bw_scale = REFERENCE_MEAN_BW / mean_bw if mean_bw > 0 else 1.0
-
-    # Variables: p_0..p_{n-1}, T_net, T_cmp
-    c = np.zeros(n + 2)
-    c[n] = 1.0
-    c[n + 1] = 0.0 if network_only else 1.0
-    if network_cost_weight > 0:
-        for j, key in enumerate(keys):
-            inbound_mb = total - data[j]
-            c[j] += network_cost_weight * price_per_gb * inbound_mb / 1024.0
-
-    rows, rhs = [], []
-    for i, src in enumerate(keys):
-        if data[i] <= 0:
-            continue
-        for j, dst in enumerate(keys):
-            if i == j:
-                continue
-            bw_mb_s = (
-                max(bw.get(src, dst) * bw_scale, _MIN_BW_MBPS) / 8.0
-            )
-            row = np.zeros(n + 2)
-            row[j] = data[i] * TRANSFER_OVERHEAD
-            row[n] = -bw_mb_s
-            rows.append(row)
-            rhs.append(0.0)
-    # Per-DC aggregate NIC constraints: without them the LP happily
-    # routes everything at the advertised per-link rate into one DC,
-    # which a real NIC cannot absorb.
-    for j, key in enumerate(keys):
-        ingress_mb_s = cluster.topology.dc(key).ingress_cap_mbps / 8.0
-        row = np.zeros(n + 2)
-        row[j] = (total - data[j]) * TRANSFER_OVERHEAD
-        row[n] = -ingress_mb_s
-        rows.append(row)
-        rhs.append(0.0)
-    for i, key in enumerate(keys):
-        if data[i] <= 0:
-            continue
-        egress_mb_s = cluster.topology.dc(key).egress_cap_mbps / 8.0
-        # data_i leaves i except the fraction placed back at i:
-        # data_i (1 − p_i) ≤ T_net × egress.
-        row = np.zeros(n + 2)
-        row[i] = -data[i] * TRANSFER_OVERHEAD
-        row[n] = -egress_mb_s
-        rows.append(row)
-        rhs.append(-data[i] * TRANSFER_OVERHEAD)
-    if not network_only:
-        for j, key in enumerate(keys):
-            rate = cluster.slots(key) * cluster.speed(key)
-            row = np.zeros(n + 2)
-            row[j] = total * cpu_s_per_mb / rate
-            row[n + 1] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-
-    a_eq = np.zeros((1, n + 2))
-    a_eq[0, :n] = 1.0
-    total_slots = sum(
-        cluster.slots(k) * cluster.speed(k) for k in keys
+    lp = placement_lp(
+        data_mb_by_dc,
+        bw,
+        cluster,
+        cpu_s_per_mb,
+        network_cost_weight,
+        price_per_gb,
+        network_only,
+        spread_factor,
     )
-    bounds = [
-        (
-            0.0,
-            min(
-                1.0,
-                spread_factor
-                * cluster.slots(k)
-                * cluster.speed(k)
-                / total_slots,
-            ),
-        )
-        for k in keys
-    ] + [(0.0, None), (0.0, None)]
-    # Imported here, not at module level: scipy adds ~49 MB and ~0.5 s
-    # to every process that imports the policies but never places.
-    from scipy.optimize import linprog
-
-    result = linprog(
-        c,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
-        A_eq=a_eq,
-        b_eq=np.array([1.0]),
-        bounds=bounds,
-        method="highs",
-    )
-    if not result.success:
+    if lp.data_mb.sum() <= 0:
+        return {k: 1.0 / len(keys) for k in keys}
+    optimum = lp.solve()
+    if optimum is None:
         # Degenerate inputs: fall back to slots-proportional.
         return PlacementPolicy.slots_proportional(cluster)
-    fractions = np.clip(result.x[:n], 0.0, 1.0)
-    fractions = fractions / fractions.sum()
-    return {k: float(f) for k, f in zip(keys, fractions)}
+    return {k: float(f) for k, f in zip(keys, normalised(optimum[1]))}
+
+
+def normalised(fractions: np.ndarray) -> np.ndarray:
+    """An LP's fractions clipped to [0, 1], then rescaled to sum to 1."""
+    fractions = np.clip(fractions, 0.0, 1.0)
+    return fractions / fractions.sum()
 
 
 @register_policy()

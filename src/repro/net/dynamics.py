@@ -66,12 +66,25 @@ DEFAULT_NOISE_PERIOD_S = 300.0
 DAY_S = 24 * 3600.0
 
 
+#: Link keys wrap modulo 2**64, as unsigned 64-bit arithmetic does.
+_KEY_MASK = (1 << 64) - 1
+
+
+def _link_key(seed: int, i: int, j: int, bucket: int) -> int:
+    """The generator seed for (seed, link, time bucket), in Python ints
+    (numpy integers are converted, so they cannot overflow)."""
+    link = int(i) * 131 + int(j)
+    return (
+        int(seed) * 1_000_003
+        + link * 2_147_483_647
+        + (int(bucket) & 0xFFFFFFFF)
+    ) & _KEY_MASK
+
+
 def _link_hash(seed: int, i: int, j: int, bucket: int) -> np.random.Generator:
-    """A generator deterministically keyed by (seed, link, time bucket)."""
-    key = np.uint64(seed) * np.uint64(1_000_003)
-    key += np.uint64(i * 131 + j) * np.uint64(2_147_483_647)
-    key += np.uint64(bucket & 0xFFFFFFFF)
-    return np.random.default_rng(int(key))
+    """A generator deterministically keyed by (seed, link, time bucket):
+    ``np.random.default_rng(key)``, built without its argument dispatch."""
+    return np.random.Generator(np.random.PCG64(_link_key(seed, i, j, bucket)))
 
 
 #: Entries kept by each per-link draw memo, least recently used evicted
@@ -175,6 +188,8 @@ class FluctuationModel:
         if window_s >= 20.0:
             return 1.0
         scale = self.sigma * 0.6 * (1.0 - window_s / 20.0)
+        # Keyed by the millisecond, so a key seldom repeats: a memo
+        # would only hold one entry per probe.
         rng = _link_hash(self.seed ^ 0x5EED, i, j, int(t * 1000) % (1 << 31))
         jitter = 1.0 + rng.normal(0.0, scale)
         if jitter < 0.5:

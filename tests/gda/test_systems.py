@@ -6,7 +6,11 @@ import pytest
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import StageSpec
 from repro.gda.systems.kimchi import KimchiPolicy
-from repro.gda.systems.tetrium import TetriumPolicy, solve_placement_lp
+from repro.gda.systems.tetrium import (
+    PlacementLp,
+    TetriumPolicy,
+    solve_placement_lp,
+)
 from repro.gda.systems.vanilla import LocalityPolicy
 from repro.net.dynamics import StaticModel
 from repro.net.matrix import BandwidthMatrix
@@ -77,6 +81,56 @@ class TestPlacementLp:
         )
         # Cost-averse placement keeps more work where the data is.
         assert costly["us-east-1"] >= cheap["us-east-1"] - 1e-6
+
+    def test_infeasible_caps_fall_back_to_slots(self, cluster, bw):
+        # Caps of half a share each cannot sum to one.
+        placement = solve_placement_lp(DATA, bw, cluster, 0.1, spread_factor=0.5)
+        assert placement == TetriumPolicy.slots_proportional(cluster)
+
+    def test_zero_vm_dc_places_as_the_full_rows_did(self, bw):
+        # A DC without VMs has no NIC capacity; Iridium's LP (no compute
+        # rows) still places around it, as HiGHS did on the full rows.
+        data = {"us-east-1": 200.0, "us-west-1": 700.0}
+        idle = GeoCluster.build(
+            TRIAD,
+            "t2.medium",
+            vms_per_dc={"ap-southeast-1": 0},
+            fluctuation=StaticModel(),
+        )
+        placement = solve_placement_lp(
+            data, bw, idle, 0.1, network_only=True, spread_factor=1.5
+        )
+        assert placement == pytest.approx(
+            {"us-east-1": 0.25, "us-west-1": 0.75, "ap-southeast-1": 0.0},
+            rel=0.0,
+            abs=1e-12,
+        )
+
+    @pytest.mark.parametrize(
+        "ingress, egress",
+        [((10.0, 0.0), (10.0, 10.0)), ((10.0, 10.0), (0.0, 10.0))],
+    )
+    def test_closed_nic_keeps_the_data_home(self, ingress, egress):
+        # All data at DC 0: a closed ingress at DC 1 admits nothing
+        # (p_1 ≤ 0), and a closed egress at DC 0 lets nothing leave
+        # (p_0 ≥ 1).
+        lp = PlacementLp(
+            data_mb=np.array([100.0, 0.0]),
+            link_mb_s=np.full((2, 2), 10.0),
+            ingress_mb_s=np.array(ingress),
+            egress_mb_s=np.array(egress),
+            compute_s=None,
+            cost=np.zeros(2),
+            cap=np.ones(2),
+        )
+        objective, fractions = lp.solve()
+        assert fractions == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert objective == pytest.approx(0.0, abs=1e-12)
+
+    def test_non_finite_bw_raises(self, cluster, bw):
+        bw.set("us-east-1", "us-west-1", float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            solve_placement_lp(DATA, bw, cluster, 0.1)
 
 
 class TestTetrium:

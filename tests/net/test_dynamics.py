@@ -15,9 +15,31 @@ from repro.net.dynamics import (
     FluctuationModel,
     StaticModel,
     _link_hash,
+    _link_key,
     _link_normal,
     _link_uniform,
 )
+
+
+def uint64_key(seed: int, i: int, j: int, bucket: int) -> int:
+    """A link key computed in numpy ``uint64`` scalars."""
+    with np.errstate(over="ignore"):
+        key = np.uint64(seed) * np.uint64(1_000_003)
+        key += np.uint64(i * 131 + j) * np.uint64(2_147_483_647)
+        key += np.uint64(bucket & 0xFFFFFFFF)
+    return int(key)
+
+
+def uint64_keyed_jitter(model, i, j, t, window_s) -> float:
+    """``snapshot_jitter`` from ``default_rng`` on a ``uint64`` key."""
+    if window_s >= 20.0:
+        return 1.0
+    scale = model.sigma * 0.6 * (1.0 - window_s / 20.0)
+    rng = np.random.default_rng(
+        uint64_key(model.seed ^ 0x5EED, i, j, int(t * 1000) % (1 << 31))
+    )
+    return float(np.clip(1.0 + rng.normal(0.0, scale), 0.5, 1.5))
+
 
 #: Links of the parity grid, the diagonal and both directions included.
 GRID_PAIRS = ((0, 1), (1, 0), (2, 7), (7, 2), (3, 3), (5, 4))
@@ -128,6 +150,33 @@ class TestMemoizedParity:
         expected = float(np.clip(1.0 + rng.normal(0.0, scale), 0.5, 1.5))
         assert m.snapshot_jitter(0, 1, 12.0, 1.0) == expected
         assert _link_normal.cache_info() == before
+
+    def test_snapshot_jitter_matches_uint64_keyed_draw(self):
+        # Keys are computed in Python ints; keys and draws must equal
+        # those of a default_rng keyed in numpy uint64 arithmetic.
+        for seed in (0, 1, 3, 7, 0x5EED, 2**31 + 5, 2**40 + 3):
+            m = FluctuationModel(seed=seed)
+            for i, j in GRID_PAIRS:
+                for t in (0.0, 0.0004, 1.0, 12.0, 299.9991, 86_400.5, 2.2e6):
+                    bucket = int(t * 1000) % (1 << 31)
+                    salted = seed ^ 0x5EED
+                    assert _link_key(salted, i, j, bucket) == uint64_key(
+                        salted, i, j, bucket
+                    )
+                    for window in (0.25, 1.0, 5.0, 19.99, 20.0, 30.0):
+                        assert m.snapshot_jitter(i, j, t, window) == (
+                            uint64_keyed_jitter(m, i, j, t, window)
+                        ), (seed, i, j, t, window)
+
+    def test_link_key_wraps_like_uint64(self):
+        for seed in (0, 2**63 - 1, 2**64 - 1):
+            for i, j, bucket in ((0, 1, 0), (7, 6, -1), (255, 255, 2**40)):
+                assert _link_key(seed, i, j, bucket) == uint64_key(
+                    seed, i, j, bucket
+                )
+        assert _link_key(np.int64(3), np.int64(1), 2, np.int64(9)) == (
+            uint64_key(3, 1, 2, 9)
+        )
 
     def test_caches_stay_bounded(self, uncached_factor):
         assert _link_normal.cache_info().maxsize == LINK_DRAW_CACHE_SIZE

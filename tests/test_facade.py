@@ -38,14 +38,15 @@ class TestLazyExports:
 
     def test_import_repro_stays_light(self):
         # The lazy layer exists so `import repro` does not pay for the
-        # GDA engine; scipy arriving eagerly would defeat it.  Checked
-        # in a subprocess because this test session imports everything.
+        # GDA engine or the runtime service.  Checked in a subprocess
+        # because this test session imports everything.
         import subprocess
         import sys
 
         code = (
             "import sys; import repro; "
-            "sys.exit(1 if 'scipy' in sys.modules else 0)"
+            "sys.exit(any(m.startswith(('repro.gda', 'repro.runtime')) "
+            "for m in sys.modules))"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True

@@ -7,7 +7,8 @@ none of them — not at module level, not inside a function, not under
 checked on the AST, relative imports resolved against their package.
 The shared value checks (``repro.checks``) import nothing from the
 package, and the config (``repro.pipeline.config``) nothing from the
-runtime.
+runtime.  No module under ``src/`` imports scipy: numpy is the one
+install requirement.
 """
 
 from __future__ import annotations
@@ -103,6 +104,21 @@ def test_config_does_not_import_the_runtime():
         name for name in imported_modules(path.read_text(), "repro.pipeline")
         if name == "repro.runtime" or name.startswith("repro.runtime.")
     ]
+
+
+def test_no_module_imports_scipy():
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in imported_modules(path.read_text(), package_of(path))
+        if name == "scipy" or name.startswith("scipy.")
+    ]
+    assert offenders == []
+
+
+def test_checker_catches_scipy():
+    source = "def f():\n    from scipy.optimize import linprog"
+    assert "scipy.optimize" in imported_modules(source, "repro.gda.systems")
 
 
 def test_checker_allows_lower_layers():

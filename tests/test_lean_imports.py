@@ -1,9 +1,9 @@
 """Heavy dependencies load where they are first used, not at import.
 
-scipy (~49 MB, ~0.5 s) loads at the first placement LP and
-``http.server`` (~6 MB) with the first ``/metrics`` endpoint.  A process
-that trains, predicts, plans or drains shards without either pays for
-neither.  Each check runs in a fresh interpreter, because this test
+``http.server`` (~6 MB) loads with the first ``/metrics`` endpoint, and
+scipy (~49 MB, ~0.5 s) never: the placement LP is solved in the repo.
+A process that trains, predicts, plans, places or drains shards pays
+for neither.  Each check runs in a fresh interpreter, because this test
 session has imported everything already.
 """
 
@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -75,13 +77,13 @@ print(loaded())
     assert lines == ["3", "[]"]
 
 
-def test_first_placement_loads_scipy_with_unchanged_fractions():
+def test_placements_load_no_scipy_and_keep_highs_fractions():
     lines = _run(
         """
 import numpy as np
 from repro.gda.engine.cluster import GeoCluster
 from repro.gda.engine.dag import StageSpec
-from repro.gda.systems.tetrium import TetriumPolicy
+from repro.gda.systems import IridiumPolicy, KimchiPolicy, TetriumPolicy
 from repro.net.dynamics import StaticModel
 from repro.net.matrix import BandwidthMatrix
 
@@ -90,22 +92,25 @@ cluster = GeoCluster.build(triad, "t2.medium", fluctuation=StaticModel())
 bw = BandwidthMatrix(
     triad, np.array([[0, 900, 120], [900, 0, 130], [120, 130, 0]], float)
 )
+stage = StageSpec("reduce", cpu_s_per_mb=0.1, output_ratio=1.0, shuffle=True)
+data = dict(zip(triad, (200.0, 700.0, 1500.0)))
+policies = (TetriumPolicy(), KimchiPolicy(cost_weight=30000.0), IridiumPolicy())
+for policy in policies:
+    placement = policy.place_stage(stage, data, bw, cluster)
+    print(*(repr(placement[dc]) for dc in triad))
 print(loaded())
-placement = TetriumPolicy().place_stage(
-    StageSpec("reduce", cpu_s_per_mb=0.1, output_ratio=1.0, shuffle=True),
-    dict(zip(triad, (200.0, 700.0, 1500.0))),
-    bw,
-    cluster,
-)
-print(loaded())
-print([repr(placement[dc]) for dc in triad])
 """
     )
-    assert lines[:2] == ["[]", "['scipy']"]
-    # The fractions the LP gave while scipy loaded at module import.
-    assert lines[2] == str(
-        ["0.22702702702702704", "0.245945945945946", "0.5270270270270271"]
-    )
+    assert lines[-1] == "[]"
+    # The fractions scipy's HiGHS gave for the same three placements.
+    highs = [
+        [0.22702702702702704, 0.245945945945946, 0.5270270270270271],
+        [0.12, 0.28, 0.6],
+        [0.30400000000000005, 0.32933333333333337, 0.3666666666666667],
+    ]
+    for line, expected in zip(lines[:-1], highs, strict=True):
+        fractions = [float(value) for value in line.split()]
+        assert fractions == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 
 def test_metrics_endpoint_loads_http_server_and_serves():
